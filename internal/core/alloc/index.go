@@ -5,24 +5,33 @@
 // The engine's allocation policies (EFTF, LFTF, intermittent) feed
 // bandwidth to candidates in a deterministic total order keyed by a
 // float64 quantity (remaining volume, buffer level) with the request id
-// breaking ties. Under production load only a short prefix of that
-// order is ever fed — the spare bandwidth runs out long before the
-// candidate list does — so materializing the full sort on every event
-// is wasted work. Index instead heapifies the candidates in O(k) and
-// pops them lazily in exactly the order a full sort would produce:
-// feeding m of k candidates costs O(k + m log k) instead of O(k log k),
-// and the un-popped remainder stays available (unordered) for
-// order-independent passes.
+// breaking ties. Two indexes share that order (one comparator, before):
+//
+//   - Prefix serves the hot spare feed. Under production load only a
+//     short prefix of the order is ever fed — the spare bandwidth runs
+//     out long before the candidate list does — so Prefix keeps just
+//     the entries whose predecessors' headroom does not yet cover the
+//     budget, in a max-heap bounded by that prefix. Feeding m of k
+//     candidates costs O(k + I log m), with I ≤ k the number of
+//     insertions (a candidate behind a covered prefix is rejected by one
+//     comparison, before the caller loads anything else about it).
+//   - Index holds every candidate: Init heapifies them in O(k) and Pop
+//     yields them lazily in feed order (the intermittent feed, which
+//     serves an unknown number of streams), Sort orders them all (the
+//     audited feeds, whose taps report every would-be grant), and All
+//     keeps them for order-free passes (even split).
 //
 // Entries carry a position into the server's active slice instead of a
-// pointer, so a retained scratch Index never pins finished requests
+// pointer, so a retained scratch index never pins finished requests
 // against the garbage collector.
 //
 // Determinism contract: Pop yields entries in exactly ascending
 // (Key, ID) order — or descending Key with ascending ID ties when the
-// index was Reset(true) — which is the same total order Sort produces.
-// The engine relies on this to keep heap-selection runs bit-identical
-// to full-sort runs (the audit path sorts, the hot path pops).
+// index was Reset(true) — which is the same total order Sort produces,
+// and Prefix.Drain yields the head of that same order. The engine
+// relies on this to keep its hot feeds bit-identical to the sorted
+// feeds of audited runs; TestPopMatchesSort and
+// TestPrefixMatchesSortedFeed pin it.
 package alloc
 
 import "slices"
@@ -62,10 +71,12 @@ func (x *Index) Add(key float64, id int64, pos int32) {
 // Len returns the number of un-popped candidates.
 func (x *Index) Len() int { return x.n }
 
-// before reports whether a precedes b in the index's feed order.
-func (x *Index) before(a, b Entry) bool {
+// before reports whether a precedes b in feed order: ascending Key
+// (descending when desc), ties broken by ascending ID. Index and Prefix
+// both order by it.
+func before(a, b Entry, desc bool) bool {
 	if a.Key != b.Key {
-		if x.desc {
+		if desc {
 			return a.Key > b.Key
 		}
 		return a.Key < b.Key
@@ -102,10 +113,10 @@ func (x *Index) siftDown(i int) {
 			return
 		}
 		c := l
-		if r := l + 1; r < x.n && x.before(e[r], e[l]) {
+		if r := l + 1; r < x.n && before(e[r], e[l], x.desc) {
 			c = r
 		}
-		if !x.before(e[c], e[i]) {
+		if !before(e[c], e[i], x.desc) {
 			return
 		}
 		e[i], e[c] = e[c], e[i]
@@ -127,9 +138,9 @@ func (x *Index) All() []Entry { return x.entries }
 func (x *Index) Sort() []Entry {
 	slices.SortFunc(x.entries, func(a, b Entry) int {
 		switch {
-		case x.before(a, b):
+		case before(a, b, x.desc):
 			return -1
-		case x.before(b, a):
+		case before(b, a, x.desc):
 			return 1
 		default:
 			return 0

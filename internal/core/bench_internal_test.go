@@ -15,6 +15,16 @@ import (
 // benchKs are the per-server active counts the allocator benches sweep.
 var benchKs = []int{16, 256, 4096}
 
+// benchSpares are the spare fractions the spare-feeding benches run at,
+// each with its sub-benchmark name prefix: the production sliver (10%
+// of the minimum-flow demand, ~k/90 candidates fed at 27 Mb/s of
+// receive headroom each) keeps the historical names, and full spare
+// (100%, ~k/9 fed) is the heavy case for the bounded prefix feed.
+var benchSpares = []struct {
+	prefix string
+	frac   float64
+}{{"", 0.1}, {"spare=100%/", 1}}
+
 // benchEngine builds a bare engine and one server carrying k active
 // requests with mixed progress. spareFrac of the minimum-flow demand is
 // left over as spare bandwidth, so the workahead spreader has work to
@@ -57,14 +67,17 @@ func BenchmarkEventQueue(b *testing.B) {
 // EFTF policy, including the next-wake computation that every
 // reschedule performs.
 func BenchmarkAllocate(b *testing.B) {
-	for _, k := range benchKs {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			e, s := benchEngine(k, 0.1, false)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				benchAllocateWake(e, s)
-			}
-		})
+	for _, sp := range benchSpares {
+		for _, k := range benchKs {
+			b.Run(fmt.Sprintf("%sk=%d", sp.prefix, k), func(b *testing.B) {
+				e, s := benchEngine(k, sp.frac, false)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					benchAllocateWake(e, s)
+				}
+			})
+		}
 	}
 }
 
@@ -87,18 +100,21 @@ func BenchmarkAllocateSaturated(b *testing.B) {
 // to the minimum flow each iteration, then the spare is spread in EFTF
 // order (plus the fused next-wake pass after the refactor).
 func BenchmarkSpreadSpare(b *testing.B) {
-	for _, k := range benchKs {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			e, s := benchEngine(k, 0.1, false)
-			spare := s.bandwidth - 3*float64(k)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for j := range s.ln.rate {
-					s.ln.rate[j] = 3
+	for _, sp := range benchSpares {
+		for _, k := range benchKs {
+			b.Run(fmt.Sprintf("%sk=%d", sp.prefix, k), func(b *testing.B) {
+				e, s := benchEngine(k, sp.frac, false)
+				spare := s.bandwidth - 3*float64(k)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for j := range s.ln.rate {
+						s.ln.rate[j] = 3
+					}
+					benchSpreadSpare(e, s, spare)
 				}
-				benchSpreadSpare(e, s, spare)
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -157,11 +157,14 @@ type Engine struct {
 	seqSrc uint64
 
 	// Scratch reused across events to keep the hot path allocation-free.
-	// cand is the per-server candidate index the allocators feed through;
-	// its entries are pointer-free positions into a server's active
-	// slice, so retaining it between events cannot pin finished requests
-	// against the garbage collector (the old []*request scratch did).
+	// cand is the per-server candidate index the allocators feed through,
+	// prefix the bounded one the unaudited EFTF/LFTF spare feed keeps;
+	// their entries are pointer-free positions into a server's active
+	// slice, so retaining them between events cannot pin finished
+	// requests against the garbage collector (the old []*request scratch
+	// did).
 	cand       alloc.Index
+	prefix     alloc.Prefix
 	evenBuf    []alloc.Entry
 	touchedBuf []*server
 	visited    []bool
@@ -290,7 +293,7 @@ func (e *Engine) Reset(cfg Config, cat *catalog.Catalog, lay *placement.Layout, 
 	e.intermitGrantBuf = e.intermitGrantBuf[:0]
 	e.spareMisorder = false
 	e.wakeSkew = false
-	// cand/evenBuf/touchedBuf are reset at each use; freeList is kept —
+	// cand/prefix/evenBuf/touchedBuf are reset at each use; freeList is kept —
 	// recycled requests are the cross-trial reuse this enables.
 	//
 	// Last: arm (or disarm) sharding. This must precede every Schedule*

@@ -3,31 +3,56 @@ package core
 import "math"
 
 // Spare-bandwidth staging shared by the allocation policies: gathering
-// the staging candidates of a server into the engine's reusable index,
-// then feeding them in the discipline's order.
+// the staging candidates of a server, then feeding them in the
+// discipline's order.
 //
-// The hot path never sorts. Feeding spare in (key, id) order only needs
-// the fed *prefix* of that order — once the spare is exhausted every
-// later candidate's grant is zero and its state untouched — so the
-// index heapifies the candidates in O(k) and pops just the prefix.
-// Audited runs instead sort the full candidate list (the SpareOrder tap
-// reports every would-be grant in feed order); the per-request rates
-// are identical either way because Index.Pop yields exactly Sort's
-// order, and the grant arithmetic is the same code.
+// The hot path orders only what it feeds. Feeding spare in (key, id)
+// order only touches the fed *prefix* of that order — once the spare is
+// exhausted every later candidate's grant is zero and its state
+// untouched — and near full load that prefix is a few of dozens. So
+// the unaudited EFTF/LFTF feed gathers into an alloc.Prefix
+// bounded by the spare: it keeps only candidates with receive headroom
+// whose predecessors' headroom does not yet cover the spare, rejects a
+// slot whose remaining volume is behind a covered prefix before loading
+// its request, and costs O(k + I log m) for k slots, I insertions and
+// m kept candidates. Audited runs instead sort the full candidate list
+// in an alloc.Index (the SpareOrder tap reports every would-be grant in
+// feed order), so no audit rule ever sees the hot feed; the two feeds
+// are pinned equal by TestSpareFeedMatchesSortedFeed here and
+// TestPrefixMatchesSortedFeed in package alloc.
+//
+// Why the per-request rates are bit-identical either way. The grant
+// arithmetic is the same code (spareGrantTo) applied in the same order
+// to the same slots, so the feeds can differ only if the sorted feed
+// grants something to a candidate the prefix left out. Candidates with
+// no headroom get a zero grant, which changes nothing. The prefix
+// drops a candidate only when the headroom of the kept candidates
+// ahead of it sums to at least the spare; a later drop removes only the
+// last kept candidate, and only when those ahead of it cover the spare
+// in turn, so the kept candidates ahead of any dropped one always cover
+// the spare. After them the feed has max(0, spare − sum) left up to
+// rounding, and it stops at avail ≤ dataEps, so it never reaches a
+// dropped candidate as long as the rounding in both sums stays under
+// dataEps. Both sums round once per addition or removal, on magnitudes
+// below spare + 2·receive cap: at k = 4096 the drift stays below 1e-9
+// Mb against dataEps = 1e-6 Mb, and it could reach dataEps only when
+// k·(spare + receive cap) neared 4e9 Mb/s, far beyond any configured
+// server. (Uncapped clients' +Inf headroom is counted, not summed.)
 //
 // Every feed rewrites the wake key of each slot whose rate it raises
 // (see wake.go): a raised rate moves both the finish and the
 // buffer-full candidate earlier, so the rewrite only lowers the key
 // and the lane's running min stays valid.
 
-// gatherSpareCandidates fills e.cand with s's staging candidates at
-// time t: unfinished (always true for active requests), not suspended,
-// transmitting, not pinned by patching, with buffer room left. Each
-// entry's key is the request's untransmitted volume — the EFTF/LFTF
-// ordering quantity — and its position indexes s.active.
-func (e *Engine) gatherSpareCandidates(s *server, t float64, descending bool) {
+// gatherSpareCandidates collects s's staging candidates at time t: not
+// suspended, transmitting, not pinned by multicast taps or patching,
+// with buffer room left. Each candidate's key is the request's
+// untransmitted volume — the EFTF/LFTF ordering quantity — and its
+// position indexes s.active. With bounded set the candidates go to
+// e.prefix, which the caller has Reset, along with their receive
+// headroom; otherwise they all go to e.cand, which the caller has Reset.
+func (e *Engine) gatherSpareCandidates(s *server, t float64, bounded bool) {
 	bview := e.cfg.ViewRate
-	e.cand.Reset(descending)
 	ln := &s.ln
 	rateA := ln.rate
 	suspA := ln.susp[:len(rateA)]
@@ -37,41 +62,54 @@ func (e *Engine) gatherSpareCandidates(s *server, t float64, descending bool) {
 		if suspA[i] > t+timeEps || rateA[i] <= 0 {
 			continue
 		}
+		// remainingOf and bufferOf unrolled onto one sent load; same
+		// operations, same clamps. The key comes from the lane alone, so
+		// a slot behind the covered prefix is skipped before its request
+		// is loaded.
+		sent := sentA[i]
+		rem := sizeA[i] - sent
+		if rem < 0 {
+			rem = 0
+		}
+		if bounded && e.prefix.Beyond(rem) {
+			continue
+		}
 		r := s.active[i]
 		// Streams feeding multicast taps cannot run ahead (the shared
 		// receivers' buffers bound the sender), and patch streams share
 		// their client's buffer with the tapped remainder, so both stay
 		// at exactly b_view.
-		if r.taps > 0 || r.isPatch {
+		if r.taps > 0 || r.isPatch || r.bufCap <= 0 {
 			continue
 		}
-		// bufferOf and remainingOf unrolled onto one sent load (and the r
-		// chase already paid above); same operations, same clamps.
-		sent := sentA[i]
-		if r.bufCap > 0 {
-			buf := sent - r.viewedAt(t, bview)
-			if buf < 0 {
-				buf = 0
-			}
-			if buf < r.bufCap-dataEps {
-				rem := sizeA[i] - sent
-				if rem < 0 {
-					rem = 0
-				}
-				e.cand.Add(rem, r.id, int32(i))
-			}
+		buf := sent - r.viewedAt(t, bview)
+		if buf < 0 {
+			buf = 0
+		}
+		if buf >= r.bufCap-dataEps {
+			continue
+		}
+		if bounded {
+			e.prefix.Add(rem, r.id, int32(i), receiveHeadroom(rateA[i], r.recvCap))
+		} else {
+			e.cand.Add(rem, r.id, int32(i))
 		}
 	}
+}
+
+// receiveHeadroom is how much more a client receiving at rate can take:
+// recvCap − rate, or +Inf when its receive bandwidth is uncapped.
+func receiveHeadroom(rate, recvCap float64) float64 {
+	if recvCap > 0 {
+		return recvCap - rate
+	}
+	return math.Inf(1)
 }
 
 // spareGrantTo computes how much spare a candidate can absorb:
 // min(avail, receive headroom), clamped at zero for saturated clients.
 func spareGrantTo(rate, recvCap, avail float64) float64 {
-	headroom := math.Inf(1)
-	if recvCap > 0 {
-		headroom = recvCap - rate
-	}
-	extra := headroom
+	extra := receiveHeadroom(rate, recvCap)
 	if extra > avail {
 		extra = avail
 	}
@@ -102,24 +140,25 @@ func (e *Engine) spreadSpare(s *server, t float64, avail float64) {
 // feedSpareOrdered feeds spare to candidates in ascending (descending
 // when inverted) remaining-volume order.
 func (e *Engine) feedSpareOrdered(s *server, t float64, avail float64, descending bool) {
-	e.gatherSpareCandidates(s, t, descending)
-	if e.cand.Len() == 0 {
-		return
-	}
 	if e.audit != nil {
-		e.feedSpareAudited(s, t, avail)
+		e.feedSpareAudited(s, t, avail, descending)
 		return
 	}
+	e.prefix.Reset(descending, avail)
+	e.gatherSpareCandidates(s, t, true)
 	ln := &s.ln
-	e.cand.Init()
-	for avail > dataEps && e.cand.Len() > 0 {
-		i := e.cand.Pop().Pos
-		r := s.active[i]
-		if extra := spareGrantTo(ln.rate[i], r.recvCap, avail); extra > 0 {
-			ln.rate[i] += extra
-			avail -= extra
-			ln.setWake(i, e.wakeKeyServing(s, r, int(i), t))
+	for _, ent := range e.prefix.Drain() {
+		if avail <= dataEps {
+			break
 		}
+		i := ent.Pos
+		r := s.active[i]
+		// Kept candidates have headroom and avail > 0, so the grant is
+		// positive.
+		extra := spareGrantTo(ln.rate[i], r.recvCap, avail)
+		ln.rate[i] += extra
+		avail -= extra
+		ln.setWake(i, e.wakeKeyServing(s, r, int(i), t))
 	}
 }
 
@@ -127,7 +166,12 @@ func (e *Engine) feedSpareOrdered(s *server, t float64, avail float64, descendin
 // grant — including the zero grants after the spare runs out — is
 // reported to the SpareOrder tap in feed order, which requires the full
 // sort the hot path avoids.
-func (e *Engine) feedSpareAudited(s *server, t float64, avail float64) {
+func (e *Engine) feedSpareAudited(s *server, t float64, avail float64, descending bool) {
+	e.cand.Reset(descending)
+	e.gatherSpareCandidates(s, t, false)
+	if e.cand.Len() == 0 {
+		return
+	}
 	ln := &s.ln
 	grants := e.spareGrantBuf[:0]
 	for _, ent := range e.cand.Sort() {
@@ -158,6 +202,7 @@ func (e *Engine) feedSpareAudited(s *server, t float64, avail float64) {
 // rounds, so the wake keys are written once at the end, from the final
 // rates — the same values a post-feed scan would have read.
 func (e *Engine) feedSpareEven(s *server, t float64, avail float64) {
+	e.cand.Reset(false)
 	e.gatherSpareCandidates(s, t, false)
 	if e.cand.Len() == 0 {
 		return
