@@ -181,7 +181,7 @@ func TestOverloadRunDeterministicAcrossGOMAXPROCS(t *testing.T) {
 }
 
 // TestAuditedRunDeterministic extends the plain Run determinism check to
-// audited runs: the auditor keeps per-run state (replica maps, event
+// audited runs: the auditor keeps per-run state (replica model, event
 // counters), and two runs of the same audited scenario must still agree
 // on every result field, AuditedEvents included.
 func TestAuditedRunDeterministic(t *testing.T) {

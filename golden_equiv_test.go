@@ -174,8 +174,8 @@ func goldenMatrix() []struct {
 	flash.Curve.FlashVideo = 3
 	add("flash-diurnal", flash)
 
-	// Audited runs pin the instrumented allocation path (full feed-order
-	// reporting) to the same results as the bare one.
+	// Audited runs pin the instrumented allocation path (every feed
+	// reported to the order taps) to the same results as the bare one.
 	audited := base(PolicyP4())
 	audited.Audit = true
 	add("audited-p4", audited)

@@ -9,8 +9,10 @@
 //   - client state: staging buffers stay within [0, capacity] and no
 //     client receives faster than its receive cap;
 //   - EFTF: spare bandwidth is fed in earliest-projected-finish order,
-//     and no fuller-buffered later-finishing request is fed while an
-//     eligible earlier-finishing one still has headroom;
+//     no later-finishing request is fed while an earlier-finishing one
+//     it passed still has headroom, and no candidate the feed skipped
+//     had headroom and an earlier finish than the last one fed (the
+//     feed lists skipped candidates unordered; the check is O(k));
 //   - admission: the controller's chosen server could actually accept
 //     the stream it claimed to admit, and holds a replica of its video;
 //   - DRM: per-request hop budgets and per-admission chain lengths are
@@ -98,9 +100,9 @@ type Auditor struct {
 	begun  bool
 	events uint64
 
-	holders     []map[int32]bool // video → servers holding a replica
-	storageUsed []float64        // static + dynamic storage per server, Mb
-	rescued     map[int64]bool   // requests moved by failure rescue (hop budget waived)
+	holders     [][]bool       // video → per-server replica flags
+	storageUsed []float64      // static + dynamic storage per server, Mb
+	rescued     map[int64]bool // requests moved by failure rescue (hop budget waived)
 
 	// Fault model. down mirrors per-server up/down state exactly — it
 	// is driven by the always-on Failure/Recovery taps, so it stays
@@ -185,18 +187,30 @@ func (a *Auditor) fail(rule string, server int, request int64, format string, ar
 	return &a.violations[len(a.violations)-1]
 }
 
+// holds reports whether the replica model has video v on server s. A
+// server outside the cluster holds nothing.
+func (a *Auditor) holds(v int, s int32) bool {
+	row := a.holders[v]
+	return s >= 0 && int(s) < len(row) && row[s]
+}
+
 // Begin implements core.AuditTap.
 func (a *Auditor) Begin(b core.AuditBegin) error {
 	a.cfg = b.Config
 	a.begun = true
 	a.curKind = "begin"
-	a.holders = make([]map[int32]bool, b.NumVideos)
+	servers := len(b.StaticStorage)
+	flags := make([]bool, b.NumVideos*servers)
+	a.holders = make([][]bool, b.NumVideos)
+	for v := range a.holders {
+		a.holders[v] = flags[v*servers : (v+1)*servers : (v+1)*servers]
+	}
 	for v, hs := range b.Holders {
-		set := make(map[int32]bool, len(hs))
 		for _, h := range hs {
-			set[h] = true
+			if h >= 0 && int(h) < servers {
+				a.holders[v][h] = true
+			}
 		}
-		a.holders[v] = set
 	}
 	a.storageUsed = append([]float64(nil), b.StaticStorage...)
 	a.down = make([]bool, len(b.StaticStorage))
@@ -361,7 +375,7 @@ func (a *Auditor) checkRequest(sid int, r *core.AuditRequestState, bview float64
 		return a.fail("buffer-overflow", sid, r.ID,
 			"buffer %g Mb exceeds capacity %g Mb", r.Buffer, r.BufCap)
 	}
-	if v := int(r.Video); v >= 0 && v < len(a.holders) && !a.holders[v][int32(sid)] {
+	if v := int(r.Video); v >= 0 && v < len(a.holders) && !a.holds(v, int32(sid)) {
 		return a.fail("replica", sid, r.ID,
 			"served by a server that holds no replica of video %d", v)
 	}
@@ -372,36 +386,71 @@ func (a *Auditor) checkRequest(sid int, r *core.AuditRequestState, bview float64
 	return nil
 }
 
-// SpareOrder implements core.AuditTap: the EFTF ordering checks.
+// SpareOrder implements core.AuditTap: the EFTF ordering checks. The
+// fed grants must come in the discipline's order, none may follow a
+// fed candidate that was left with receive headroom, and no skipped
+// candidate with receive headroom may precede the last one fed: the
+// feed would have reached it first. Each check allows dataEps of slack
+// in the remaining volumes, and the whole pass is O(k).
 func (a *Auditor) SpareOrder(t float64, server int32, discipline core.SpareDiscipline, grants []core.SpareGrant) error {
 	if discipline != core.EFTF && discipline != core.LFTF {
 		return nil
 	}
-	starved := false // an earlier candidate still had receive headroom
+	var prev, last *core.SpareGrant // last fed candidate; last with a positive grant
+	starved := false                // an earlier candidate still had receive headroom
 	for i := range grants {
 		g := &grants[i]
-		if i > 0 {
-			prev := &grants[i-1]
-			inOrder := g.Remaining+dataEps >= prev.Remaining
-			if discipline == core.LFTF {
-				inOrder = g.Remaining-dataEps <= prev.Remaining
+		if g.Skipped {
+			if g.Extra > dataEps {
+				return a.fail("eftf-feed", int(server), g.Request,
+					"skipped candidate granted %g Mb/s", g.Extra)
 			}
-			if !inOrder {
-				return a.fail("eftf-order", int(server), g.Request,
-					"%s feed order broken: remaining %g Mb fed after %g Mb (request %d)",
-					discipline, g.Remaining, prev.Remaining, prev.Request)
-			}
+			continue
+		}
+		if prev != nil && ahead(discipline, g.Remaining, prev.Remaining) {
+			return a.fail("eftf-order", int(server), g.Request,
+				"%s feed order broken: remaining %g Mb fed after %g Mb (request %d)",
+				discipline, g.Remaining, prev.Remaining, prev.Request)
 		}
 		if g.Extra > dataEps && starved {
 			return a.fail("eftf-feed", int(server), g.Request,
 				"granted %g Mb/s while an earlier-finishing candidate still had receive headroom", g.Extra)
 		}
-		saturated := g.RecvCap > 0 && g.RateBefore+g.Extra >= g.RecvCap-dataEps
-		if !saturated {
+		if !saturated(g) {
 			starved = true
+		}
+		if g.Extra > 0 {
+			last = g
+		}
+		prev = g
+	}
+	if last == nil {
+		return nil
+	}
+	for i := range grants {
+		g := &grants[i]
+		if g.Skipped && !saturated(g) && ahead(discipline, g.Remaining, last.Remaining) {
+			return a.fail("eftf-order", int(server), g.Request,
+				"%s feed skipped remaining %g Mb with receive headroom but fed %g Mb (request %d)",
+				discipline, g.Remaining, last.Remaining, last.Request)
 		}
 	}
 	return nil
+}
+
+// ahead reports whether remaining volume x comes before y in the
+// discipline's feed order by more than dataEps.
+func ahead(discipline core.SpareDiscipline, x, y float64) bool {
+	if discipline == core.LFTF {
+		return x-dataEps > y
+	}
+	return x+dataEps < y
+}
+
+// saturated reports whether a spare-feed candidate ended at its receive
+// cap.
+func saturated(g *core.SpareGrant) bool {
+	return g.RecvCap > 0 && g.RateBefore+g.Extra >= g.RecvCap-dataEps
 }
 
 // IntermittentOrder implements core.AuditTap: ascending-buffer feeding.
@@ -436,7 +485,7 @@ func (a *Auditor) Admission(t float64, video int32, server int32, viaDRM, feasib
 		return a.fail("admission-feasible", int(server), 0,
 			"selector chose a server that cannot accept video %d (viaDRM=%t)", video, viaDRM)
 	}
-	if v := int(video); v >= 0 && v < len(a.holders) && !a.holders[v][server] {
+	if v := int(video); v >= 0 && v < len(a.holders) && !a.holds(v, server) {
 		return a.fail("admission-feasible", int(server), 0,
 			"selector chose a server holding no replica of video %d", v)
 	}
@@ -448,7 +497,7 @@ func (a *Auditor) Migration(t float64, req int64, video int32, from, to int32, h
 	if from == to {
 		return a.fail("migration-target", int(to), req, "migrated onto its own server")
 	}
-	if v := int(video); v >= 0 && v < len(a.holders) && !a.holders[v][to] {
+	if v := int(video); v >= 0 && v < len(a.holders) && !a.holds(v, to) {
 		return a.fail("migration-target", int(to), req,
 			"migrated to a server holding no replica of video %d", v)
 	}
@@ -513,8 +562,8 @@ func (a *Auditor) Recovery(t float64, server int32, cold bool) error {
 	}
 	a.down[sid] = false
 	if cold {
-		for _, set := range a.holders {
-			delete(set, server)
+		for _, row := range a.holders {
+			row[sid] = false
 		}
 		if sid < len(a.storageUsed) {
 			a.storageUsed[sid] = 0
@@ -647,13 +696,17 @@ func (a *Auditor) Replication(t float64, video, from, to int32, size float64) er
 	if v < 0 || v >= len(a.holders) {
 		return a.fail("replica", int(to), 0, "replicated unknown video %d", v)
 	}
-	if !a.holders[v][from] {
+	if !a.holds(v, from) {
 		return a.fail("replica", int(from), 0,
 			"replica of video %d copied from a non-holder", v)
 	}
-	if a.holders[v][to] {
+	if a.holds(v, to) {
 		return a.fail("replica-dup", int(to), 0,
 			"replica of video %d installed on a server that already holds it", v)
+	}
+	if to < 0 || int(to) >= len(a.holders[v]) {
+		return a.fail("replica", int(to), 0,
+			"replica of video %d installed on unknown server %d", v, to)
 	}
 	a.holders[v][to] = true
 	a.storageUsed[to] += size

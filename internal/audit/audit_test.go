@@ -235,6 +235,55 @@ func TestSpareOrderViolations(t *testing.T) {
 			t.Fatalf("even-split pass flagged: %v", err)
 		}
 	})
+	// Skipped candidates follow the fed ones in slot order. For each
+	// discipline, at(x) maps a position x in feed order (smaller first)
+	// to a remaining volume.
+	for _, d := range []core.SpareDiscipline{core.EFTF, core.LFTF} {
+		at := func(x float64) float64 { return x }
+		if d == core.LFTF {
+			at = func(x float64) float64 { return 100 - x }
+		}
+		skip := func(req int64, x, before, cap float64) core.SpareGrant {
+			g := grant(req, at(x), before, 0, cap)
+			g.Skipped = true
+			return g
+		}
+		// Requests 1 and 2 were fed; 2 is the last fed one, at 30.
+		fed := []core.SpareGrant{grant(1, at(20), 3, 27, 30), grant(2, at(30), 3, 5, 30)}
+		feed := func(skipped ...core.SpareGrant) []core.SpareGrant {
+			return append(append([]core.SpareGrant(nil), fed...), skipped...)
+		}
+		t.Run(d.String()+"/skipped with headroom ahead of the last fed", func(t *testing.T) {
+			a := testAuditor(t)
+			err := a.SpareOrder(10, 0, d, feed(skip(3, 40, 3, 30), skip(4, 25, 3, 30)))
+			wantRule(t, err, "eftf-order")
+		})
+		t.Run(d.String()+"/uncapped skipped ahead of the last fed", func(t *testing.T) {
+			a := testAuditor(t)
+			err := a.SpareOrder(10, 0, d, feed(skip(3, 10, 3, 0)))
+			wantRule(t, err, "eftf-order")
+		})
+		t.Run(d.String()+"/saturated skipped ahead of the last fed", func(t *testing.T) {
+			a := testAuditor(t)
+			if err := a.SpareOrder(10, 0, d, feed(skip(3, 10, 30, 30), skip(4, 25, 30, 30))); err != nil {
+				t.Fatalf("saturated skipped candidates flagged: %v", err)
+			}
+		})
+		t.Run(d.String()+"/skipped behind the last fed in any order", func(t *testing.T) {
+			a := testAuditor(t)
+			err := a.SpareOrder(10, 0, d, feed(
+				skip(5, 90, 3, 30), skip(3, 40, 3, 0), skip(4, 30, 3, 30), skip(6, 60, 3, 30)))
+			if err != nil {
+				t.Fatalf("skipped candidates behind the feed flagged: %v", err)
+			}
+		})
+		t.Run(d.String()+"/skipped candidate granted spare", func(t *testing.T) {
+			a := testAuditor(t)
+			g := skip(3, 40, 3, 30)
+			g.Extra = 2e-6
+			wantRule(t, a.SpareOrder(10, 0, d, feed(g)), "eftf-feed")
+		})
+	}
 }
 
 func TestIntermittentOrderViolations(t *testing.T) {
@@ -358,6 +407,50 @@ func TestReplicationViolations(t *testing.T) {
 		if err := a.Migration(11, 2, 0, 0, 1, 1, false); err != nil {
 			t.Fatalf("post-replication migration flagged: %v", err)
 		}
+	})
+}
+
+func TestReplicaModel(t *testing.T) {
+	t.Run("cold recovery wipes the server", func(t *testing.T) {
+		a := testAuditor(t)
+		if err := a.Failure(10, 0, 0, 0, 0); err != nil {
+			t.Fatalf("failure flagged: %v", err)
+		}
+		if err := a.Recovery(11, 0, true); err != nil {
+			t.Fatalf("cold recovery flagged: %v", err)
+		}
+		// Server 0 lost videos 0 and 1; server 1 still holds video 1.
+		wantRule(t, a.Admission(12, 0, 0, false, true), "admission-feasible")
+		wantRule(t, a.Admission(12, 1, 0, false, true), "admission-feasible")
+		if err := a.Admission(12, 1, 1, false, true); err != nil {
+			t.Fatalf("admission on the untouched holder flagged: %v", err)
+		}
+		// A fresh replica can be installed on the wiped server.
+		if err := a.Replication(13, 1, 1, 0, 100); err != nil {
+			t.Fatalf("replication onto the wiped server flagged: %v", err)
+		}
+	})
+	t.Run("warm recovery keeps replicas", func(t *testing.T) {
+		a := testAuditor(t)
+		if err := a.Failure(10, 0, 0, 0, 0); err != nil {
+			t.Fatalf("failure flagged: %v", err)
+		}
+		if err := a.Recovery(11, 0, false); err != nil {
+			t.Fatalf("warm recovery flagged: %v", err)
+		}
+		if err := a.Admission(12, 0, 0, false, true); err != nil {
+			t.Fatalf("admission after warm recovery flagged: %v", err)
+		}
+	})
+	t.Run("unknown server holds nothing", func(t *testing.T) {
+		a := testAuditor(t)
+		for _, sid := range []int32{-1, 2, 7} {
+			wantRule(t, a.Admission(10, 1, sid, false, true), "admission-feasible")
+			wantRule(t, a.Migration(10, 1, 1, 0, sid, 1, false), "migration-target")
+			wantRule(t, a.Replication(10, 1, sid, 0, 100), "replica")
+			wantRule(t, a.Replication(10, 0, 0, sid, 100), "replica")
+		}
+		wantRule(t, a.Event(record(server(2, []core.AuditRequestState{okRequest(1, 1)}, nil))), "replica")
 	})
 }
 

@@ -17,9 +17,10 @@
 //     comparison, before the caller loads anything else about it).
 //   - Index holds every candidate: Init heapifies them in O(k) and Pop
 //     yields them lazily in feed order (the intermittent feed, which
-//     serves an unknown number of streams), Sort orders them all (the
-//     audited feeds, whose taps report every would-be grant), and All
-//     keeps them for order-free passes (even split).
+//     serves an unknown number of streams), Sort orders them all (only
+//     the audited intermittent feed, whose tap reports every grant in
+//     order), and All keeps them for order-free passes (even split, and
+//     the skipped candidates an audited spare feed reports).
 //
 // Entries carry a position into the server's active slice instead of a
 // pointer, so a retained scratch index never pins finished requests
@@ -29,9 +30,9 @@
 // (Key, ID) order — or descending Key with ascending ID ties when the
 // index was Reset(true) — which is the same total order Sort produces,
 // and Prefix.Drain yields the head of that same order. The engine
-// relies on this to keep its hot feeds bit-identical to the sorted
-// feeds of audited runs; TestPopMatchesSort and
-// TestPrefixMatchesSortedFeed pin it.
+// relies on this to keep its feeds bit-identical to a walk of the fully
+// sorted order; TestPopMatchesSort and TestPrefixMatchesSortedFeed pin
+// it.
 package alloc
 
 import "slices"

@@ -35,18 +35,21 @@ func init() {
 func (intermittentAllocator) Name() string { return AllocIntermittent }
 
 func (intermittentAllocator) Allocate(e *Engine, s *server, t float64) float64 {
-	e.allocateIntermittent(s, t)
+	if avail := e.allocateIntermittent(s, t); avail > dataEps {
+		e.spreadSpare(s, t, avail)
+	}
 	return s.wakeAt(t)
 }
 
-// allocateIntermittent runs the heuristic on server s at time t.
-// Requests must be synced to t. Like minFlowRates it opens the wake
-// round and writes every slot's key at the rate decision: suspension
-// deadlines in the gather, the resume-guard key for every slot the
-// feed leaves at rate zero (a paused-full viewer's buffer still drains
-// once it resumes, so it gets the same guard key), and wakeKeyServing
-// for the slots it serves.
-func (e *Engine) allocateIntermittent(s *server, t float64) {
+// allocateIntermittent runs the heuristic on server s at time t, then
+// feeds copy jobs, and returns the bandwidth left for staging. Requests
+// must be synced to t. Like minFlowRates it opens the wake round and
+// writes every slot's key at the rate decision: suspension deadlines in
+// the gather, the resume-guard key for every slot the feed leaves at
+// rate zero (a paused-full viewer's buffer still drains once it
+// resumes, so it gets the same guard key), and wakeKeyServing for the
+// slots it serves.
+func (e *Engine) allocateIntermittent(s *server, t float64) float64 {
 	bview := e.cfg.ViewRate
 	ln := &s.ln
 	e.cand.Reset(false)
@@ -107,10 +110,7 @@ func (e *Engine) allocateIntermittent(s *server, t float64) {
 			break
 		}
 	}
-	avail = e.allocateCopies(s, t, avail)
-	if avail > dataEps {
-		e.spreadSpare(s, t, avail)
-	}
+	return e.allocateCopies(s, t, avail)
 }
 
 // pauseIntermittent pauses slot i, which the feed could not serve. buf

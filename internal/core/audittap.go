@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // Audit taps: fine-grained engine instrumentation consumed by the
 // internal/audit invariant auditor. The engine stays oblivious to what
 // is checked — it only reports what it did, at the moments transient
@@ -80,7 +82,7 @@ type AuditRequestState struct {
 }
 
 // Finished reports whether transmission is complete.
-func (r AuditRequestState) Finished() bool { return r.Size-r.Sent <= dataEps }
+func (r *AuditRequestState) Finished() bool { return r.Size-r.Sent <= dataEps }
 
 // AuditCopyState is one in-flight replica transfer on its source server.
 type AuditCopyState struct {
@@ -118,14 +120,16 @@ type AuditEventRecord struct {
 	Servers []AuditServerState
 }
 
-// SpareGrant records one candidate considered by the workahead
-// spreader, in feed order: the order the discipline fed spare bandwidth.
+// SpareGrant records one candidate of an ordered workahead feed: a
+// candidate the discipline fed, or, with Skipped set, one it did not
+// reach — the spare ran out ahead of it, or it had no receive headroom.
 type SpareGrant struct {
 	Request    int64
 	Remaining  float64 // untransmitted volume when considered, Mb
 	RateBefore float64 // allocation before the grant, Mb/s
-	Extra      float64 // spare bandwidth granted, Mb/s (0 = none left or saturated)
+	Extra      float64 // spare bandwidth granted, Mb/s (0 when Skipped)
 	RecvCap    float64 // client receive cap (0 = unlimited)
+	Skipped    bool    // not fed; listed in slot order after the fed grants
 }
 
 // IntermittentGrant records one stream considered by the intermittent
@@ -163,8 +167,10 @@ type AuditTap interface {
 	Event(rec AuditEventRecord) error
 	// SpareOrder reports every sequential workahead feed pass (EFTF and
 	// LFTF; the even-split water-filling pass has no feed order): the
-	// candidates in the order the discipline fed them, with the granted
-	// extras.
+	// candidates the discipline fed, in the order it fed them with the
+	// granted extras, then every other candidate, in slot order, marked
+	// Skipped. The feed sorts only what it feeds, so the skipped ones
+	// come unordered; a tap checks them against the fed ones instead.
 	SpareOrder(t float64, server int32, discipline SpareDiscipline, grants []SpareGrant) error
 	// IntermittentOrder reports every intermittent allocation pass.
 	IntermittentOrder(t float64, server int32, grants []IntermittentGrant) error
@@ -326,26 +332,27 @@ func (e *Engine) auditRecord(kind AuditEventKind, server int32, req int64) Audit
 		if e.wakeSkew && len(s.active) > 0 {
 			st.NextWake = st.NextWake - 1 // test-only sabotage
 		}
-		st.Requests = st.Requests[:0]
+		// Rows are written in place: a struct literal per row would be
+		// built and then copied into the slice.
+		st.Requests = slices.Grow(st.Requests[:0], len(s.active))[:len(s.active)]
 		for j, r := range s.active {
-			st.Requests = append(st.Requests, AuditRequestState{
-				ID:         r.id,
-				Video:      r.video,
-				Rate:       s.ln.rate[j],
-				Sent:       s.ln.sent[j],
-				Size:       r.size,
-				Buffer:     s.ln.sent[j] - r.viewedAt(s.ln.last[j], bview),
-				BufCap:     r.bufCap,
-				RecvCap:    r.recvCap,
-				Hops:       r.hops,
-				Taps:       r.taps,
-				SyncedAt:   s.ln.last[j],
-				WakeKey:    s.ln.wake[j],
-				Suspended:  s.suspendedAt(j, s.ln.last[j]),
-				PausedView: r.pausedView,
-				IsPatch:    r.isPatch,
-				Glitched:   r.glitched,
-			})
+			q := &st.Requests[j]
+			q.ID = r.id
+			q.Video = r.video
+			q.Rate = s.ln.rate[j]
+			q.Sent = s.ln.sent[j]
+			q.Size = r.size
+			q.Buffer = s.ln.sent[j] - r.viewedAt(s.ln.last[j], bview)
+			q.BufCap = r.bufCap
+			q.RecvCap = r.recvCap
+			q.Hops = r.hops
+			q.Taps = r.taps
+			q.SyncedAt = s.ln.last[j]
+			q.WakeKey = s.ln.wake[j]
+			q.Suspended = s.suspendedAt(j, s.ln.last[j])
+			q.PausedView = r.pausedView
+			q.IsPatch = r.isPatch
+			q.Glitched = r.glitched
 		}
 		st.Copies = st.Copies[:0]
 		for _, c := range s.copies {

@@ -81,6 +81,34 @@ func BenchmarkAllocate(b *testing.B) {
 	}
 }
 
+// noopSpareTap accepts every SpareOrder report and checks nothing. Only
+// SpareOrder is implemented: a min-flow allocation round calls no other
+// tap.
+type noopSpareTap struct{ AuditTap }
+
+func (noopSpareTap) SpareOrder(float64, int32, SpareDiscipline, []SpareGrant) error { return nil }
+
+// BenchmarkAllocateAudited is BenchmarkAllocate with a SpareOrder tap
+// attached: the audited EFTF feed, which lists every candidate and
+// reports the fed and the skipped ones, without the auditor's own
+// checks.
+func BenchmarkAllocateAudited(b *testing.B) {
+	for _, sp := range benchSpares {
+		for _, k := range benchKs {
+			b.Run(fmt.Sprintf("%sk=%d", sp.prefix, k), func(b *testing.B) {
+				e, s := benchEngine(k, sp.frac, false)
+				e.SetAuditTap(noopSpareTap{})
+				benchAllocateWake(e, s) // grow the grant and candidate scratch
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					benchAllocateWake(e, s)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkAllocateSaturated is the common case under 100% offered
 // load: zero spare bandwidth, so the candidate machinery must be
 // skipped entirely.

@@ -111,13 +111,16 @@ type Engine struct {
 
 	// Audit instrumentation (nil when no auditor is attached): the tap,
 	// the first violation raised, the event sequence counter, and the
-	// reusable snapshot/grant buffers.
+	// reusable snapshot/grant buffers. spareFed marks, by slot, the
+	// candidates an audited spare feed fed; it is all false between
+	// feeds.
 	audit            AuditTap
 	auditErr         error
 	auditSeq         uint64
 	auditEvery       uint64
 	auditServers     []AuditServerState
 	spareGrantBuf    []SpareGrant
+	spareFed         []bool
 	intermitGrantBuf []IntermittentGrant
 	spareMisorder    bool
 	wakeSkew         bool
@@ -158,11 +161,10 @@ type Engine struct {
 
 	// Scratch reused across events to keep the hot path allocation-free.
 	// cand is the per-server candidate index the allocators feed through,
-	// prefix the bounded one the unaudited EFTF/LFTF spare feed keeps;
-	// their entries are pointer-free positions into a server's active
-	// slice, so retaining them between events cannot pin finished
-	// requests against the garbage collector (the old []*request scratch
-	// did).
+	// prefix the bounded one the EFTF/LFTF spare feed keeps; their
+	// entries are pointer-free positions into a server's active slice, so
+	// retaining them between events cannot pin finished requests against
+	// the garbage collector (the old []*request scratch did).
 	cand       alloc.Index
 	prefix     alloc.Prefix
 	evenBuf    []alloc.Entry

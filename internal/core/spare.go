@@ -1,29 +1,37 @@
 package core
 
-import "math"
+import (
+	"math"
+
+	"semicont/internal/core/alloc"
+)
 
 // Spare-bandwidth staging shared by the allocation policies: gathering
 // the staging candidates of a server, then feeding them in the
 // discipline's order.
 //
-// The hot path orders only what it feeds. Feeding spare in (key, id)
+// The feed orders only what it feeds. Feeding spare in (key, id)
 // order only touches the fed *prefix* of that order — once the spare is
 // exhausted every later candidate's grant is zero and its state
 // untouched — and near full load that prefix is a few of dozens. So
-// the unaudited EFTF/LFTF feed gathers into an alloc.Prefix
-// bounded by the spare: it keeps only candidates with receive headroom
-// whose predecessors' headroom does not yet cover the spare, rejects a
-// slot whose remaining volume is behind a covered prefix before loading
-// its request, and costs O(k + I log m) for k slots, I insertions and
-// m kept candidates. Audited runs instead sort the full candidate list
-// in an alloc.Index (the SpareOrder tap reports every would-be grant in
-// feed order), so no audit rule ever sees the hot feed; the two feeds
-// are pinned equal by TestSpareFeedMatchesSortedFeed here and
-// TestPrefixMatchesSortedFeed in package alloc.
+// the EFTF/LFTF feed gathers into an alloc.Prefix bounded by the spare:
+// it keeps only candidates with receive headroom whose predecessors'
+// headroom does not yet cover the spare, rejects a slot whose remaining
+// volume is behind a covered prefix before loading its request, and
+// costs O(k + I log m) for k slots, I insertions and m kept candidates.
+// Audited runs feed from the same prefix. They give up only the early
+// rejection (Beyond never changes what the prefix keeps): the gather
+// also lists every eligible candidate, unsorted, and the SpareOrder tap
+// receives the fed grants in feed order followed by every other
+// candidate marked Skipped, still O(k). That is what the auditor needs
+// to check the order without a sort: no skipped candidate with headroom
+// may precede the last fed one. TestSpareFeedMatchesSortedFeed here and
+// TestPrefixMatchesSortedFeed in package alloc pin the feed to a walk of
+// the full sorted order.
 //
-// Why the per-request rates are bit-identical either way. The grant
-// arithmetic is the same code (spareGrantTo) applied in the same order
-// to the same slots, so the feeds can differ only if the sorted feed
+// Why the per-request rates are bit-identical to that sorted walk. The
+// grant arithmetic is the same code (spareGrantTo) applied in the same
+// order to the same slots, so the two can differ only if the sorted walk
 // grants something to a candidate the prefix left out. Candidates with
 // no headroom get a zero grant, which changes nothing. The prefix
 // drops a candidate only when the headroom of the kept candidates
@@ -48,11 +56,13 @@ import "math"
 // suspended, transmitting, not pinned by multicast taps or patching,
 // with buffer room left. Each candidate's key is the request's
 // untransmitted volume — the EFTF/LFTF ordering quantity — and its
-// position indexes s.active. With bounded set the candidates go to
-// e.prefix, which the caller has Reset, along with their receive
-// headroom; otherwise they all go to e.cand, which the caller has Reset.
-func (e *Engine) gatherSpareCandidates(s *server, t float64, bounded bool) {
+// position indexes s.active. Every candidate goes to each sink given,
+// which the caller has Reset: to prefix along with its receive
+// headroom, and to all. Only when all is nil does the gather skip a
+// slot behind the covered prefix, before loading its request.
+func (e *Engine) gatherSpareCandidates(s *server, t float64, prefix *alloc.Prefix, all *alloc.Index) {
 	bview := e.cfg.ViewRate
+	shortcut := all == nil
 	ln := &s.ln
 	rateA := ln.rate
 	suspA := ln.susp[:len(rateA)]
@@ -71,7 +81,7 @@ func (e *Engine) gatherSpareCandidates(s *server, t float64, bounded bool) {
 		if rem < 0 {
 			rem = 0
 		}
-		if bounded && e.prefix.Beyond(rem) {
+		if shortcut && prefix.Beyond(rem) {
 			continue
 		}
 		r := s.active[i]
@@ -89,10 +99,11 @@ func (e *Engine) gatherSpareCandidates(s *server, t float64, bounded bool) {
 		if buf >= r.bufCap-dataEps {
 			continue
 		}
-		if bounded {
-			e.prefix.Add(rem, r.id, int32(i), receiveHeadroom(rateA[i], r.recvCap))
-		} else {
-			e.cand.Add(rem, r.id, int32(i))
+		if prefix != nil {
+			prefix.Add(rem, r.id, int32(i), receiveHeadroom(rateA[i], r.recvCap))
+		}
+		if all != nil {
+			all.Add(rem, r.id, int32(i))
 		}
 	}
 }
@@ -138,16 +149,22 @@ func (e *Engine) spreadSpare(s *server, t float64, avail float64) {
 }
 
 // feedSpareOrdered feeds spare to candidates in ascending (descending
-// when inverted) remaining-volume order.
+// when inverted) remaining-volume order. With an auditor attached the
+// gather also lists every candidate in e.cand, and the fed grants are
+// collected for the SpareOrder tap.
 func (e *Engine) feedSpareOrdered(s *server, t float64, avail float64, descending bool) {
-	if e.audit != nil {
-		e.feedSpareAudited(s, t, avail, descending)
-		return
+	audited := e.audit != nil
+	var all *alloc.Index
+	if audited {
+		e.cand.Reset(descending)
+		all = &e.cand
 	}
 	e.prefix.Reset(descending, avail)
-	e.gatherSpareCandidates(s, t, true)
+	e.gatherSpareCandidates(s, t, &e.prefix, all)
 	ln := &s.ln
-	for _, ent := range e.prefix.Drain() {
+	kept := e.prefix.Drain()
+	grants := e.spareGrantBuf[:0]
+	for _, ent := range kept {
 		if avail <= dataEps {
 			break
 		}
@@ -156,40 +173,46 @@ func (e *Engine) feedSpareOrdered(s *server, t float64, avail float64, descendin
 		// Kept candidates have headroom and avail > 0, so the grant is
 		// positive.
 		extra := spareGrantTo(ln.rate[i], r.recvCap, avail)
+		if audited {
+			grants = append(grants, SpareGrant{
+				Request: r.id, Remaining: ent.Key,
+				RateBefore: ln.rate[i], Extra: extra, RecvCap: r.recvCap,
+			})
+		}
 		ln.rate[i] += extra
 		avail -= extra
 		ln.setWake(i, e.wakeKeyServing(s, r, int(i), t))
 	}
+	if audited {
+		e.reportSpareOrder(s, t, kept[:len(grants)], grants)
+	}
 }
 
-// feedSpareAudited is the instrumented ordered feed: every candidate's
-// grant — including the zero grants after the spare runs out — is
-// reported to the SpareOrder tap in feed order, which requires the full
-// sort the hot path avoids.
-func (e *Engine) feedSpareAudited(s *server, t float64, avail float64, descending bool) {
-	e.cand.Reset(descending)
-	e.gatherSpareCandidates(s, t, false)
+// reportSpareOrder hands one audited feed to the SpareOrder tap: the
+// grants made to fed, in feed order, then every other candidate of
+// e.cand, in slot order, marked Skipped with no grant. Each fed
+// candidate is also in e.cand, so the walk clears every mark it set and
+// spareFed stays all false between feeds.
+func (e *Engine) reportSpareOrder(s *server, t float64, fed []alloc.Weighted, grants []SpareGrant) {
 	if e.cand.Len() == 0 {
 		return
 	}
-	ln := &s.ln
-	grants := e.spareGrantBuf[:0]
-	for _, ent := range e.cand.Sort() {
+	if len(e.spareFed) < len(s.active) {
+		e.spareFed = make([]bool, len(s.active))
+	}
+	for _, ent := range fed {
+		e.spareFed[ent.Pos] = true
+	}
+	for _, ent := range e.cand.All() {
 		i := ent.Pos
-		r := s.active[i]
-		var extra float64
-		if avail > dataEps {
-			extra = spareGrantTo(ln.rate[i], r.recvCap, avail)
+		if e.spareFed[i] {
+			e.spareFed[i] = false
+			continue
 		}
 		grants = append(grants, SpareGrant{
 			Request: ent.ID, Remaining: ent.Key,
-			RateBefore: ln.rate[i], Extra: extra, RecvCap: r.recvCap,
+			RateBefore: s.ln.rate[i], RecvCap: s.active[i].recvCap, Skipped: true,
 		})
-		if extra > 0 {
-			ln.rate[i] += extra
-			avail -= extra
-			ln.setWake(i, e.wakeKeyServing(s, r, int(i), t))
-		}
 	}
 	e.spareGrantBuf = grants
 	e.auditFail(e.audit.SpareOrder(t, s.id, e.cfg.Spare, grants))
@@ -203,7 +226,7 @@ func (e *Engine) feedSpareAudited(s *server, t float64, avail float64, descendin
 // rates — the same values a post-feed scan would have read.
 func (e *Engine) feedSpareEven(s *server, t float64, avail float64) {
 	e.cand.Reset(false)
-	e.gatherSpareCandidates(s, t, false)
+	e.gatherSpareCandidates(s, t, nil, &e.cand)
 	if e.cand.Len() == 0 {
 		return
 	}
