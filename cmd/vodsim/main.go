@@ -94,7 +94,6 @@ func main() {
 		auditOn   = flag.Bool("audit", false, "attach the invariant auditor: every event is checked against the model's conservation laws; a violation aborts the run with a structured error")
 		auditSamp = flag.Int("audit-sample", 0, "with -audit, snapshot-check only every k-th event (0 or 1 = every event); deterministic from the event sequence, keeps audited large runs feasible")
 		statsOn   = flag.Bool("stats", false, "record per-request distributions (wait, retry sojourn, glitch, migrations, degraded park) into O(1)-memory quantile sketches and print p50/p95/p99")
-		shards    = flag.Int("shards", 1, "within-run engine shards (server subsets advanced in parallel and merged deterministically; results are identical at any setting)")
 		parallel  = flag.Int("parallel", 0, "max concurrent simulation jobs for -trials and -experiment (0 = GOMAXPROCS); results are identical at any setting")
 		expt      = flag.String("experiment", "", `run registered experiments: an id, a comma list, or "all" (see -list-experiments); all share one -parallel pool`)
 		listExp   = flag.Bool("list-experiments", false, "list registered experiments and exit")
@@ -175,9 +174,7 @@ func main() {
 		}()
 	}
 
-	// With sharded runs, each job may use -shards threads internally, so
-	// the pool admits proportionally fewer concurrent jobs.
-	pool := sweep.New(sweep.Budget(*parallel, *shards))
+	pool := sweep.New(*parallel)
 	if *expt != "" {
 		runExperiments(*expt, experiments.Options{
 			HorizonHours: *hours,
@@ -341,7 +338,6 @@ func main() {
 		Faults:          fcfg,
 		Curve:           curve,
 		CheckInvariants: *check,
-		Shards:          *shards,
 		Audit:           *auditOn,
 		AuditSample:     *auditSamp,
 		Stats:           *statsOn,

@@ -20,35 +20,34 @@ func FuzzScenarioValidate(f *testing.F) {
 		0.2, 0, true, 1, 1, false, false, 0.0, 0.0, 30.0, 120.0, 0.271, 1.0, 0.0, 0, uint64(1),
 		0.0, 0.0, false, false, false, "", "",
 		0, 0.0, 0.0, 0.0, 0.0, 0.0,
-		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0,
+		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0, 0.0, 0.0, "", "", 0.0)
 	f.Add(2, 30.0, 25, 300.0, 900.0, 2.0, 3.0,
 		0.0, 0, false, 0, 0, true, false, 0.0, 0.2, 30.0, 120.0, -1.0, 1.2, 0.5, 1, uint64(7),
 		0.02, 0.01, true, true, true, "least-loaded", "",
 		0, 0.0, 0.0, 0.0, 0.0, 0.0,
-		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 2,
+		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0, 0.0, 0.0, "", "", 0.0)
 	f.Add(3, 45.0, 25, 300.0, 900.0, 2.0, 3.0,
 		0.2, 2, true, -1, 2, false, true, 0.0, 0.0, 30.0, 120.0, 1.0, 1.0, 0.0, 0, uint64(9),
 		0.05, 0.02, false, true, false, "most-headroom", "direct-only",
 		0, 0.0, 0.0, 0.0, 0.0, 0.0,
-		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 3,
+		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0, 0.0, 0.0, "", "", 0.0)
 	f.Add(4, 60.0, 30, 300.0, 900.0, 2.0, 3.0,
 		0.2, 0, false, 0, 0, false, false, 300.0, 0.0, 30.0, 120.0, -1.5, 1.0, 0.0, 0, uint64(3),
 		-1.0, 0.5, false, false, true, "nonsense", "nonsense",
 		0, 0.0, 0.0, 0.0, 0.0, 0.0,
-		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, -1,
+		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0, 0.0, 0.0, "", "", 0.0)
 	// DRM + server churn + retry queue + a non-default controller pair in
 	// one seed: the selector seam is crossed by arrivals, retry
-	// re-attempts, and rescue reconnects all at once — sharded, so the
-	// global-event merge sits under all of it.
+	// re-attempts, and rescue reconnects all at once.
 	f.Add(4, 60.0, 20, 300.0, 900.0, 2.5, 3.0,
 		0.2, 0, true, 2, 2, false, false, 0.0, 0.0, 30.0, 120.0, 0.271, 1.2, 0.0, 0, uint64(11),
 		0.5, 0.1, true, true, true, "random-feasible", "chain-dfs",
 		0, 0.0, 0.0, 0.0, 0.0, 0.0,
-		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 4,
+		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0, 0.0, 0.0, "", "", 0.0)
 	// Interactivity under intermittent scheduling with a heterogeneous
 	// client mix: pause/resume churns the wake index while the two
@@ -58,7 +57,7 @@ func FuzzScenarioValidate(f *testing.F) {
 		0.2, 0, true, 1, 1, false, true, 0.0, 0.3, 10.0, 60.0, 0.271, 1.0, 0.0, 0, uint64(13),
 		0.0, 0.0, false, false, false, "", "",
 		2, 2.0, 0.3, 0.05, 6.0, 4.0,
-		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 2,
+		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0, 0.0, 0.0, "", "", 0.0)
 	// Every viewer pauses, with short pauses (rapid resume churn) and a
 	// single class whose receive cap sits barely above the view rate:
@@ -68,7 +67,7 @@ func FuzzScenarioValidate(f *testing.F) {
 		0.0, 1, false, 1, 1, false, false, 0.0, 1.0, 1.0, 5.0, 0.0, 1.0, 0.0, 0, uint64(17),
 		0.0, 0.0, false, false, false, "", "",
 		1, 0.0, 0.5, 0.0, 3.5, 0.0,
-		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 3,
+		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0, 0.0, 0.0, "", "", 0.0)
 	// Degenerate mix weights: class B has weight zero (never drawn but
 	// still validated), pause range collapsed to a point, even-split
@@ -78,7 +77,7 @@ func FuzzScenarioValidate(f *testing.F) {
 		0.1, 2, false, 1, 1, false, true, 0.0, 0.5, 45.0, 45.0, 0.0, 1.0, 0.0, 0, uint64(19),
 		0.0, 0.0, false, false, false, "", "",
 		2, 0.0, 0.4, 0.2, 0.0, 8.0,
-		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0,
+		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0, 0.0, 0.0, "", "", 0.0)
 	// Brownout churn under two traffic classes with shedding armed: the
 	// shed controller, the class selector seam, and dimmed capacity all
@@ -87,7 +86,7 @@ func FuzzScenarioValidate(f *testing.F) {
 		0.2, 0, true, 1, 1, false, false, 0.0, 0.0, 30.0, 120.0, 0.271, 1.0, 0.0, 0, uint64(23),
 		0.0, 0.0, false, true, true, "", "",
 		0, 0.0, 0.0, 0.0, 0.0, 0.0,
-		0.3, 0.1, 0.5, 2, 3.0, 600.0, 0.75, 0.0, 0.0, 2,
+		0.3, 0.1, 0.5, 2, 3.0, 600.0, 0.75, 0.0, 0.0,
 		0, 0.0, 0.0, "", "", 0.0)
 	// Flash crowd stacked on a diurnal curve with classes but no
 	// shedding: the thinned arrival path feeds the class draw while the
@@ -96,16 +95,16 @@ func FuzzScenarioValidate(f *testing.F) {
 		0.2, 0, true, 1, 1, false, false, 0.0, 0.0, 30.0, 120.0, 0.271, 1.0, 0.0, 0, uint64(29),
 		0.0, 0.0, false, true, true, "", "",
 		0, 0.0, 0.0, 0.0, 0.0, 0.0,
-		0.0, 0.0, 0.0, 2, 1.0, 0.0, 0.0, 0.5, 3.0, 8,
+		0.0, 0.0, 0.0, 2, 1.0, 0.0, 0.0, 0.5, 3.0,
 		0, 0.0, 0.0, "", "", 0.0)
-	// Edge tier with batch-prefix sharing, sharded: suffix streams with
-	// nonzero start offsets cross the prefix probe, the join path, and
-	// the global-event merge in one audited run.
+	// Edge tier with batch-prefix sharing: suffix streams with nonzero
+	// start offsets cross the prefix probe and the join path in one
+	// audited run.
 	f.Add(4, 60.0, 20, 300.0, 900.0, 2.0, 3.0,
 		0.2, 0, true, 1, 1, false, false, 0.0, 0.0, 30.0, 120.0, 0.271, 1.0, 0.0, 0, uint64(31),
 		0.0, 0.0, false, false, false, "", "",
 		0, 0.0, 0.0, 0.0, 0.0, 0.0,
-		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 4,
+		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		2, 300.0, 20000.0, "", "batch-prefix", 120.0)
 	// An lru-filled edge under fault churn with the retry queue: cache
 	// content depends on arrival order, which rescue re-attempts and
@@ -114,7 +113,7 @@ func FuzzScenarioValidate(f *testing.F) {
 		0.2, 0, true, 1, 1, false, false, 0.0, 0.0, 30.0, 120.0, 0.271, 1.0, 0.0, 0, uint64(37),
 		0.5, 0.1, false, true, true, "", "",
 		0, 0.0, 0.0, 0.0, 0.0, 0.0,
-		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 2,
+		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		1, 600.0, 9000.0, "lru", "", 0.0)
 	f.Fuzz(func(t *testing.T,
 		numServers int, bw float64, numVideos int, minLen, maxLen, avgCopies, viewRate float64,
@@ -126,7 +125,7 @@ func FuzzScenarioValidate(f *testing.F) {
 		selector, planner string,
 		classes int, classWeightB, classStagingA, classStagingB, classRecvA, classRecvB float64,
 		bmtbf, bmttr, bfrac float64, tclasses int, tShareB, tPatience, shedWM float64,
-		diurnalAmp, flashFactor float64, shards int,
+		diurnalAmp, flashFactor float64,
 		edgeNodes int, edgePrefixSec, edgeCacheMb float64,
 		edgeCachePol, batchPol string, batchWindow float64) {
 		sc := Scenario{
@@ -170,13 +169,8 @@ func FuzzScenarioValidate(f *testing.F) {
 			HorizonHours: 1,
 			LoadFactor:   load,
 			Seed:         seed,
-			// Shards flows through unclamped too (Validate rejects
-			// negatives; the engine caps the count at NumServers), so
-			// sharded merge paths are fuzzed under faults, classes,
-			// curves, and retry queues alike.
-			Shards:      shards,
-			FailServer:  failServer,
-			FailAtHours: failAt,
+			FailServer:   failServer,
+			FailAtHours:  failAt,
 			Faults: faults.Config{
 				MTBFHours: mtbf, MTTRHours: mttr, Cold: cold,
 				BrownoutMTBFHours: bmtbf, BrownoutMTTRHours: bmttr, BrownoutFraction: bfrac,

@@ -318,11 +318,9 @@ type Config struct {
 	// every event (tests use this; experiment runs leave it off).
 	CheckInvariants bool
 
-	// Shards partitions the servers into that many disjoint subsets,
-	// each advanced by its own event queue and merged deterministically
-	// so results are bit-identical to the serial engine at every shard
-	// count (see shard.go). 0 and 1 mean the serial engine; the count is
-	// capped at the number of servers.
+	// Shards is obsolete: within-run parallelism was removed and every
+	// run uses the one serial engine. The field stays so existing
+	// callers compile; Validate accepts only 0 and 1.
 	Shards int
 }
 
@@ -493,8 +491,8 @@ func (c Config) Validate() error {
 	if c.ResumeGuard < 0 {
 		return fmt.Errorf("core: negative ResumeGuard %g", c.ResumeGuard)
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("core: negative Shards %d", c.Shards)
+	if c.Shards < 0 || c.Shards > 1 {
+		return fmt.Errorf("core: Shards %d: the sharded engine was removed, only 0 or 1 is accepted", c.Shards)
 	}
 	if c.Spare > EvenSplit {
 		return fmt.Errorf("core: unknown spare discipline %d", uint8(c.Spare))

@@ -30,12 +30,22 @@ func TestConfigValidate(t *testing.T) {
 		{"bad max hops", func(c *Config) { c.Migration.MaxHops = -2 }},
 		{"zero max chain", func(c *Config) { c.Migration.MaxChain = 0 }},
 		{"negative switch delay", func(c *Config) { c.Migration.SwitchDelay = -1 }},
+		{"negative shards", func(c *Config) { c.Shards = -1 }},
+		{"shards 2", func(c *Config) { c.Shards = 2 }},
+		{"shards 8", func(c *Config) { c.Shards = 8 }},
 	}
 	for _, tc := range cases {
 		cfg := validCoreConfig()
 		tc.mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: Validate() passed, want error", tc.name)
+		}
+	}
+	for _, shards := range []int{0, 1} {
+		cfg := validCoreConfig()
+		cfg.Shards = shards
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Shards %d rejected: %v", shards, err)
 		}
 	}
 }

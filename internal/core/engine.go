@@ -147,18 +147,6 @@ type Engine struct {
 	edgePrefix []float64
 	batchPol   BatchPolicy
 
-	// Sharded execution (see shard.go). sh is the shard machinery — nil
-	// unless Config.Shards asked for more than one shard, so the serial
-	// hot path pays only nil checks. seqSrc is the engine-owned event
-	// sequence counter used instead of the queue-private one whenever
-	// events are spread across several queues. shlog is set only on a
-	// shard's replica engine and points at its shard's window log; on a
-	// replica, finish/finishCopy/holdWake defer their shared-state
-	// effects there instead of applying them.
-	sh     *shardSet
-	shlog  *shardState
-	seqSrc uint64
-
 	// Scratch reused across events to keep the hot path allocation-free.
 	// cand is the per-server candidate index the allocators feed through,
 	// prefix the bounded one the EFTF/LFTF spare feed keeps; their
@@ -297,10 +285,6 @@ func (e *Engine) Reset(cfg Config, cat *catalog.Catalog, lay *placement.Layout, 
 	e.wakeSkew = false
 	// cand/prefix/evenBuf/touchedBuf are reset at each use; freeList is kept —
 	// recycled requests are the cross-trial reuse this enables.
-	//
-	// Last: arm (or disarm) sharding. This must precede every Schedule*
-	// push so seqSrc numbers the whole run when sharded.
-	e.ensureShards()
 	return nil
 }
 
@@ -468,12 +452,7 @@ func (e *Engine) Run(horizon float64) (*Metrics, error) {
 	if err := e.Start(horizon); err != nil {
 		return nil, err
 	}
-	if e.sh != nil && !e.lockstepRequired() {
-		e.runShardedParallel()
-		e.mergeShardResults()
-	} else {
-		for e.Step() {
-		}
+	for e.Step() {
 	}
 	if e.audit != nil && e.auditErr == nil {
 		e.auditFail(e.audit.End(e.now, e.metrics))
@@ -516,26 +495,7 @@ func (e *Engine) primeArrival() {
 // push schedules an event. Any held wake is flushed first, so sequence
 // numbers are assigned in exactly the order the eager pushes would have
 // produced — the deferred wake is invisible to the FIFO tie-break.
-//
-// On a sharded engine, events carry seqs from the engine-owned counter
-// and server wakes route to the owning shard's queue; the held-wake
-// fusion is disabled because the fused event would bypass the merge.
-// A replica engine never pushes: its only event production is the
-// reschedule of the server it is handling, which goes through holdWake
-// into the window's birth log.
 func (e *Engine) push(t float64, ev event) {
-	if e.shlog != nil {
-		panic("core: shard replica scheduled a global event during a window")
-	}
-	if e.sh != nil {
-		e.seqSrc++
-		if ev.kind == evServerWake {
-			e.sh.shards[e.sh.owner[ev.server]].main.PushSeq(t, e.seqSrc, ev)
-		} else {
-			e.events.PushSeq(t, e.seqSrc, ev)
-		}
-		return
-	}
 	if e.hasHeld {
 		e.events.Push(e.heldT, e.held)
 		e.hasHeld = false
@@ -545,19 +505,7 @@ func (e *Engine) push(t float64, ev event) {
 
 // holdWake defers a server-wake push so popEvent can fuse it with the
 // next pop. A previously held wake is flushed first, preserving order.
-// Inside a shard window the wake is a birth, logged for the commit to
-// assign its seq; on a sharded parent it routes eagerly to the owning
-// shard's queue (the fusion would hide it from the merge).
 func (e *Engine) holdWake(t float64, ev event) {
-	if e.shlog != nil {
-		e.shlog.recordBirth(t, ev)
-		return
-	}
-	if e.sh != nil {
-		e.seqSrc++
-		e.sh.shards[e.sh.owner[ev.server]].main.PushSeq(t, e.seqSrc, ev)
-		return
-	}
 	if e.hasHeld {
 		e.events.Push(e.heldT, e.held)
 	}
@@ -569,12 +517,7 @@ func (e *Engine) holdWake(t float64, ev event) {
 // the pop via Queue.PushPop (one sift instead of an up-sift plus a
 // down-sift). With a held wake the queue is momentarily never empty, so
 // the run keeps draining until the last wake has actually been handled.
-// A sharded engine's event list is partitioned across queues, so its
-// pop is the K+1-way merge instead.
 func (e *Engine) popEvent() (float64, event, bool) {
-	if e.sh != nil {
-		return e.popMerged()
-	}
 	if e.hasHeld {
 		e.hasHeld = false
 		return e.events.PushPop(e.heldT, e.held)
@@ -625,8 +568,7 @@ func (e *Engine) Step() bool {
 }
 
 // dispatch routes one popped event to its handler at the already
-// advanced e.now. Step wraps it with audit instrumentation; the sharded
-// run loop calls it directly for global events between windows.
+// advanced e.now. Step wraps it with audit instrumentation.
 func (e *Engine) dispatch(ev event) {
 	switch ev.kind {
 	case evArrival:
@@ -799,15 +741,6 @@ func (e *Engine) finish(r *request, s *server, t float64) {
 	s.detach(r)
 	e.metrics.Completions++
 	e.observe(ObsMigrations, float64(r.hops))
-	if e.shlog != nil {
-		// DeliveredBytes is a float sum — addition order matters to the
-		// bit — and recycle touches parent-owned maps, so both defer to
-		// the window commit, which replays them in global event order.
-		// The counter and the sketch above are order-independent and
-		// merge at end of run.
-		e.shlog.finished = append(e.shlog.finished, r)
-		return
-	}
 	e.metrics.DeliveredBytes += r.carrySent // detach just stored the lane state
 	if e.cfg.Edge.Nodes > 0 {
 		e.metrics.ClusterEgressMb += r.carrySent

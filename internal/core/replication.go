@@ -201,22 +201,6 @@ func (e *Engine) finishCopy(s *server, c *copyJob, t float64) {
 		}
 	}
 	s.ln.wakeDirty = true
-	if e.shlog != nil {
-		// The source's job list is shard-local, but installing the
-		// replica rewrites the controller's holder map, storage ledger,
-		// and the float ReplicatedMb sum — all parent-owned or
-		// order-sensitive — so that half defers to the window commit.
-		e.shlog.copiesDone = append(e.shlog.copiesDone, c)
-		return
-	}
-	e.commitCopyDone(c, t)
-}
-
-// commitCopyDone is finishCopy's shared-state half: it retires the job
-// from the in-flight set and installs the replica. Serial engines call
-// it inline; sharded runs replay it at the window commit in global
-// event order.
-func (e *Engine) commitCopyDone(c *copyJob, t float64) {
 	delete(e.copying, c.video)
 	// Install the merged holder list.
 	merged := append([]int32(nil), e.holders(int(c.video))...)

@@ -45,39 +45,6 @@ func (q *Queue[T]) Push(t float64, v T) {
 	q.up(len(q.items) - 1)
 }
 
-// PushSeq schedules payload v at time t under a caller-supplied
-// sequence number. It exists for the sharded engine, whose queues are
-// merged by the (time, seq) key: seq values must then form one global
-// order across several queues, so the engine owns the counter and the
-// queue stores what it is told. A queue must be fed exclusively through
-// Push or exclusively through PushSeq between Resets — mixing the two
-// interleaves the internal counter with the external one and the FIFO
-// tie-break stops meaning insertion order.
-func (q *Queue[T]) PushSeq(t float64, seq uint64, v T) {
-	q.items = append(q.items, item[T]{time: t, seq: seq, payload: v})
-	q.up(len(q.items) - 1)
-}
-
-// Peek reports the time of the earliest event without removing it.
-// ok is false when the queue is empty.
-func (q *Queue[T]) Peek() (t float64, ok bool) {
-	if len(q.items) == 0 {
-		return 0, false
-	}
-	return q.items[0].time, true
-}
-
-// PeekKey reports the full ordering key — time and sequence number — of
-// the earliest event without removing it. Merging consumers (the
-// sharded engine's lockstep pop and its window horizon) compare heads
-// of several queues by this key.
-func (q *Queue[T]) PeekKey() (t float64, seq uint64, ok bool) {
-	if len(q.items) == 0 {
-		return 0, 0, false
-	}
-	return q.items[0].time, q.items[0].seq, true
-}
-
 // Pop removes and returns the earliest event.
 // ok is false when the queue is empty.
 func (q *Queue[T]) Pop() (t float64, v T, ok bool) {

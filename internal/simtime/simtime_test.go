@@ -11,9 +11,6 @@ func TestEmptyQueue(t *testing.T) {
 	if q.Len() != 0 {
 		t.Errorf("Len() = %d, want 0", q.Len())
 	}
-	if _, ok := q.Peek(); ok {
-		t.Error("Peek() on empty queue reported ok")
-	}
 	if _, _, ok := q.Pop(); ok {
 		t.Error("Pop() on empty queue reported ok")
 	}
@@ -47,17 +44,6 @@ func TestFIFOTieBreaking(t *testing.T) {
 		if !ok || v != i {
 			t.Fatalf("tie pop %d = %d, want insertion order", i, v)
 		}
-	}
-}
-
-func TestPeekDoesNotRemove(t *testing.T) {
-	var q Queue[int]
-	q.Push(5, 1)
-	if tm, ok := q.Peek(); !ok || tm != 5 {
-		t.Fatalf("Peek() = (%v, %v)", tm, ok)
-	}
-	if q.Len() != 1 {
-		t.Errorf("Peek removed the event")
 	}
 }
 

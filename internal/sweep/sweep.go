@@ -46,27 +46,6 @@ func New(workers int) *Pool {
 // Workers returns the pool's concurrency bound.
 func (p *Pool) Workers() int { return cap(p.sem) }
 
-// Budget divides a worker budget between the pool and per-job inner
-// parallelism (the sharded engine's within-run shards): it returns the
-// pool size that keeps workers × inner at or under the budget. workers
-// <= 0 selects GOMAXPROCS, inner < 1 counts as 1, and the result is at
-// least 1 so a large inner degree serializes the jobs rather than
-// starving them. Callers running sharded trials build their pool with
-// New(Budget(workers, shards)) so nested parallelism cannot oversubscribe
-// the host.
-func Budget(workers, inner int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if inner < 1 {
-		inner = 1
-	}
-	if w := workers / inner; w > 1 {
-		return w
-	}
-	return 1
-}
-
 // CellError reports the first failed job in (cell, trial) submission
 // order.
 type CellError struct {

@@ -29,12 +29,22 @@ func TestScenarioValidate(t *testing.T) {
 		{"zero horizon", func(s *Scenario) { s.HorizonHours = 0 }},
 		{"negative load", func(s *Scenario) { s.LoadFactor = -1 }},
 		{"bad fail server", func(s *Scenario) { s.FailAtHours = 1; s.FailServer = 99 }},
+		{"negative shards", func(s *Scenario) { s.Shards = -1 }},
+		{"shards 2", func(s *Scenario) { s.Shards = 2 }},
+		{"shards 8", func(s *Scenario) { s.Shards = 8 }},
 	}
 	for _, tc := range cases {
 		sc := quickScenario()
 		tc.mutate(&sc)
 		if err := sc.Validate(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	for _, shards := range []int{0, 1} {
+		sc := quickScenario()
+		sc.Shards = shards
+		if err := sc.Validate(); err != nil {
+			t.Errorf("Shards %d rejected: %v", shards, err)
 		}
 	}
 }
