@@ -45,10 +45,10 @@ func main() {
 		switchDel = flag.Float64("switch-delay", 0, "seconds of blackout per migration")
 		staging   = flag.Float64("staging", 0, "client buffer as fraction of average object size")
 		spare     = flag.String("spare", "eftf", "workahead discipline: eftf, lftf, even-split")
-		alloc     = flag.String("alloc", "", "bandwidth allocator by registry name (see -list-allocators; overrides -spare/-intermittent)")
+		alloc     = flag.String("alloc", "", "bandwidth allocator by name (see -list-allocators; must agree with -spare and -intermittent)")
 		listAlloc = flag.Bool("list-allocators", false, "list registered bandwidth allocators and exit")
-		admission = flag.String("admission", "", "admission server selector by registry name (see -list-admissions; empty = least-loaded)")
-		planner   = flag.String("planner", "", "DRM migration planner by registry name (see -list-planners; requires -migration)")
+		admission = flag.String("admission", "", "admission server selector by name (see -list-admissions; empty = least-loaded)")
+		planner   = flag.String("planner", "", "DRM migration planner by name (see -list-planners; requires -migration)")
 		listAdm   = flag.Bool("list-admissions", false, "list registered admission selectors and exit")
 		listPlan  = flag.Bool("list-planners", false, "list registered DRM planners and exit")
 		intermit  = flag.Bool("intermittent", false, "intermittent scheduling (pause full-buffer streams; risks glitches)")
@@ -59,9 +59,9 @@ func main() {
 		edgeNodes = flag.Int("edge-nodes", 0, "edge/proxy nodes holding video prefixes in front of the cluster (0 = no edge tier)")
 		prefixSec = flag.Float64("prefix-sec", 0, "edge-cached prefix length per video, seconds of playback (requires -edge-nodes)")
 		edgeCache = flag.Float64("edge-cache-mb", 0, "per-node edge cache byte budget, Mb (requires -edge-nodes)")
-		edgePol   = flag.String("edge-cache-policy", "", "edge prefix-cache policy by registry name (see -list-edge-caches; empty = static-zipf)")
+		edgePol   = flag.String("edge-cache-policy", "", "edge prefix-cache policy by name (see -list-edge-caches; empty = static-zipf)")
 		listEdge  = flag.Bool("list-edge-caches", false, "list registered edge prefix-cache policies and exit")
-		batchPol  = flag.String("batch-policy", "", `multicast batching policy by registry name (see -list-batch-policies; empty = "patch" with -patch-window, else "unicast")`)
+		batchPol  = flag.String("batch-policy", "", `multicast batching policy by name (see -list-batch-policies; empty = "patch" with -patch-window, else "unicast")`)
 		batchWin  = flag.Float64("batch-window", 0, "batching window for -batch-policy, seconds")
 		listBatch = flag.Bool("list-batch-policies", false, "list registered multicast batching policies and exit")
 		pauseProb = flag.Float64("pause-prob", 0, "probability a viewer pauses once")

@@ -1,12 +1,12 @@
-// Admission: the same overloaded cluster run under every registered
-// admission selector, plus both DRM planners, to show the controller
-// seam in action.
+// Admission: the same overloaded cluster run under every admission
+// selector, plus both DRM planners, to show the controller's choices
+// in action.
 //
 // The paper's controller (Section 3.2) assigns each arrival to the
-// least-loaded replica holder. That rule is now one entry in a registry:
-// Policy.Selector names the admission policy and Policy.Planner names
-// the migration planner, so alternatives can be compared without
-// touching the engine. At high load the selector decides which servers
+// least-loaded replica holder. That rule is now one of several named
+// selectors: Policy.Selector names the admission policy and
+// Policy.Planner names the migration planner, so alternatives can be
+// compared without touching the engine. At high load the selector decides which servers
 // saturate first, which shows up directly in the rejection ratio.
 //
 //	go run ./examples/admission
@@ -25,9 +25,9 @@ func main() {
 	fmt.Println("Admission drill: 5-server cluster at 120% offered load, theta = 0.271")
 	fmt.Println()
 
-	// Every registered selector under the same seed and workload. The
-	// selector only picks among feasible holders, so differences are
-	// pure placement quality, not capacity.
+	// Every selector under the same seed and workload. The selector
+	// only picks among feasible holders, so differences are pure
+	// placement quality, not capacity.
 	fmt.Printf("%-18s  %-12s  %-10s\n", "selector", "utilization", "rejected")
 	for _, sel := range semicont.SelectorNames() {
 		res, err := semicont.Run(semicont.Scenario{
@@ -49,7 +49,7 @@ func main() {
 			sel, res.Utilization, 100*res.RejectionRatio)
 	}
 
-	// The planner seam: same selector, DRM enabled with chains of up to
+	// The planners: same selector, DRM enabled with chains of up to
 	// three moves, planned either by the default DFS chain search or by
 	// the single-move planner.
 	fmt.Println()

@@ -22,33 +22,17 @@ package core
 // the acceptance gain intermittent scheduling buys and the glitches it
 // costs, which is the paper's justification for minimum-flow.
 
-// intermittentAllocator assigns bandwidth in ascending-buffer order:
-// urgent streams first, then the rest while bandwidth lasts; leftover
-// streams are paused. Spare bandwidth still stages ahead under the
-// configured workahead discipline.
-type intermittentAllocator struct{}
-
-func init() {
-	RegisterAllocator(AllocIntermittent, func() BandwidthAllocator { return intermittentAllocator{} })
-}
-
-func (intermittentAllocator) Name() string { return AllocIntermittent }
-
-func (intermittentAllocator) Allocate(e *Engine, s *server, t float64) float64 {
-	if avail := e.allocateIntermittent(s, t); avail > dataEps {
-		e.spreadSpare(s, t, avail)
-	}
-	return s.wakeAt(t)
-}
-
-// allocateIntermittent runs the heuristic on server s at time t, then
-// feeds copy jobs, and returns the bandwidth left for staging. Requests
-// must be synced to t. Like minFlowRates it opens the wake round and
-// writes every slot's key at the rate decision: suspension deadlines in
-// the gather, the resume-guard key for every slot the feed leaves at
-// rate zero (a paused-full viewer's buffer still drains once it
-// resumes, so it gets the same guard key), and wakeKeyServing for the
-// slots it serves.
+// allocateIntermittent runs the heuristic on server s at time t —
+// bandwidth in ascending-buffer order, urgent streams first, then the
+// rest while bandwidth lasts, the leftover streams paused — then feeds
+// copy jobs, and returns the bandwidth left for staging, which allocate
+// spreads under the configured workahead discipline. Requests must be
+// synced to t. Like minFlowRates it opens the wake round and writes
+// every slot's key at the rate decision: suspension deadlines in the
+// gather, the resume-guard key for every slot the feed leaves at rate
+// zero (a paused-full viewer's buffer still drains once it resumes, so
+// it gets the same guard key), and wakeKeyServing for the slots it
+// serves.
 func (e *Engine) allocateIntermittent(s *server, t float64) float64 {
 	bview := e.cfg.ViewRate
 	ln := &s.ln

@@ -7,7 +7,7 @@ import "math"
 // view bandwidth b_view, so admitted playback can never glitch. The
 // three minimum-flow policies (EFTF, LFTF, even-split) share this pass
 // and differ only in how the leftover bandwidth is staged ahead — see
-// their files and spare.go.
+// spreadSpare in spare.go.
 
 // minFlowRates assigns the minimum-flow guarantee on server s at time t
 // and returns the spare bandwidth left over. All requests in s.active

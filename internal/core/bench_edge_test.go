@@ -15,8 +15,8 @@ import (
 // probe stream mixes hits and misses (and, under lru, admissions and
 // evictions — the policy's worst case). BENCH_edge.json at the repo
 // root holds the baseline recorded when the edge tier landed; the bar
-// is zero allocations per operation for every registered cache policy,
-// because the probe runs once per arrival ahead of admission.
+// is zero allocations per operation for every cache policy, because
+// the probe runs once per arrival ahead of admission.
 
 // benchEdgeKs are the catalog sizes the edge benches sweep — the probe
 // itself is O(1), but lru's eviction loop touches neighbors in the
@@ -88,7 +88,7 @@ func BenchmarkEdgeAdmit(b *testing.B) {
 
 // TestEdgeAdmitZeroAlloc pins the contract the CachePolicy interface
 // documents: Hit sits on the admission hot path and must not allocate,
-// for every registered policy.
+// for every policy.
 func TestEdgeAdmitZeroAlloc(t *testing.T) {
 	for _, name := range edge.Names() {
 		e := benchEdgeEngine(t, name, 64)

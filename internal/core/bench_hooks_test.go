@@ -1,18 +1,15 @@
 package core
 
-// Benchmark entry points into the allocator. These tiny shims pin the
-// bench bodies to stable names across refactors of the allocation
-// layer, so BENCH_alloc.json baselines stay comparable.
-
-// benchBindAllocator resolves the engine's allocator the way NewEngine
-// would (a no-op before the allocator seam existed).
-func benchBindAllocator(e *Engine) { e.allocator() }
+// Benchmark entry points into the allocation round, the controller and
+// the edge tier. These tiny shims pin the bench bodies to stable names
+// across refactors of those layers, so BENCH_alloc.json baselines stay
+// comparable.
 
 // benchAllocateWake performs one allocation pass plus the next-wake
 // computation — the work reschedule does per event, minus the queue
 // push.
 func benchAllocateWake(e *Engine, s *server) {
-	e.allocator().Allocate(e, s, 0)
+	e.allocate(s, 0)
 }
 
 // benchSpreadSpare spreads the given spare over s's staging candidates.

@@ -39,7 +39,6 @@ func benchEngine(k int, spareFrac float64, intermittent bool) (*Engine, *server)
 		Intermittent: intermittent,
 	}
 	e := &Engine{cfg: cfg}
-	benchBindAllocator(e)
 	s := mkServer(bw, bview)
 	for i := 0; i < k; i++ {
 		r := &request{

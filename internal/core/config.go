@@ -138,8 +138,8 @@ type TrafficClass struct {
 	// to 1 across classes). Must be positive.
 	Share float64
 
-	// Selector optionally names this class's admission selector from
-	// the controller registry. Empty inherits Config.Selector.
+	// Selector optionally names this class's admission selector (see
+	// SelectorNames). Empty inherits Config.Selector.
 	Selector string
 
 	// RetryPatience optionally overrides Retry.Patience for this
@@ -210,22 +210,21 @@ type Config struct {
 	// paper's algorithm; LFTF and EvenSplit are ablations).
 	Spare SpareDiscipline
 
-	// Allocator names the bandwidth-allocation policy from the registry
-	// (see RegisterAllocator). Empty selects the policy the Intermittent
-	// and Spare fields imply — the usual path. A built-in name must
-	// agree with those fields (Validate enforces it); a custom
-	// registered policy may be named freely.
+	// Allocator optionally names the bandwidth-allocation policy (see
+	// AllocatorNames). It is another spelling of the Intermittent and
+	// Spare fields, which are what the engine reads: a set name must
+	// agree with them (Validate enforces it). Empty is the usual path.
 	Allocator string
 
-	// Selector names the admission server-selection policy from the
-	// controller registry (see RegisterSelector). Empty selects
-	// SelectorLeastLoaded, the paper's Section 3.2 assignment rule.
+	// Selector names the admission server-selection policy (see
+	// SelectorNames). Empty selects SelectorLeastLoaded, the paper's
+	// Section 3.2 assignment rule.
 	Selector string
 
-	// Planner names the DRM move-planning policy from the controller
-	// registry (see RegisterPlanner). Empty selects PlannerChainDFS.
-	// Naming one while Migration is disabled is a validation error —
-	// a planner that can never run is a configuration contradiction.
+	// Planner names the DRM move-planning policy (see PlannerNames).
+	// Empty selects PlannerChainDFS. Naming one while Migration is
+	// disabled is a validation error — a planner that can never run is
+	// a configuration contradiction.
 	Planner string
 
 	// SelectorSeed seeds randomized selectors (SelectorRandomFeasible);
@@ -264,14 +263,13 @@ type Config struct {
 	// Replication configures dynamic replica creation on rejection.
 	Replication ReplicationConfig
 
-	// Patching configures multicast stream-sharing with unicast
-	// prefix patches (related-work technique; Section 6 future work).
-	Patching PatchingConfig
-
-	// Edge configures the proxy tier in front of the cluster: edge
+	// Edge configures the proxy tier in front of the cluster — edge
 	// nodes with bounded prefix caches serve the head of hot titles
-	// locally, and a batching policy lets concurrent edge hits share
-	// one cluster suffix stream (see edge.go and batch.go).
+	// locally (see edge.go) — and the batching policy by which
+	// concurrent requests share cluster streams: multicast patching
+	// with unicast prefix patches (related-work technique; Section 6
+	// future work), or edge hits sharing one cluster suffix stream
+	// (see batch.go).
 	Edge EdgeConfig
 
 	// Retry configures the bounded admission retry queue (fault
@@ -524,23 +522,8 @@ func (c Config) Validate() error {
 	if err := c.Interactivity.Validate(); err != nil {
 		return err
 	}
-	if err := c.Patching.Validate(); err != nil {
-		return err
-	}
-	if c.Patching.Enabled && c.Intermittent {
-		return fmt.Errorf("core: patching is incompatible with intermittent scheduling (a paused primary starves its taps)")
-	}
-	if c.Patching.Enabled && c.Interactivity.PauseProb > 0 {
-		return fmt.Errorf("core: patching is incompatible with viewer interactivity (a paused primary starves its taps)")
-	}
 	if err := c.Edge.Validate(); err != nil {
 		return err
-	}
-	if c.Edge.Nodes > 0 && c.Patching.Enabled {
-		return fmt.Errorf("core: the edge tier and legacy patching are mutually exclusive (express patching as Edge.Batch=%q)", BatchPatch)
-	}
-	if c.Edge.Batch != "" && c.Patching.Enabled {
-		return fmt.Errorf("core: Edge.Batch %q configured alongside legacy Patching (pick one)", c.Edge.Batch)
 	}
 	if batch := c.BatchPolicyName(); batch != BatchUnicast {
 		if c.Intermittent {

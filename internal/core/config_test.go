@@ -33,12 +33,33 @@ func TestConfigValidate(t *testing.T) {
 		{"negative shards", func(c *Config) { c.Shards = -1 }},
 		{"shards 2", func(c *Config) { c.Shards = 2 }},
 		{"shards 8", func(c *Config) { c.Shards = 8 }},
+		{"unknown allocator", func(c *Config) { c.Allocator = "bogus" }},
+		{"allocator contradicts spare", func(c *Config) { c.Allocator = AllocMinFlowLFTF }},
+		{"allocator contradicts intermittent", func(c *Config) { c.Allocator, c.Intermittent = AllocMinFlowEFTF, true }},
+		{"intermittent allocator without the flag", func(c *Config) { c.Allocator = AllocIntermittent }},
 	}
 	for _, tc := range cases {
 		cfg := validCoreConfig()
 		tc.mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: Validate() passed, want error", tc.name)
+		}
+	}
+	// Each allocator name is accepted beside the fields it aliases.
+	for _, alias := range []struct {
+		name         string
+		spare        SpareDiscipline
+		intermittent bool
+	}{
+		{AllocMinFlowEFTF, EFTF, false},
+		{AllocMinFlowLFTF, LFTF, false},
+		{AllocMinFlowEvenSplit, EvenSplit, false},
+		{AllocIntermittent, LFTF, true},
+	} {
+		cfg := validCoreConfig()
+		cfg.Allocator, cfg.Spare, cfg.Intermittent = alias.name, alias.spare, alias.intermittent
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Allocator %q with its fields rejected: %v", alias.name, err)
 		}
 	}
 	for _, shards := range []int{0, 1} {

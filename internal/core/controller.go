@@ -2,60 +2,39 @@ package core
 
 // The controller layer: the paper separates the distribution controller
 // (admission control and dynamic request migration, Sections 3.1–3.2)
-// from the data servers. This file is that seam. Two policy interfaces —
-// ServerSelector (which feasible replica holder admits a new stream) and
-// MigrationPlanner (which chain of moves frees a slot when none can) —
-// are resolved from named registries exactly like BandwidthAllocator,
-// so alternative controllers are one-file additions selected by name
-// via Config.Selector / Config.Planner (threaded from Policy.Selector /
-// Policy.Planner).
+// from the data servers. The controller's two choices are named by
+// Config.Selector (which feasible replica holder admits a new stream;
+// threaded from Policy.Selector) and Config.Planner (how far the DRM
+// chain search may go; threaded from Policy.Planner).
 //
 // The engine keeps event dispatch and accounting; findAdmission and
 // admitViaMigration below are the controller glue shared by arrivals,
 // retry-queue re-attempts, and (selection only) parked-stream
-// reconnects, so fault-tolerance behavior rides the same seam.
+// reconnects, so fault-tolerance behavior rides the same path.
 
 import (
 	"fmt"
 	"slices"
 )
 
-// ServerSelector is the admission-control policy seam: given a new
-// stream's video, pick the server that admits it among the live replica
-// holders that can accept one more stream, or nil when none can.
+// ServerSelector is the admission-control policy: given a new stream's
+// video, pick the server that admits it among the live replica holders
+// that can accept one more stream, or nil when none can.
 //
 // Implementations live beside the engine in this package (they read
 // per-server state directly, keeping the admission hot path free of
 // per-candidate interface dispatch) and must be deterministic given the
 // engine state and Config.SelectorSeed. In intermittent mode a selector
 // must syncAll each candidate before testing it — canAccept reads
-// buffer levels. Adding a selector is a one-file addition: implement
-// the interface, call RegisterSelector from an init function, and
-// select it by name via Config.Selector.
+// buffer levels. Adding a selector means implementing the interface in
+// controller_selectors.go and adding its constructor to selectors.
 type ServerSelector interface {
-	// Name returns the selector's registry name.
-	Name() string
-
 	// Select picks the admitting server for a new stream of video v at
 	// time t, or nil when no feasible holder exists.
 	Select(e *Engine, v int, t float64) *server
 }
 
-// MigrationPlanner is the DRM planning seam: given a full server s,
-// produce a chain of at most depth moves that frees one admission slot
-// on s, or nil when impossible. Moves are returned in execution order
-// (deepest first). visited marks servers already being freed higher up
-// the chain; a planner must respect it to prevent cycles and may mark
-// servers it rules out.
-type MigrationPlanner interface {
-	// Name returns the planner's registry name.
-	Name() string
-
-	// Plan attempts to free one slot on s using at most depth moves.
-	Plan(e *Engine, s *server, now float64, depth int, visited []bool) []move
-}
-
-// Registry names of the built-in controller policies.
+// Names of the controller policies.
 const (
 	// SelectorLeastLoaded assigns to the feasible replica holder with
 	// the fewest unfinished streams (Section 3.2's assignment rule).
@@ -85,78 +64,33 @@ const (
 	PlannerDirectOnly = "direct-only"
 )
 
-// selectorRegistry and plannerRegistry map registry names to factories.
-// Factories (not instances) are registered because engines run
-// concurrently and a policy may carry per-engine scratch or RNG state.
-var (
-	selectorRegistry = map[string]func() ServerSelector{}
-	plannerRegistry  = map[string]func() MigrationPlanner{}
-)
-
-// RegisterSelector adds a named admission selector to the registry. It
-// panics on an empty or duplicate name — registration is an init-time
-// programming act, not a runtime input.
-func RegisterSelector(name string, factory func() ServerSelector) {
-	if name == "" {
-		panic("core: RegisterSelector with empty name")
-	}
-	if factory == nil {
-		panic("core: RegisterSelector with nil factory")
-	}
-	if _, dup := selectorRegistry[name]; dup {
-		panic(fmt.Sprintf("core: selector %q registered twice", name))
-	}
-	selectorRegistry[name] = factory
-}
-
-// RegisterPlanner adds a named DRM planner to the registry, with the
-// same contract as RegisterSelector.
-func RegisterPlanner(name string, factory func() MigrationPlanner) {
-	if name == "" {
-		panic("core: RegisterPlanner with empty name")
-	}
-	if factory == nil {
-		panic("core: RegisterPlanner with nil factory")
-	}
-	if _, dup := plannerRegistry[name]; dup {
-		panic(fmt.Sprintf("core: planner %q registered twice", name))
-	}
-	plannerRegistry[name] = factory
-}
-
 // HasSelector reports whether a selector with the given name exists.
 func HasSelector(name string) bool {
-	_, ok := selectorRegistry[name]
+	_, ok := selectors[name]
 	return ok
 }
 
 // HasPlanner reports whether a planner with the given name exists.
 func HasPlanner(name string) bool {
-	_, ok := plannerRegistry[name]
-	return ok
+	return slices.Contains(PlannerNames(), name)
 }
 
-// SelectorNames returns the registered selector names, sorted.
+// SelectorNames returns the selector names, sorted.
 func SelectorNames() []string {
-	names := make([]string, 0, len(selectorRegistry))
-	for n := range selectorRegistry {
+	names := make([]string, 0, len(selectors))
+	for n := range selectors {
 		names = append(names, n)
 	}
 	slices.Sort(names)
 	return names
 }
 
-// PlannerNames returns the registered planner names, sorted.
+// PlannerNames returns the planner names, sorted.
 func PlannerNames() []string {
-	names := make([]string, 0, len(plannerRegistry))
-	for n := range plannerRegistry {
-		names = append(names, n)
-	}
-	slices.Sort(names)
-	return names
+	return []string{PlannerChainDFS, PlannerDirectOnly}
 }
 
-// SelectorName returns the effective selector registry name for this
+// SelectorName returns the effective selector name for this
 // configuration: Selector when set, otherwise the default.
 func (c Config) SelectorName() string {
 	if c.Selector != "" {
@@ -165,19 +99,9 @@ func (c Config) SelectorName() string {
 	return SelectorLeastLoaded
 }
 
-// PlannerName returns the effective planner registry name for this
-// configuration: Planner when set, otherwise the default.
-func (c Config) PlannerName() string {
-	if c.Planner != "" {
-		return c.Planner
-	}
-	return PlannerChainDFS
-}
-
-// validateController cross-checks the controller names against the
-// registries. A planner is only consulted when DRM runs, so naming one
-// with migration disabled is a configuration contradiction, rejected
-// rather than silently ignored.
+// validateController checks the controller names. A planner is only
+// consulted when DRM runs, so naming one with migration disabled is a
+// configuration contradiction, rejected rather than silently ignored.
 func (c Config) validateController() error {
 	if c.Selector != "" && !HasSelector(c.Selector) {
 		return fmt.Errorf("core: unknown selector %q (have %v)", c.Selector, SelectorNames())
@@ -193,34 +117,14 @@ func (c Config) validateController() error {
 	return nil
 }
 
-// selector returns the engine's admission selector, resolving it from
-// the registry on first use — lazy for the same reason allocator() is:
-// tests adjust cfg between NewEngine and the first event. Validate vets
-// the name, so resolution cannot fail for a validated configuration.
+// selector returns the engine's admission selector, built on first use
+// — lazily because tests adjust cfg between NewEngine and the first
+// event. Validate vets the name.
 func (e *Engine) selector() ServerSelector {
 	if e.sel == nil {
-		name := e.cfg.SelectorName()
-		factory, ok := selectorRegistry[name]
-		if !ok {
-			panic(fmt.Sprintf("core: selector %q not registered", name))
-		}
-		e.sel = factory()
+		e.sel = selectors[e.cfg.SelectorName()]()
 	}
 	return e.sel
-}
-
-// planner returns the engine's DRM planner, resolved lazily like
-// selector.
-func (e *Engine) planner() MigrationPlanner {
-	if e.planr == nil {
-		name := e.cfg.PlannerName()
-		factory, ok := plannerRegistry[name]
-		if !ok {
-			panic(fmt.Sprintf("core: planner %q not registered", name))
-		}
-		e.planr = factory()
-	}
-	return e.planr
 }
 
 // findAdmission locates a server for a new stream of video v: the
@@ -297,11 +201,14 @@ func (e *Engine) admit(v int, t, bufCap, recvCap float64, class int32, prefix fl
 // by migrating active requests. All replica holders of v are known to be
 // full. On success it executes the plan and returns the freed server.
 // Iterative deepening keeps chains as short as possible, so the paper's
-// MaxChain=1 configuration performs exactly one migration per arrival.
+// MaxChain=1 configuration performs exactly one migration per arrival;
+// the direct-only planner caps the chain at that one move.
 func (e *Engine) admitViaMigration(v int32, now float64) (*server, bool) {
 	holders := e.holders(int(v))
 	maxChain := e.cfg.Migration.MaxChain
-	planner := e.planner()
+	if e.cfg.Planner == PlannerDirectOnly {
+		maxChain = 1
+	}
 	for depth := 1; depth <= maxChain; depth++ {
 		for _, h := range holders {
 			s := e.servers[h]
@@ -312,7 +219,7 @@ func (e *Engine) admitViaMigration(v int32, now float64) (*server, bool) {
 				e.visited[i] = false
 			}
 			e.visited[s.id] = true
-			plan := planner.Plan(e, s, now, depth, e.visited)
+			plan := e.planChain(s, now, depth, e.visited)
 			if plan == nil {
 				continue
 			}

@@ -1,24 +1,24 @@
 package core
 
-// Built-in admission selectors. Each is registered under the name its
-// Name method returns; leastLoadedSelector reproduces the pre-seam
-// admission rule bit-for-bit (the golden-equivalence fixtures pin it).
+// The admission selectors; leastLoadedSelector is the paper's
+// assignment rule (the golden-equivalence fixtures pin it).
 
 import "semicont/internal/rng"
 
-func init() {
-	RegisterSelector(SelectorLeastLoaded, func() ServerSelector { return leastLoadedSelector{} })
-	RegisterSelector(SelectorFirstFit, func() ServerSelector { return firstFitSelector{} })
-	RegisterSelector(SelectorMostHeadroom, func() ServerSelector { return mostHeadroomSelector{} })
-	RegisterSelector(SelectorRandomFeasible, func() ServerSelector { return &randomFeasibleSelector{} })
+// selectors maps each selector name to its constructor. An engine
+// builds its own instance, because random-feasible carries per-engine
+// RNG state and scratch.
+var selectors = map[string]func() ServerSelector{
+	SelectorLeastLoaded:    func() ServerSelector { return leastLoadedSelector{} },
+	SelectorFirstFit:       func() ServerSelector { return firstFitSelector{} },
+	SelectorMostHeadroom:   func() ServerSelector { return mostHeadroomSelector{} },
+	SelectorRandomFeasible: func() ServerSelector { return &randomFeasibleSelector{} },
 }
 
 // leastLoadedSelector picks the feasible holder with the fewest
 // unfinished streams; ties resolve to the earliest holder in replica
 // order (the strict < keeps the original tie-break).
 type leastLoadedSelector struct{}
-
-func (leastLoadedSelector) Name() string { return SelectorLeastLoaded }
 
 func (leastLoadedSelector) Select(e *Engine, v int, t float64) *server {
 	var best *server
@@ -36,8 +36,6 @@ func (leastLoadedSelector) Select(e *Engine, v int, t float64) *server {
 
 // firstFitSelector picks the first feasible holder in replica order.
 type firstFitSelector struct{}
-
-func (firstFitSelector) Name() string { return SelectorFirstFit }
 
 func (firstFitSelector) Select(e *Engine, v int, t float64) *server {
 	for _, h := range e.holders(v) {
@@ -58,8 +56,6 @@ func (firstFitSelector) Select(e *Engine, v int, t float64) *server {
 // server's last sync time) keeps the choice deterministic. Ties resolve
 // to the earliest holder.
 type mostHeadroomSelector struct{}
-
-func (mostHeadroomSelector) Name() string { return SelectorMostHeadroom }
 
 func (mostHeadroomSelector) Select(e *Engine, v int, t float64) *server {
 	var best *server
@@ -89,8 +85,6 @@ type randomFeasibleSelector struct {
 	rng  *rng.PCG
 	feas []*server
 }
-
-func (*randomFeasibleSelector) Name() string { return SelectorRandomFeasible }
 
 func (sel *randomFeasibleSelector) Select(e *Engine, v int, t float64) *server {
 	if sel.rng == nil {

@@ -6,31 +6,11 @@ import (
 	"semicont/internal/workload"
 )
 
-func TestControllerRegistryPanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	sel := func() ServerSelector { return leastLoadedSelector{} }
-	pln := func() MigrationPlanner { return chainDFSPlanner{} }
-	mustPanic("empty selector name", func() { RegisterSelector("", sel) })
-	mustPanic("nil selector factory", func() { RegisterSelector("x", nil) })
-	mustPanic("duplicate selector", func() { RegisterSelector(SelectorLeastLoaded, sel) })
-	mustPanic("empty planner name", func() { RegisterPlanner("", pln) })
-	mustPanic("nil planner factory", func() { RegisterPlanner("x", nil) })
-	mustPanic("duplicate planner", func() { RegisterPlanner(PlannerChainDFS, pln) })
-}
-
 func TestControllerRegistryNames(t *testing.T) {
 	sels := SelectorNames()
 	for _, want := range []string{SelectorFirstFit, SelectorLeastLoaded, SelectorMostHeadroom, SelectorRandomFeasible} {
 		if !HasSelector(want) {
-			t.Errorf("selector %q not registered", want)
+			t.Errorf("selector %q missing", want)
 		}
 	}
 	for i := 1; i < len(sels); i++ {
@@ -41,7 +21,7 @@ func TestControllerRegistryNames(t *testing.T) {
 	plns := PlannerNames()
 	for _, want := range []string{PlannerChainDFS, PlannerDirectOnly} {
 		if !HasPlanner(want) {
-			t.Errorf("planner %q not registered", want)
+			t.Errorf("planner %q missing", want)
 		}
 	}
 	for i := 1; i < len(plns); i++ {
@@ -50,14 +30,14 @@ func TestControllerRegistryNames(t *testing.T) {
 		}
 	}
 	if HasSelector("nonsense") || HasPlanner("nonsense") {
-		t.Error("unknown names reported as registered")
+		t.Error("unknown names reported as present")
 	}
 }
 
 func TestControllerConfigValidation(t *testing.T) {
 	base := Config{ServerBandwidth: []float64{3}, ViewRate: 3}
-	if c := base; c.SelectorName() != SelectorLeastLoaded || c.PlannerName() != PlannerChainDFS {
-		t.Errorf("defaults = %q/%q", base.SelectorName(), base.PlannerName())
+	if got := base.SelectorName(); got != SelectorLeastLoaded {
+		t.Errorf("default selector = %q", got)
 	}
 
 	c := base

@@ -50,25 +50,24 @@ type EdgeConfig struct {
 	// the tier is enabled.
 	CacheMb float64
 
-	// CachePolicy names the per-node prefix cache policy from the
-	// internal/edge registry. Empty selects edge.PolicyStaticZipf.
+	// CachePolicy names the per-node prefix cache policy (see
+	// edge.Names). Empty selects edge.PolicyStaticZipf.
 	CachePolicy string
 
-	// Batch names the stream-batching policy from the batch registry
-	// (see RegisterBatchPolicy): how concurrent requests for the same
-	// title share cluster streams. Empty resolves to BatchPatch when
-	// legacy Patching is enabled and BatchUnicast otherwise.
+	// Batch names the stream-batching policy (see BatchPolicyNames):
+	// how concurrent requests for the same title share cluster streams.
+	// Empty means BatchUnicast.
 	Batch string
 
 	// BatchWindow bounds the catch-up a batched joiner may need, in
 	// seconds of playback. Required by BatchBatchPrefix; BatchPatch
-	// defaults it to the legacy 20 minutes when zero.
+	// defaults it to 20 minutes when zero.
 	BatchWindow float64
 }
 
 // Validate reports configuration errors local to the edge tier.
-// Cross-field rules against Patching, Intermittent, and Interactivity
-// live in Config.Validate.
+// Cross-field rules against Intermittent and Interactivity live in
+// Config.Validate.
 func (c EdgeConfig) Validate() error {
 	if c.Nodes < 0 {
 		return fmt.Errorf("core: negative edge Nodes %d", c.Nodes)

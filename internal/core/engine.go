@@ -81,7 +81,7 @@ type Engine struct {
 	classRNG   *rng.PCG
 
 	// Traffic classes and load shedding (see overload.go): the class
-	// draw stream (nil when classless), lazily resolved per-class
+	// draw stream (nil when classless), lazily built per-class
 	// selectors, and the shed controller's two-state flag.
 	trafficAlias *rng.Alias
 	trafficRNG   *rng.PCG
@@ -129,26 +129,19 @@ type Engine struct {
 	// stats.Discard by default — so recording never branches.
 	obsAcc [NumObsKinds]stats.Accumulator
 
-	// Bandwidth-allocation policy, resolved from the registry by
-	// Config.AllocatorName (see allocator.go).
-	alloc BandwidthAllocator
+	// The admission server selector, built lazily from
+	// Config.SelectorName (see controller.go).
+	sel ServerSelector
 
-	// Controller policies: the admission server selector and the DRM
-	// planner, resolved from the registries by Config.SelectorName /
-	// Config.PlannerName (see controller.go).
-	sel   ServerSelector
-	planr MigrationPlanner
-
-	// Edge tier (see edge.go and batch.go): one prefix cache per edge
-	// node, the round-robin arrival→node cursor, the per-video prefix
-	// sizes computed at Reset, and the lazily resolved batch policy.
+	// Edge tier (see edge.go): one prefix cache per edge node, the
+	// round-robin arrival→node cursor, and the per-video prefix sizes
+	// computed at Reset.
 	edgeCaches []edge.CachePolicy
 	edgeRR     int
 	edgePrefix []float64
-	batchPol   BatchPolicy
 
 	// Scratch reused across events to keep the hot path allocation-free.
-	// cand is the per-server candidate index the allocators feed through,
+	// cand is the per-server candidate index the allocation feeds use,
 	// prefix the bounded one the EFTF/LFTF spare feed keeps; their
 	// entries are pointer-free positions into a server's active slice, so
 	// retaining them between events cannot pin finished requests against
@@ -224,11 +217,10 @@ func (e *Engine) Reset(cfg Config, cat *catalog.Catalog, lay *placement.Layout, 
 	e.nextID = 0
 	e.pending = workload.Request{}
 
-	// Per-run policy and RNG state: nil so the lazy resolvers re-derive
-	// from the new config (random-feasible's choice stream, for one,
-	// seeds itself from cfg.SelectorSeed on first use).
-	e.alloc, e.sel, e.planr = nil, nil, nil
-	e.batchPol = nil
+	// Per-run selector and RNG state: nil so the lazy selector lookups
+	// rebuild from the new config (random-feasible's choice stream, for
+	// one, seeds itself from cfg.SelectorSeed on first use).
+	e.sel = nil
 	e.resetEdge()
 	e.classAlias, e.classRNG = nil, nil
 	e.trafficAlias, e.trafficRNG = nil, nil
@@ -629,7 +621,14 @@ func (e *Engine) handleArrival(t float64) {
 		e.observe(ObsEdgeWait, 0)
 		return
 	}
-	if e.batch().TryJoin(e, v, t, bufCap, recvCap, class, prefix) {
+	joined := false
+	switch e.cfg.Edge.Batch {
+	case BatchPatch:
+		joined = e.tryPatchJoin(v, t, bufCap, recvCap)
+	case BatchBatchPrefix:
+		joined = e.tryBatchPrefixJoin(v, t, bufCap, prefix)
+	}
+	if joined {
 		if class >= 0 {
 			e.metrics.ClassAccepted[class]++
 		}

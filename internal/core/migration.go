@@ -9,9 +9,9 @@ package core
 // limits of one and unlimited; bounded chain search (depth > 1) is
 // supported as an ablation.
 //
-// This file is the move mechanism: which requests may move where, and
-// how a planned chain is executed. Planning lives behind the
-// MigrationPlanner seam (controller.go / controller_planners.go).
+// This file is the move mechanism — which requests may move where, how
+// a chain is planned, and how a planned chain is executed. The
+// controller's admitViaMigration (controller.go) drives the planning.
 
 // move is one planned migration step.
 type move struct {
@@ -101,4 +101,72 @@ func (e *Engine) executeMoves(plan []move, now float64, rescue bool) {
 		e.reschedule(s, now)
 	}
 	e.touchedBuf = touched
+}
+
+// planDirect finds the best single migration that frees a slot on s:
+// among s's migratable requests with a free-slot target, it picks the
+// pair whose target has the lowest load (ties: lowest request id, then
+// lowest target id), mirroring the least-loaded assignment rule.
+func (e *Engine) planDirect(s *server, now float64) (move, bool) {
+	var best move
+	bestLoad := -1
+	for _, r := range s.active {
+		if !e.migratable(r, now, false) {
+			continue
+		}
+		for _, h := range e.holders(int(r.video)) {
+			t := e.servers[h]
+			if e.cfg.Intermittent {
+				t.syncAll(now) // canAccept reads buffer levels
+			}
+			if !e.canAccept(t, now) || !e.eligibleTarget(r, t, now) {
+				continue
+			}
+			if bestLoad == -1 || t.load() < bestLoad ||
+				(t.load() == bestLoad && (r.id < best.r.id || (r.id == best.r.id && t.id < best.to.id))) {
+				best = move{r: r, to: t}
+				bestLoad = t.load()
+			}
+		}
+	}
+	return best, bestLoad >= 0
+}
+
+// planChain tries to free one slot on s using at most depthLeft
+// migrations. It returns the moves in execution order (deepest first).
+// visited marks servers already being freed higher up the chain, to
+// prevent cycles.
+func (e *Engine) planChain(s *server, now float64, depthLeft int, visited []bool) []move {
+	if depthLeft <= 0 {
+		return nil
+	}
+	// Bring fluid state up to date before reading buffers: migratable's
+	// switch-delay check depends on each request's current buffer level.
+	s.syncAll(now)
+	if m, ok := e.planDirect(s, now); ok {
+		return []move{m}
+	}
+	if depthLeft == 1 {
+		return nil
+	}
+	// No direct target has room: try to free a slot on some candidate
+	// target first, then move one of s's requests onto it.
+	for _, r := range s.active {
+		if !e.migratable(r, now, false) {
+			continue
+		}
+		for _, h := range e.holders(int(r.video)) {
+			t := e.servers[h]
+			if visited[t.id] || !e.eligibleTarget(r, t, now) {
+				continue
+			}
+			visited[t.id] = true
+			if sub := e.planChain(t, now, depthLeft-1, visited); sub != nil {
+				return append(sub, move{r: r, to: t})
+			}
+			// Leave visited set: freeing t failed and cannot succeed
+			// via another path within this chain either.
+		}
+	}
+	return nil
 }

@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // Traffic classes and graceful load shedding (see Config.Classes /
 // Config.Shed). Classes partition the arrival stream into priority
 // tiers: each arrival draws a class from its own split-RNG stream (one
@@ -26,18 +24,13 @@ func (e *Engine) drawTrafficClass() int32 {
 // classSelector returns the admission selector for a traffic class:
 // the class's named selector when it has one, the engine default
 // otherwise (and always the default for classless runs, class < 0).
-// Resolution is lazy per class, mirroring Engine.selector.
+// Each class builds its own on first use, mirroring Engine.selector.
 func (e *Engine) classSelector(class int32) ServerSelector {
 	if class < 0 || e.cfg.Classes[class].Selector == "" {
 		return e.selector()
 	}
 	if e.classSel[class] == nil {
-		name := e.cfg.Classes[class].Selector
-		factory, ok := selectorRegistry[name]
-		if !ok {
-			panic(fmt.Sprintf("core: selector %q not registered", name))
-		}
-		e.classSel[class] = factory()
+		e.classSel[class] = selectors[e.cfg.Classes[class].Selector]()
 	}
 	return e.classSel[class]
 }

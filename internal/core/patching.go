@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // Patching (Gao & Towsley; Sen et al. — cited by the paper's related
 // work, and "patching … stream merging" is listed as future work in
 // Section 6). A client arriving shortly after another request for the
@@ -30,32 +28,9 @@ import "fmt"
 // exclusive with viewer interactivity and intermittent scheduling
 // (both can stall a primary mid-stream, which would starve its taps).
 
-// PatchingConfig controls multicast patching.
-type PatchingConfig struct {
-	// Enabled turns patching on.
-	Enabled bool
-
-	// Window bounds the prefix a joiner may catch up on, in seconds of
-	// playback (0 means 20 minutes). Joins are also bounded by the
-	// joining client's buffer capacity.
-	Window float64
-}
-
-// Validate reports configuration errors.
-func (p PatchingConfig) Validate() error {
-	if p.Window < 0 {
-		return fmt.Errorf("core: negative patch window %g", p.Window)
-	}
-	return nil
-}
-
-// patchWindow returns the configured window with its default. The
-// legacy Patching.Window takes precedence; runs selecting the policy
-// through Edge.Batch="patch" configure the window as Edge.BatchWindow.
+// patchWindow returns the patch window, Edge.BatchWindow, with its
+// 20-minute default.
 func (e *Engine) patchWindow() float64 {
-	if w := e.cfg.Patching.Window; w > 0 {
-		return w
-	}
 	if w := e.cfg.Edge.BatchWindow; w > 0 {
 		return w
 	}
@@ -63,17 +38,15 @@ func (e *Engine) patchWindow() float64 {
 }
 
 // tryPatchJoin attempts to admit the arrival for video v by tapping an
-// ongoing transmission. bufCap is the joining client's staging buffer.
-// On success it returns the created patch request's server. Callers
-// gate on policy: this runs only when the resolved batch policy is
-// "patch" (legacy Patching.Enabled or Edge.Batch="patch").
-func (e *Engine) tryPatchJoin(v int, t float64, bufCap, recvCap float64) (*server, bool) {
+// ongoing transmission (Edge.Batch = "patch"). bufCap is the joining
+// client's staging buffer. It reports whether the arrival joined.
+func (e *Engine) tryPatchJoin(v int, t float64, bufCap, recvCap float64) bool {
 	maxPrefix := e.patchWindow() * e.cfg.ViewRate
 	if bufCap < maxPrefix {
 		maxPrefix = bufCap
 	}
 	if maxPrefix <= 0 {
-		return nil, false
+		return false
 	}
 	// Find the cheapest tappable primary: smallest missed prefix wins.
 	var primary *request
@@ -107,7 +80,7 @@ func (e *Engine) tryPatchJoin(v int, t float64, bufCap, recvCap float64) (*serve
 		}
 	}
 	if primary == nil {
-		return nil, false
+		return false
 	}
 	s := e.servers[primary.server]
 	s.syncAll(t)
@@ -132,5 +105,5 @@ func (e *Engine) tryPatchJoin(v int, t float64, bufCap, recvCap float64) (*serve
 		e.obs.OnAdmit(t, joiner.id, v, int(s.id), false)
 	}
 	e.reschedule(s, t)
-	return s, true
+	return true
 }

@@ -7,13 +7,13 @@ import (
 )
 
 func TestPatchingValidation(t *testing.T) {
-	if err := (PatchingConfig{Window: -1}).Validate(); err == nil {
+	if err := (EdgeConfig{Batch: BatchPatch, BatchWindow: -1}).Validate(); err == nil {
 		t.Error("negative window accepted")
 	}
 	base := Config{
 		ServerBandwidth: []float64{30}, ViewRate: 3,
 		Workahead: true, BufferCapacity: 600,
-		Patching: PatchingConfig{Enabled: true},
+		Edge: EdgeConfig{Batch: BatchPatch},
 	}
 	if err := base.Validate(); err != nil {
 		t.Errorf("valid patching config rejected: %v", err)
@@ -43,7 +43,7 @@ func patchScenario(t *testing.T, window, bufCap float64, arrivals []workload.Req
 		// Pin transmissions to b_view so prefixes equal elapsed
 		// playback and the arithmetic below stays exact.
 		ReceiveCap: 3,
-		Patching:   PatchingConfig{Enabled: true, Window: window},
+		Edge:       EdgeConfig{Batch: BatchPatch, BatchWindow: window},
 	}
 	obs := newFinishObserver()
 	e := newTestEngine(t, cfg, cat, [][]int{{0}}, arrivals)
@@ -148,7 +148,7 @@ func TestTappedPrimaryPinned(t *testing.T) {
 		Workahead:       true,
 		BufferCapacity:  1e6,
 		ReceiveCap:      0,
-		Patching:        PatchingConfig{Enabled: true, Window: 1200},
+		Edge:            EdgeConfig{Batch: BatchPatch, BatchWindow: 1200},
 		Migration:       MigrationConfig{Enabled: true, MaxHops: 1, MaxChain: 1},
 	}
 	e := newTestEngine(t, cfg, cat, [][]int{{0, 1}, {0}}, []workload.Request{
@@ -195,7 +195,7 @@ func TestPatchJoinPrefersSmallestPrefix(t *testing.T) {
 		Workahead:       true,
 		BufferCapacity:  1e6,
 		ReceiveCap:      3, // pin everyone to b_view for clean arithmetic
-		Patching:        PatchingConfig{Enabled: true, Window: 1200},
+		Edge:            EdgeConfig{Batch: BatchPatch, BatchWindow: 1200},
 	}
 	obs := newFinishObserver()
 	e := newTestEngine(t, cfg, cat, [][]int{{0}}, []workload.Request{
@@ -225,6 +225,6 @@ func TestPatchingDisabledByDefault(t *testing.T) {
 	})
 	m := run(t, e, 4000)
 	if m.PatchedJoins != 0 || m.SharedMb != 0 {
-		t.Errorf("patching activity without Patching.Enabled: %+v", m)
+		t.Errorf("patching activity without Edge.Batch=%q: %+v", BatchPatch, m)
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"semicont/internal/core/alloc"
 )
 
-// Spare-bandwidth staging shared by the allocation policies: gathering
-// the staging candidates of a server, then feeding them in the
+// Spare-bandwidth staging, the last step of every allocation round:
+// gathering the staging candidates of a server, then feeding them in the
 // discipline's order.
 //
 // The feed orders only what it feeds. Feeding spare in (key, id)
@@ -133,6 +133,24 @@ func spareGrantTo(rate, recvCap, avail float64) float64 {
 // spreadSpare hands spare bandwidth to staging candidates under the
 // configured discipline. Requests must be synced to t and already hold
 // their minimum rates.
+//
+// EFTF is the paper's EARLIESTFINISHTIMEFIRST procedure (Figure 2):
+//
+//  1. every unfinished, non-suspended request receives the view
+//     bandwidth b_view (the minimum-flow guarantee, minFlowRates), then
+//  2. while spare bandwidth remains, the request with the earliest
+//     projected finishing time whose client buffer is not full receives
+//     as much additional bandwidth as its client can absorb
+//     (min(spare, b_receive − b_r)).
+//
+// The projected finishing time at t is t + remaining/b_view for every
+// request, so "earliest projected finish" is exactly "smallest
+// remaining volume" — the comparison the implementation uses. The
+// theorem in Section 3.3 shows this rule is optimal among minimum-flow
+// algorithms when client receive bandwidth is unbounded; with a receive
+// cap it remains the paper's (empirically near-optimal) policy. LFTF
+// and EvenSplit are the ablations that measure what the ordering rule
+// is worth (A-EFTF).
 func (e *Engine) spreadSpare(s *server, t float64, avail float64) {
 	switch e.cfg.Spare {
 	case EvenSplit:

@@ -126,7 +126,7 @@ func (s *server) repairWake() {
 
 // wakeAt returns the server's next wake for a round that ran at time
 // t: the stored-key min, clamped so float noise cannot schedule into
-// the past. Every built-in Allocate returns it.
+// the past. allocate returns it.
 func (s *server) wakeAt(t float64) float64 {
 	next := s.currentWake()
 	if next < t {
@@ -136,9 +136,8 @@ func (s *server) wakeAt(t float64) float64 {
 }
 
 // nextWake computes the server's next wake from scratch off the live
-// lane state (rates, not stored keys) — the reference the stored-key
-// index is audited against, and the fallback for custom allocators
-// that do not maintain wake keys. For a server whose round just ran at
+// lane state (rates, not stored keys) — the reference the tests check
+// the stored-key index against. For a server whose round just ran at
 // time t it returns exactly wakeAt(t): the round stored each slot's
 // key from the same operand values this scan reads.
 func (e *Engine) nextWake(s *server, t float64) float64 {

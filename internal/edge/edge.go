@@ -3,10 +3,8 @@
 // bounded byte budget and serve those prefixes locally, so the cluster
 // streams only the suffix of a hit title (or nothing at all when the
 // cached prefix covers the whole video). Which prefixes a node holds is
-// a pluggable CachePolicy resolved from a named registry with the same
-// contract as the core engine's allocator/selector registries:
-// registration is an init-time programming act that panics on empty or
-// duplicate names, and names are validated before a run starts.
+// a CachePolicy chosen by name from a fixed table; names are validated
+// before a run starts.
 //
 // The package is deliberately free of core dependencies — it knows
 // nothing about servers, requests, or events. The engine asks one
@@ -27,7 +25,7 @@ import (
 // arguments and the Hit call sequence, and Hit must not allocate — it
 // sits on the per-arrival admission hot path.
 type CachePolicy interface {
-	// Name returns the policy's registry name.
+	// Name returns the policy's name.
 	Name() string
 
 	// Reset installs the working set for a run: prefixMb[v] is video
@@ -41,7 +39,7 @@ type CachePolicy interface {
 	Hit(v int) bool
 }
 
-// Registry names of the built-in cache policies.
+// Names of the cache policies.
 const (
 	// PolicyStaticZipf pins prefixes at Reset in popularity order
 	// (video 0 is the most popular): a first-fit greedy fill that
@@ -57,56 +55,42 @@ const (
 	PolicyLRU = "lru"
 )
 
-// registry maps cache-policy names to factories. Factories (not
-// instances) are registered because each edge node owns mutable
-// replacement state.
-var registry = map[string]func() CachePolicy{}
-
-// Register adds a named cache policy to the registry. It panics on an
-// empty or duplicate name — registration is an init-time programming
-// act, not a runtime input.
-func Register(name string, factory func() CachePolicy) {
-	if name == "" {
-		panic("edge: Register with empty name")
-	}
-	if factory == nil {
-		panic("edge: Register with nil factory")
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("edge: cache policy %q registered twice", name))
-	}
-	registry[name] = factory
+// policies maps each cache-policy name to its constructor. Each edge
+// node gets its own instance, because a policy owns mutable replacement
+// state.
+var policies = map[string]func() CachePolicy{
+	PolicyStaticZipf: func() CachePolicy { return new(staticZipf) },
+	PolicyLRU:        func() CachePolicy { return new(lru) },
 }
 
 // Has reports whether a cache policy with the given name exists.
 func Has(name string) bool {
-	_, ok := registry[name]
+	_, ok := policies[name]
 	return ok
 }
 
-// Names returns the registered cache-policy names, sorted.
+// Names returns the cache-policy names, sorted.
 func Names() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
+	names := make([]string, 0, len(policies))
+	for n := range policies {
 		names = append(names, n)
 	}
 	slices.Sort(names)
 	return names
 }
 
-// New resolves a cache policy by name ("" selects the default).
-// Validation vets names before a run starts, so resolution failure is
-// a programming error and panics like the engine's lazy registry
-// resolutions do.
+// New builds a cache policy by name ("" selects the default).
+// Validation vets names before a run starts, so an unknown name is a
+// programming error and panics.
 func New(name string) CachePolicy {
 	if name == "" {
 		name = PolicyStaticZipf
 	}
-	factory, ok := registry[name]
+	newPolicy, ok := policies[name]
 	if !ok {
-		panic(fmt.Sprintf("edge: cache policy %q not registered", name))
+		panic(fmt.Sprintf("edge: unknown cache policy %q", name))
 	}
-	return factory()
+	return newPolicy()
 }
 
 // GreedyFill is the static-zipf fill rule, exported so analytic models
@@ -130,11 +114,6 @@ func GreedyFill(prefixMb []float64, budgetMb float64, cached []bool) float64 {
 		}
 	}
 	return used
-}
-
-func init() {
-	Register(PolicyStaticZipf, func() CachePolicy { return new(staticZipf) })
-	Register(PolicyLRU, func() CachePolicy { return new(lru) })
 }
 
 // staticZipf implements PolicyStaticZipf.

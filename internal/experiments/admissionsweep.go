@@ -7,8 +7,8 @@ import (
 	"semicont/internal/stats"
 )
 
-// AdmissionSweep compares every registered admission selector on denial
-// rate as offered load sweeps through saturation. All runs use the EFTF
+// AdmissionSweep compares every admission selector on denial rate
+// as offered load sweeps through saturation. All runs use the EFTF
 // allocator, even placement, and 20% client staging with migration off,
 // so the only degree of freedom is which feasible replica holder the
 // controller assigns each arrival to — differences in the curves are

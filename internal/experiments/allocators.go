@@ -7,14 +7,13 @@ import (
 	"semicont/internal/stats"
 )
 
-// Allocators sweeps every bandwidth-allocation policy registered with
-// the engine through the named-policy seam (Policy.Allocator): the
-// three minimum-flow workahead disciplines plus the intermittent-class
+// Allocators sweeps every bandwidth-allocation policy in
+// AllocatorNames, selected by name through Policy.Allocator: the three
+// minimum-flow workahead disciplines plus the intermittent-class
 // heuristic, all under even placement and 20% staging. Unlike the
-// eftf-small ablation, which toggles the legacy Spare field, this
-// experiment drives the allocator registry itself — any policy added
-// with core.RegisterAllocator joins the sweep without code changes
-// here.
+// eftf-small ablation, which toggles the Spare field, this experiment
+// drives the Allocator spelling — a policy added to AllocatorNames
+// joins the sweep without code changes here.
 func Allocators(sys semicont.System, opts Options) (*Output, error) {
 	opts = opts.withDefaults()
 	w := newSweeper(opts)

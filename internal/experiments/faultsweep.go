@@ -9,9 +9,9 @@ import (
 )
 
 // FaultSweep measures graceful degradation under stochastic server
-// churn: every registered bandwidth allocator runs the full
-// fault-tolerance stack (DRM rescue, bounded admission retry queue,
-// degraded-mode playback) while the per-server MTBF sweeps from
+// churn: every bandwidth allocator runs the full fault-tolerance
+// stack (DRM rescue, bounded admission retry queue, degraded-mode
+// playback) while the per-server MTBF sweeps from
 // frequent to rare failures at a fixed one-hour MTTR. Three views of
 // the same runs come out: the denial rate (rejections plus reneged
 // retries over arrivals), the drop rate (streams killed mid-play per

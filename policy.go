@@ -126,23 +126,19 @@ type Policy struct {
 	Spare SpareKind
 
 	// Allocator selects the engine's bandwidth-allocation policy by
-	// registry name (see AllocatorNames). Empty uses the policy the
-	// Intermittent and Spare fields imply. Naming a built-in policy sets
-	// the fields it implies — e.g. AllocatorLFTF implies Spare:
-	// LFTFSpare — and contradictory explicit fields are validation
-	// errors. Custom policies registered with core.RegisterAllocator are
-	// selected by their registered name, with Intermittent and Spare
-	// passed through untouched.
+	// name (see AllocatorNames). Empty uses the policy the Intermittent
+	// and Spare fields imply. A name is another spelling of the fields
+	// it implies — e.g. AllocatorLFTF implies Spare: LFTFSpare — and
+	// contradictory explicit fields are validation errors.
 	Allocator string
 
 	// Selector names the admission controller's server-selection policy
-	// by registry name (see SelectorNames). Empty means least-loaded,
-	// the paper's Section 3.2 assignment rule. All built-in selectors
-	// are deterministic given the scenario seed (random-feasible draws
-	// from a split seed stream).
+	// by name (see SelectorNames). Empty means least-loaded, the paper's
+	// Section 3.2 assignment rule. All selectors are deterministic given
+	// the scenario seed (random-feasible draws from a split seed stream).
 	Selector string
 
-	// Planner names the DRM move-planning policy by registry name (see
+	// Planner names the DRM move-planning policy by name (see
 	// PlannerNames). Empty means chain-dfs, the iterative-deepening
 	// chain search. Requires Migration: naming a planner that can never
 	// run is a validation error.
@@ -170,13 +166,13 @@ type Policy struct {
 	EdgePrefixSec float64
 	EdgeCacheMb   float64
 
-	// EdgeCachePolicy names the per-node prefix-cache policy by registry
-	// name (see EdgeCachePolicyNames). Empty means static-zipf, the
+	// EdgeCachePolicy names the per-node prefix-cache policy by name
+	// (see EdgeCachePolicyNames). Empty means static-zipf, the
 	// provisioned greedy fill in popularity order.
 	EdgeCachePolicy string
 
-	// BatchPolicy names the multicast batching policy by registry name
-	// (see BatchPolicyNames): how concurrent requests for one title
+	// BatchPolicy names the multicast batching policy by name (see
+	// BatchPolicyNames): how concurrent requests for one title
 	// share a cluster stream. Empty resolves to "patch" when
 	// PatchWindowSec is set (the legacy spelling) and "unicast"
 	// otherwise. "patch" is classic multicast patching with
@@ -250,7 +246,7 @@ type TrafficClass struct {
 	// Share is the class's relative frequency among arrivals.
 	Share float64
 	// Selector optionally overrides the admission selector for this
-	// class by registry name (empty = the policy's selector).
+	// class by name (empty = the policy's selector).
 	Selector string
 	// RetryPatienceSec optionally overrides the retry-queue patience
 	// for this class (0 = the policy's RetryPatienceSec default);
@@ -286,8 +282,8 @@ func (k SpareKind) String() string {
 	}
 }
 
-// Registry names of the engine's built-in bandwidth-allocation
-// policies, usable as Policy.Allocator.
+// Names of the engine's bandwidth-allocation policies, usable as
+// Policy.Allocator.
 const (
 	// AllocatorEFTF is minimum-flow plus Earliest-Finishing-Time-First
 	// workahead (the paper's Figure 2 algorithm).
@@ -302,12 +298,12 @@ const (
 	AllocatorIntermittent = core.AllocIntermittent
 )
 
-// AllocatorNames returns the bandwidth-allocation policies registered
-// with the engine, sorted by name.
+// AllocatorNames returns the engine's bandwidth-allocation policies,
+// sorted by name.
 func AllocatorNames() []string { return core.AllocatorNames() }
 
-// Registry names of the engine's built-in controller policies, usable
-// as Policy.Selector and Policy.Planner.
+// Names of the engine's controller policies, usable as Policy.Selector
+// and Policy.Planner.
 const (
 	// SelectorLeastLoaded admits on the feasible replica holder with
 	// the fewest streams (Section 3.2's rule; the default).
@@ -330,12 +326,12 @@ const (
 	PlannerDirectOnly = core.PlannerDirectOnly
 )
 
-// SelectorNames returns the admission selectors registered with the
-// engine's controller, sorted by name.
+// SelectorNames returns the engine's admission selectors, sorted by
+// name.
 func SelectorNames() []string { return core.SelectorNames() }
 
-// Registry names of the engine's built-in multicast batching policies,
-// usable as Policy.BatchPolicy.
+// Names of the engine's multicast batching policies, usable as
+// Policy.BatchPolicy.
 const (
 	// BatchPolicyUnicast streams every admitted request on its own
 	// unicast channel (the default).
@@ -349,11 +345,11 @@ const (
 	BatchPolicyBatchPrefix = core.BatchBatchPrefix
 )
 
-// BatchPolicyNames returns the multicast batching policies registered
-// with the engine, sorted by name.
+// BatchPolicyNames returns the engine's multicast batching policies,
+// sorted by name.
 func BatchPolicyNames() []string { return core.BatchPolicyNames() }
 
-// Registry names of the built-in edge prefix-cache policies, usable as
+// Names of the edge prefix-cache policies, usable as
 // Policy.EdgeCachePolicy.
 const (
 	// EdgeCacheStaticZipf pins prefixes at run start in popularity
@@ -364,12 +360,11 @@ const (
 	EdgeCacheLRU = edge.PolicyLRU
 )
 
-// EdgeCachePolicyNames returns the edge prefix-cache policies
-// registered with internal/edge, sorted by name.
+// EdgeCachePolicyNames returns the edge prefix-cache policies, sorted
+// by name.
 func EdgeCachePolicyNames() []string { return edge.Names() }
 
-// PlannerNames returns the DRM planners registered with the engine's
-// controller, sorted by name.
+// PlannerNames returns the engine's DRM planners, sorted by name.
 func PlannerNames() []string { return core.PlannerNames() }
 
 // allocChoice resolves the effective scheduling fields from the
@@ -391,11 +386,7 @@ func (p Policy) allocChoice() (intermittent bool, spare SpareKind, err error) {
 		// discipline for its residual spare.
 		return true, p.Spare, nil
 	default:
-		if !core.HasAllocator(p.Allocator) {
-			return false, 0, fmt.Errorf("semicont: unknown allocator %q (have %v)", p.Allocator, AllocatorNames())
-		}
-		// Custom policy: scheduling fields pass through untouched.
-		return p.Intermittent, p.Spare, nil
+		return false, 0, fmt.Errorf("semicont: unknown allocator %q (have %v)", p.Allocator, AllocatorNames())
 	}
 	if p.Intermittent {
 		return false, 0, fmt.Errorf("semicont: Allocator %q conflicts with Intermittent", p.Allocator)
