@@ -34,6 +34,7 @@ func TestPolicyValidateEdge(t *testing.T) {
 		{EdgeNodes: 2, EdgePrefixSec: 900, EdgeCacheMb: 1000, BatchPolicy: BatchPolicyPatch}, // patch grafts onto whole objects
 		{BatchPolicy: "nope"},
 		{BatchPolicy: BatchPolicyPatch, PatchWindowSec: 600},                                       // two spellings of one knob
+		{BatchWindowSec: 60, PatchWindowSec: 600},                                                  // two windows for one patching
 		{BatchPolicy: BatchPolicyBatchPrefix, BatchWindowSec: 60},                                  // batch-prefix without the tier
 		{EdgeNodes: 2, EdgePrefixSec: 900, EdgeCacheMb: 1000, BatchPolicy: BatchPolicyBatchPrefix}, // missing window
 		{BatchWindowSec: -1},
@@ -45,7 +46,7 @@ func TestPolicyValidateEdge(t *testing.T) {
 			PauseProb: 0.5, MinPauseSec: 10, MaxPauseSec: 20},
 	}
 	for i, p := range bad {
-		if err := p.Validate(); err == nil {
+		if err := validatePolicy(p); err == nil {
 			t.Errorf("case %d accepted: %+v", i, p)
 		}
 	}
@@ -58,7 +59,7 @@ func TestPolicyValidateEdge(t *testing.T) {
 		{BatchPolicy: BatchPolicyUnicast},
 	}
 	for i, p := range good {
-		if err := p.Validate(); err != nil {
+		if err := validatePolicy(p); err != nil {
 			t.Errorf("valid edge policy %d rejected: %v", i, err)
 		}
 	}

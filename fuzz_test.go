@@ -1,6 +1,7 @@
 package semicont
 
 import (
+	"math"
 	"testing"
 
 	"semicont/internal/faults"
@@ -17,25 +18,25 @@ import (
 // that the construction path rejects, i.e. a gap in the contract.
 func FuzzScenarioValidate(f *testing.F) {
 	f.Add(5, 100.0, 50, 600.0, 1800.0, 2.2, 3.0,
-		0.2, 0, true, 1, 1, false, false, 0.0, 0.0, 30.0, 120.0, 0.271, 1.0, 0.0, 0, uint64(1),
+		0.2, 0.0, 0, true, 1, 1, false, false, 0.0, 0.0, 30.0, 120.0, 0.271, 1.0, 0.0, 0, uint64(1),
 		0.0, 0.0, false, false, false, "", "",
 		0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0, 0.0, 0.0, "", "", 0.0)
 	f.Add(2, 30.0, 25, 300.0, 900.0, 2.0, 3.0,
-		0.0, 0, false, 0, 0, true, false, 0.0, 0.2, 30.0, 120.0, -1.0, 1.2, 0.5, 1, uint64(7),
+		0.0, 0.0, 0, false, 0, 0, true, false, 0.0, 0.2, 30.0, 120.0, -1.0, 1.2, 0.5, 1, uint64(7),
 		0.02, 0.01, true, true, true, "least-loaded", "",
 		0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0, 0.0, 0.0, "", "", 0.0)
 	f.Add(3, 45.0, 25, 300.0, 900.0, 2.0, 3.0,
-		0.2, 2, true, -1, 2, false, true, 0.0, 0.0, 30.0, 120.0, 1.0, 1.0, 0.0, 0, uint64(9),
+		0.2, 0.0, 2, true, -1, 2, false, true, 0.0, 0.0, 30.0, 120.0, 1.0, 1.0, 0.0, 0, uint64(9),
 		0.05, 0.02, false, true, false, "most-headroom", "direct-only",
 		0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0, 0.0, 0.0, "", "", 0.0)
 	f.Add(4, 60.0, 30, 300.0, 900.0, 2.0, 3.0,
-		0.2, 0, false, 0, 0, false, false, 300.0, 0.0, 30.0, 120.0, -1.5, 1.0, 0.0, 0, uint64(3),
+		0.2, 0.0, 0, false, 0, 0, false, false, 300.0, 0.0, 30.0, 120.0, -1.5, 1.0, 0.0, 0, uint64(3),
 		-1.0, 0.5, false, false, true, "nonsense", "nonsense",
 		0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
@@ -44,7 +45,7 @@ func FuzzScenarioValidate(f *testing.F) {
 	// one seed: the selector seam is crossed by arrivals, retry
 	// re-attempts, and rescue reconnects all at once.
 	f.Add(4, 60.0, 20, 300.0, 900.0, 2.5, 3.0,
-		0.2, 0, true, 2, 2, false, false, 0.0, 0.0, 30.0, 120.0, 0.271, 1.2, 0.0, 0, uint64(11),
+		0.2, 0.0, 0, true, 2, 2, false, false, 0.0, 0.0, 30.0, 120.0, 0.271, 1.2, 0.0, 0, uint64(11),
 		0.5, 0.1, true, true, true, "random-feasible", "chain-dfs",
 		0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
@@ -54,7 +55,7 @@ func FuzzScenarioValidate(f *testing.F) {
 	// classes diverge on bufCap (StagingFrac) and recvCap (ReceiveCap),
 	// so the per-slot lane state is rewritten on every resume.
 	f.Add(4, 60.0, 25, 300.0, 900.0, 2.0, 3.0,
-		0.2, 0, true, 1, 1, false, true, 0.0, 0.3, 10.0, 60.0, 0.271, 1.0, 0.0, 0, uint64(13),
+		0.2, 0.0, 0, true, 1, 1, false, true, 0.0, 0.3, 10.0, 60.0, 0.271, 1.0, 0.0, 0, uint64(13),
 		0.0, 0.0, false, false, false, "", "",
 		2, 2.0, 0.3, 0.05, 6.0, 4.0,
 		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
@@ -64,7 +65,7 @@ func FuzzScenarioValidate(f *testing.F) {
 	// spare feeds saturate immediately, so the spare path's wake-key
 	// rewrites happen at the recvCap clamp.
 	f.Add(3, 45.0, 20, 300.0, 900.0, 2.0, 3.0,
-		0.0, 1, false, 1, 1, false, false, 0.0, 1.0, 1.0, 5.0, 0.0, 1.0, 0.0, 0, uint64(17),
+		0.0, 0.0, 1, false, 1, 1, false, false, 0.0, 1.0, 1.0, 5.0, 0.0, 1.0, 0.0, 0, uint64(17),
 		0.0, 0.0, false, false, false, "", "",
 		1, 0.0, 0.5, 0.0, 3.5, 0.0,
 		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
@@ -74,7 +75,7 @@ func FuzzScenarioValidate(f *testing.F) {
 	// spare. Exercises the ClientMix validation edge and the fixed-length
 	// pause path together.
 	f.Add(3, 45.0, 20, 300.0, 900.0, 2.0, 3.0,
-		0.1, 2, false, 1, 1, false, true, 0.0, 0.5, 45.0, 45.0, 0.0, 1.0, 0.0, 0, uint64(19),
+		0.1, 0.0, 2, false, 1, 1, false, true, 0.0, 0.5, 45.0, 45.0, 0.0, 1.0, 0.0, 0, uint64(19),
 		0.0, 0.0, false, false, false, "", "",
 		2, 0.0, 0.4, 0.2, 0.0, 8.0,
 		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
@@ -83,7 +84,7 @@ func FuzzScenarioValidate(f *testing.F) {
 	// shed controller, the class selector seam, and dimmed capacity all
 	// interact on one audited run.
 	f.Add(4, 60.0, 20, 300.0, 900.0, 2.0, 3.0,
-		0.2, 0, true, 1, 1, false, false, 0.0, 0.0, 30.0, 120.0, 0.271, 1.0, 0.0, 0, uint64(23),
+		0.2, 0.0, 0, true, 1, 1, false, false, 0.0, 0.0, 30.0, 120.0, 0.271, 1.0, 0.0, 0, uint64(23),
 		0.0, 0.0, false, true, true, "", "",
 		0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0.3, 0.1, 0.5, 2, 3.0, 600.0, 0.75, 0.0, 0.0,
@@ -92,7 +93,7 @@ func FuzzScenarioValidate(f *testing.F) {
 	// shedding: the thinned arrival path feeds the class draw while the
 	// surge concentrates on video zero.
 	f.Add(4, 60.0, 20, 300.0, 900.0, 2.0, 3.0,
-		0.2, 0, true, 1, 1, false, false, 0.0, 0.0, 30.0, 120.0, 0.271, 1.0, 0.0, 0, uint64(29),
+		0.2, 0.0, 0, true, 1, 1, false, false, 0.0, 0.0, 30.0, 120.0, 0.271, 1.0, 0.0, 0, uint64(29),
 		0.0, 0.0, false, true, true, "", "",
 		0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0.0, 0.0, 0.0, 2, 1.0, 0.0, 0.0, 0.5, 3.0,
@@ -101,7 +102,7 @@ func FuzzScenarioValidate(f *testing.F) {
 	// start offsets cross the prefix probe and the join path in one
 	// audited run.
 	f.Add(4, 60.0, 20, 300.0, 900.0, 2.0, 3.0,
-		0.2, 0, true, 1, 1, false, false, 0.0, 0.0, 30.0, 120.0, 0.271, 1.0, 0.0, 0, uint64(31),
+		0.2, 0.0, 0, true, 1, 1, false, false, 0.0, 0.0, 30.0, 120.0, 0.271, 1.0, 0.0, 0, uint64(31),
 		0.0, 0.0, false, false, false, "", "",
 		0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
@@ -110,14 +111,36 @@ func FuzzScenarioValidate(f *testing.F) {
 	// content depends on arrival order, which rescue re-attempts and
 	// degraded restarts reshuffle.
 	f.Add(4, 60.0, 20, 300.0, 900.0, 2.0, 3.0,
-		0.2, 0, true, 1, 1, false, false, 0.0, 0.0, 30.0, 120.0, 0.271, 1.0, 0.0, 0, uint64(37),
+		0.2, 0.0, 0, true, 1, 1, false, false, 0.0, 0.0, 30.0, 120.0, 0.271, 1.0, 0.0, 0, uint64(37),
 		0.5, 0.1, false, true, true, "", "",
 		0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		1, 600.0, 9000.0, "lru", "", 0.0)
+	// Three shapes that once validated and then failed to build: a θ
+	// whose Zipf weights overflow, a failure scheduled at +Inf, and a
+	// staging client class under a receive cap below the view rate
+	// while the policy's own StagingFrac is zero.
+	f.Add(5, 100.0, 50, 600.0, 1800.0, 2.2, 3.0,
+		0.2, 0.0, 0, true, 1, 1, false, false, 0.0, 0.0, 30.0, 120.0, 1000.0, 1.0, 0.0, 0, uint64(41),
+		0.0, 0.0, false, false, false, "", "",
+		0, 0.0, 0.0, 0.0, 0.0, 0.0,
+		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
+		0, 0.0, 0.0, "", "", 0.0)
+	f.Add(5, 100.0, 50, 600.0, 1800.0, 2.2, 3.0,
+		0.2, 0.0, 0, true, 1, 1, false, false, 0.0, 0.0, 30.0, 120.0, 0.271, 1.0, math.Inf(1), 0, uint64(43),
+		0.0, 0.0, false, false, false, "", "",
+		0, 0.0, 0.0, 0.0, 0.0, 0.0,
+		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
+		0, 0.0, 0.0, "", "", 0.0)
+	f.Add(5, 100.0, 50, 600.0, 1800.0, 2.2, 3.0,
+		0.0, 0.5, 0, true, 1, 1, false, false, 0.0, 0.0, 30.0, 120.0, 0.271, 1.0, 0.0, 0, uint64(47),
+		0.0, 0.0, false, false, false, "", "",
+		1, 0.0, 0.2, 0.0, 0.0, 0.0,
+		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
+		0, 0.0, 0.0, "", "", 0.0)
 	f.Fuzz(func(t *testing.T,
 		numServers int, bw float64, numVideos int, minLen, maxLen, avgCopies, viewRate float64,
-		stagingFrac float64, spare int, migration bool, maxHops, maxChain int,
+		stagingFrac, receiveCap float64, spare int, migration bool, maxHops, maxChain int,
 		replicate, intermittent bool, patchWindow, pauseProb float64,
 		minPause, maxPause float64,
 		theta, load, failAt float64, failServer int, seed uint64,
@@ -143,6 +166,7 @@ func FuzzScenarioValidate(f *testing.F) {
 			Policy: Policy{
 				Name:             "fuzz",
 				StagingFrac:      stagingFrac,
+				ReceiveCap:       receiveCap,
 				Spare:            SpareKind(spare),
 				Migration:        migration,
 				MaxHops:          maxHops,
@@ -227,7 +251,7 @@ func FuzzScenarioValidate(f *testing.F) {
 		// Bounded envelope: small enough that a run takes milliseconds.
 		if numServers > 5 || numVideos > 50 || bw > 150 ||
 			viewRate < 1 || minLen < 60 || maxLen > 1800 ||
-			theta < -2 || theta > 2 || load > 1.5 ||
+			load > 1.5 ||
 			stagingFrac > 1 || patchWindow > 1800 ||
 			maxPause > 3600 || classStagingA > 1 || classStagingB > 1 ||
 			flashFactor > 20 || tShareB > 1e6 ||
@@ -246,7 +270,7 @@ func FuzzScenarioValidate(f *testing.F) {
 			return
 		}
 		sc.HorizonHours = 0.05
-		if sc.FailAtHours > 0 {
+		if finite(sc.FailAtHours) && sc.FailAtHours > 0 {
 			sc.FailAtHours = 0.02 // keep the validated failure inside the run window
 		}
 		sc.Audit = true

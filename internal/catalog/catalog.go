@@ -59,6 +59,13 @@ func (c Config) Validate() error {
 		return fmt.Errorf("catalog: ViewRate must be positive, got %g", c.ViewRate)
 	case bad(c.Theta):
 		return fmt.Errorf("catalog: Theta %g must be finite", c.Theta)
+	case math.IsInf(float64(c.NumVideos)*c.MaxLength*c.ViewRate, 0):
+		return fmt.Errorf("catalog: %d videos of up to %g s at %g Mb/s overflow the library size", c.NumVideos, c.MaxLength, c.ViewRate)
+	case math.Pow(float64(c.NumVideos), c.Theta) > rng.MaxAliasWeight:
+		// The Zipf weights i^(θ−1) peak at NumVideos^(θ−1); bounding
+		// NumVideos times that keeps every weight and their sum inside
+		// the alias table's range.
+		return fmt.Errorf("catalog: Theta %g overflows the Zipf weights of %d videos", c.Theta, c.NumVideos)
 	}
 	return nil
 }

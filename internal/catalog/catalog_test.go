@@ -22,6 +22,9 @@ func TestValidate(t *testing.T) {
 		{"zero min length", func(c *Config) { c.MinLength = 0 }},
 		{"max below min", func(c *Config) { c.MaxLength = c.MinLength - 1 }},
 		{"zero view rate", func(c *Config) { c.ViewRate = 0 }},
+		{"sizes overflow", func(c *Config) { c.MaxLength = 1e308 }},
+		{"Zipf weights overflow", func(c *Config) { c.Theta = 1000 }},
+		{"Zipf weights near the float range", func(c *Config) { c.NumVideos, c.Theta = 100, 154.5 }},
 	}
 	for _, tc := range cases {
 		cfg := validConfig()
@@ -32,6 +35,17 @@ func TestValidate(t *testing.T) {
 	}
 	if err := validConfig().Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
+	}
+	// Every θ Validate accepts generates a catalog, up to the bound.
+	for _, theta := range []float64{-1e300, -2, 0, 1, 2, 60, 150} {
+		cfg := validConfig()
+		cfg.NumVideos, cfg.Theta = 100, theta
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Theta %g rejected: %v", theta, err)
+		}
+		if _, err := Generate(cfg, rng.New(1)); err != nil {
+			t.Errorf("Theta %g validated but failed to generate: %v", theta, err)
+		}
 	}
 }
 

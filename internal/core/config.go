@@ -24,6 +24,10 @@ import (
 	"math"
 )
 
+// finite reports whether v is an ordinary number. NaN and ±Inf slip
+// through ordered comparisons like v < 0, so Validate checks explicitly.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // UnlimitedHops configures migration with no per-request lifetime limit
 // (the "unrestricted hops per request" curves of Figure 4).
 const UnlimitedHops = -1
@@ -55,8 +59,12 @@ type MigrationConfig struct {
 	SwitchDelay float64
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. The hop and chain bounds are
+// checked only with migration on; SwitchDelay always.
 func (m MigrationConfig) Validate() error {
+	if !finite(m.SwitchDelay) || m.SwitchDelay < 0 {
+		return fmt.Errorf("core: SwitchDelay %g must be finite and non-negative", m.SwitchDelay)
+	}
 	if !m.Enabled {
 		return nil
 	}
@@ -65,9 +73,6 @@ func (m MigrationConfig) Validate() error {
 	}
 	if m.MaxChain < 1 {
 		return fmt.Errorf("core: MaxChain must be at least 1, got %d", m.MaxChain)
-	}
-	if m.SwitchDelay < 0 {
-		return fmt.Errorf("core: negative SwitchDelay %g", m.SwitchDelay)
 	}
 	return nil
 }
@@ -347,18 +352,16 @@ type RetryConfig struct {
 	Backoff float64
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors, whether or not the queue is
+// enabled.
 func (r RetryConfig) Validate() error {
-	if !r.Enabled {
-		return nil
-	}
 	if r.MaxQueue < 0 {
 		return fmt.Errorf("core: negative retry MaxQueue %d", r.MaxQueue)
 	}
-	if math.IsNaN(r.Patience) || math.IsInf(r.Patience, 0) || r.Patience < 0 {
+	if !finite(r.Patience) || r.Patience < 0 {
 		return fmt.Errorf("core: retry Patience %g must be finite and non-negative", r.Patience)
 	}
-	if math.IsNaN(r.Backoff) || math.IsInf(r.Backoff, 0) || r.Backoff < 0 {
+	if !finite(r.Backoff) || r.Backoff < 0 {
 		return fmt.Errorf("core: retry Backoff %g must be finite and non-negative", r.Backoff)
 	}
 	return nil
@@ -382,13 +385,11 @@ type DegradedConfig struct {
 	RetryInterval float64
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors, whether or not parking is
+// enabled.
 func (d DegradedConfig) Validate() error {
-	if !d.Enabled {
-		return nil
-	}
-	if math.IsNaN(d.RetryInterval) || math.IsInf(d.RetryInterval, 0) || d.RetryInterval < 0 {
-		return fmt.Errorf("core: degraded RetryInterval %g must be finite and non-negative", d.RetryInterval)
+	if !finite(d.RetryInterval) || d.RetryInterval < 0 {
+		return fmt.Errorf("core: degraded-playback retry interval %g must be finite and non-negative", d.RetryInterval)
 	}
 	return nil
 }
@@ -409,13 +410,11 @@ type InteractivityConfig struct {
 
 // Validate reports configuration errors.
 func (i InteractivityConfig) Validate() error {
-	if i.PauseProb < 0 || i.PauseProb > 1 {
+	if !(i.PauseProb >= 0 && i.PauseProb <= 1) {
 		return fmt.Errorf("core: PauseProb %g outside [0,1]", i.PauseProb)
 	}
-	if i.PauseProb > 0 {
-		if i.MinPause <= 0 || i.MaxPause < i.MinPause {
-			return fmt.Errorf("core: invalid pause duration range [%g, %g]", i.MinPause, i.MaxPause)
-		}
+	if i.PauseProb > 0 && !(finite(i.MinPause) && finite(i.MaxPause) && i.MinPause > 0 && i.MaxPause >= i.MinPause) {
+		return fmt.Errorf("core: invalid pause duration range [%g, %g]", i.MinPause, i.MaxPause)
 	}
 	return nil
 }
@@ -432,7 +431,7 @@ func (c Config) Validate() error {
 		if b < c.ViewRate {
 			return fmt.Errorf("core: server %d bandwidth %g below view rate %g (cannot serve any stream)", i, b, c.ViewRate)
 		}
-		if math.IsNaN(b) || math.IsInf(b, 0) {
+		if !finite(b) {
 			return fmt.Errorf("core: server %d bandwidth %g invalid", i, b)
 		}
 	}
@@ -447,14 +446,14 @@ func (c Config) Validate() error {
 	}
 	totalWeight := 0.0
 	for i, cl := range c.ClientClasses {
-		if cl.Weight < 0 || math.IsNaN(cl.Weight) {
+		if !finite(cl.Weight) || cl.Weight < 0 {
 			return fmt.Errorf("core: client class %d has weight %g", i, cl.Weight)
 		}
 		if cl.BufferCapacity < 0 {
 			return fmt.Errorf("core: client class %d has buffer %g", i, cl.BufferCapacity)
 		}
-		if cl.ReceiveCap < 0 || (cl.ReceiveCap > 0 && cl.ReceiveCap < c.ViewRate) {
-			return fmt.Errorf("core: client class %d receive cap %g below view rate %g", i, cl.ReceiveCap, c.ViewRate)
+		if !finite(cl.ReceiveCap) || cl.ReceiveCap < 0 || (cl.ReceiveCap > 0 && cl.ReceiveCap < c.ViewRate) {
+			return fmt.Errorf("core: client class %d receive cap %g must be finite, and zero or at least the view rate %g", i, cl.ReceiveCap, c.ViewRate)
 		}
 		totalWeight += cl.Weight
 	}
@@ -466,13 +465,13 @@ func (c Config) Validate() error {
 	}
 	shareTotal := 0.0
 	for i, tc := range c.Classes {
-		if math.IsNaN(tc.Share) || math.IsInf(tc.Share, 0) || tc.Share <= 0 {
+		if !finite(tc.Share) || tc.Share <= 0 {
 			return fmt.Errorf("core: traffic class %d share %g must be positive and finite", i, tc.Share)
 		}
 		if tc.Selector != "" && !HasSelector(tc.Selector) {
 			return fmt.Errorf("core: traffic class %d selector %q unknown (have %v)", i, tc.Selector, SelectorNames())
 		}
-		if math.IsNaN(tc.RetryPatience) || math.IsInf(tc.RetryPatience, 0) || tc.RetryPatience < 0 {
+		if !finite(tc.RetryPatience) || tc.RetryPatience < 0 {
 			return fmt.Errorf("core: traffic class %d retry patience %g must be finite and non-negative", i, tc.RetryPatience)
 		}
 		shareTotal += tc.Share
@@ -486,8 +485,8 @@ func (c Config) Validate() error {
 	if c.Shed.Enabled && len(c.Classes) < 2 {
 		return fmt.Errorf("core: load shedding requires at least two traffic classes, have %d", len(c.Classes))
 	}
-	if c.ResumeGuard < 0 {
-		return fmt.Errorf("core: negative ResumeGuard %g", c.ResumeGuard)
+	if !finite(c.ResumeGuard) || c.ResumeGuard < 0 {
+		return fmt.Errorf("core: ResumeGuard %g must be finite and non-negative", c.ResumeGuard)
 	}
 	if c.Shards < 0 || c.Shards > 1 {
 		return fmt.Errorf("core: Shards %d: the sharded engine was removed, only 0 or 1 is accepted", c.Shards)
@@ -504,14 +503,14 @@ func (c Config) Validate() error {
 	if len(c.ServerStorage) > 0 && len(c.ServerStorage) != len(c.ServerBandwidth) {
 		return fmt.Errorf("core: %d storage capacities for %d servers", len(c.ServerStorage), len(c.ServerBandwidth))
 	}
-	if c.Replication.CopyRateCap < 0 {
-		return fmt.Errorf("core: negative CopyRateCap %g", c.Replication.CopyRateCap)
+	if !finite(c.Replication.CopyRateCap) || c.Replication.CopyRateCap < 0 {
+		return fmt.Errorf("core: replication copy rate cap %g must be finite and non-negative", c.Replication.CopyRateCap)
 	}
 	if c.Replication.PerSourceLimit < 0 {
 		return fmt.Errorf("core: negative PerSourceLimit %d", c.Replication.PerSourceLimit)
 	}
 	if c.Intermittent && !c.Workahead {
-		return fmt.Errorf("core: intermittent scheduling requires Workahead (it pauses streams against their buffers)")
+		return fmt.Errorf("core: intermittent scheduling needs client staging buffers (it pauses streams against them)")
 	}
 	if err := c.Retry.Validate(); err != nil {
 		return err

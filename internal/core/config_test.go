@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func validCoreConfig() Config {
 	return Config{
@@ -37,6 +40,25 @@ func TestConfigValidate(t *testing.T) {
 		{"allocator contradicts spare", func(c *Config) { c.Allocator = AllocMinFlowLFTF }},
 		{"allocator contradicts intermittent", func(c *Config) { c.Allocator, c.Intermittent = AllocMinFlowEFTF, true }},
 		{"intermittent allocator without the flag", func(c *Config) { c.Allocator = AllocIntermittent }},
+		{"NaN resume guard", func(c *Config) { c.ResumeGuard = math.NaN() }},
+		{"infinite copy rate cap", func(c *Config) { c.Replication.CopyRateCap = math.Inf(1) }},
+		{"NaN pause probability", func(c *Config) { c.Interactivity.PauseProb = math.NaN() }},
+		{"NaN min pause", func(c *Config) {
+			c.Interactivity = InteractivityConfig{PauseProb: 0.5, MinPause: math.NaN(), MaxPause: 60}
+		}},
+		{"infinite client class weight", func(c *Config) {
+			c.ClientClasses = []ClientClass{{Weight: math.Inf(1)}}
+		}},
+		{"NaN client class receive cap", func(c *Config) {
+			c.ClientClasses = []ClientClass{{Weight: 1, ReceiveCap: math.NaN()}}
+		}},
+		{"negative switch delay with migration off", func(c *Config) {
+			c.Migration = MigrationConfig{SwitchDelay: -1}
+		}},
+		{"negative retry patience with retry off", func(c *Config) { c.Retry.Patience = -1 }},
+		{"negative degraded retry interval with degraded playback off", func(c *Config) {
+			c.Degraded.RetryInterval = -1
+		}},
 	}
 	for _, tc := range cases {
 		cfg := validCoreConfig()

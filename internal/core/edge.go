@@ -30,7 +30,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"semicont/internal/edge"
 )
@@ -73,10 +72,10 @@ func (c EdgeConfig) Validate() error {
 		return fmt.Errorf("core: negative edge Nodes %d", c.Nodes)
 	}
 	if c.Nodes > 0 {
-		if math.IsNaN(c.PrefixSec) || math.IsInf(c.PrefixSec, 0) || c.PrefixSec <= 0 {
+		if !finite(c.PrefixSec) || c.PrefixSec <= 0 {
 			return fmt.Errorf("core: edge PrefixSec %g must be positive and finite", c.PrefixSec)
 		}
-		if math.IsNaN(c.CacheMb) || math.IsInf(c.CacheMb, 0) || c.CacheMb <= 0 {
+		if !finite(c.CacheMb) || c.CacheMb <= 0 {
 			return fmt.Errorf("core: edge CacheMb %g must be positive and finite", c.CacheMb)
 		}
 		if c.CachePolicy != "" && !edge.Has(c.CachePolicy) {
@@ -98,7 +97,7 @@ func (c EdgeConfig) Validate() error {
 	if c.Batch != "" && !HasBatchPolicy(c.Batch) {
 		return fmt.Errorf("core: unknown batch policy %q (have %v)", c.Batch, BatchPolicyNames())
 	}
-	if math.IsNaN(c.BatchWindow) || math.IsInf(c.BatchWindow, 0) || c.BatchWindow < 0 {
+	if !finite(c.BatchWindow) || c.BatchWindow < 0 {
 		return fmt.Errorf("core: edge BatchWindow %g must be finite and non-negative", c.BatchWindow)
 	}
 	switch c.Batch {

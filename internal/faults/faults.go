@@ -404,11 +404,13 @@ func (iv interval) overlaps(o interval) bool {
 // draws one independent variate stream per server (or domain) from
 // seed; begins are generated inside [0, horizon) and every begin is
 // paired with its end even when that end lands past the horizon (the
-// drain phase observes it). When the failure and brownout processes run
-// together, a brownout interval that overlaps (or touches) one of the
-// server's down intervals is dropped whole — a down server has no
-// bandwidth to dim, and dropping the interval keeps each server's event
-// sequence cleanly alternating.
+// drain phase observes it), unless a mean repair time near the float
+// range puts the end at +Inf: that end never comes, so it is dropped.
+// When the failure and brownout processes run together, a brownout
+// interval that overlaps (or touches) one of the server's down
+// intervals is dropped whole — a down server has no bandwidth to dim,
+// and dropping the interval keeps each server's event sequence cleanly
+// alternating.
 func Compile(cfg Config, numServers int, horizonHours float64, seed uint64) ([]Compiled, error) {
 	if err := cfg.Validate(numServers); err != nil {
 		return nil, err
@@ -511,6 +513,7 @@ func Compile(cfg Config, numServers int, horizonHours float64, seed uint64) ([]C
 			}
 		}
 	}
+	out = slices.DeleteFunc(out, func(c Compiled) bool { return math.IsInf(c.At, 1) })
 	// Per-target sequences are already ordered; the stable sort merges
 	// them deterministically (ties resolved by server id, then original
 	// order, so a zero-length downtime keeps begin before end).

@@ -106,6 +106,26 @@ func TestCompileStochastic(t *testing.T) {
 	}
 }
 
+// TestCompileDropsInfiniteEnds checks that a mean repair time near the
+// float range, whose ends overflow to +Inf, compiles to begins that
+// never end rather than to events the engine cannot schedule.
+func TestCompileDropsInfiniteEnds(t *testing.T) {
+	cfg := Config{MTBFHours: 5, MTTRHours: 1e308,
+		BrownoutMTBFHours: 5, BrownoutMTTRHours: 1e308, BrownoutFraction: 0.5}
+	evs, err := Compile(cfg, 4, 100, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) == 0 {
+		t.Fatal("100 h at MTBF 5 h over 4 servers produced no events")
+	}
+	for i, ev := range evs {
+		if ev.Recover || math.IsInf(ev.At, 0) {
+			t.Errorf("event %d %+v: want only finite begins", i, ev)
+		}
+	}
+}
+
 // TestCompileDeterministic pins the stream-split contract: the schedule
 // is a pure function of (config, servers, horizon, seed), and each
 // server's draws are independent of the cluster size.

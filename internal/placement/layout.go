@@ -104,6 +104,12 @@ func Place(cat *catalog.Catalog, counts []int, capacities []float64, p *rng.PCG)
 	return l, nil
 }
 
+// Budget is the replica budget Build gives a strategy: numVideos ×
+// avgCopies, rounded to the nearest copy.
+func Budget(numVideos int, avgCopies float64) int {
+	return int(float64(numVideos)*avgCopies + 0.5)
+}
+
 // Build runs a Strategy and places its counts in one step. avgCopies is
 // the mean number of replicas per video (Figure 3's "Average Number of
 // Copies Per Video", ≈2.2 in the paper).
@@ -111,8 +117,7 @@ func Build(strat Strategy, cat *catalog.Catalog, avgCopies float64, capacities [
 	if avgCopies < 1 {
 		return nil, fmt.Errorf("placement: avgCopies %g < 1", avgCopies)
 	}
-	total := int(float64(cat.Len())*avgCopies + 0.5)
-	counts, err := strat.Copies(cat, total, len(capacities), p)
+	counts, err := strat.Copies(cat, Budget(cat.Len(), avgCopies), len(capacities), p)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@
 package placement
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -131,32 +132,13 @@ func (s PartialPredictive) Name() string { return "partial-predictive" }
 
 // Copies implements Strategy.
 func (s PartialPredictive) Copies(cat *catalog.Catalog, totalCopies, maxCopies int, p *rng.PCG) ([]int, error) {
-	frac := s.TopFraction
-	if frac == 0 {
-		frac = 0.1
-	}
-	extra := s.Extra
-	if extra == 0 {
-		extra = 2
-	}
-	if frac < 0 || frac > 1 {
-		return nil, fmt.Errorf("placement: TopFraction %g outside [0,1]", frac)
-	}
-	if extra < 0 {
-		return nil, fmt.Errorf("placement: negative Extra %d", extra)
-	}
-	n := cat.Len()
-	top := int(float64(n)*frac + 0.5)
-	if top < 1 {
-		top = 1
-	}
-	boost := top * extra
-	if boost >= totalCopies {
-		return nil, fmt.Errorf("placement: extra copies (%d) exceed budget %d", boost, totalCopies)
+	top, extra, err := s.split(cat.Len(), totalCopies, maxCopies)
+	if err != nil {
+		return nil, err
 	}
 	// Spend the boost out of the even budget so total storage matches
 	// the other strategies and comparisons stay fair.
-	counts, err := (Even{}).Copies(cat, totalCopies-boost, maxCopies, p)
+	counts, err := (Even{}).Copies(cat, totalCopies-top*extra, maxCopies, p)
 	if err != nil {
 		return nil, err
 	}
@@ -165,6 +147,35 @@ func (s PartialPredictive) Copies(cat *catalog.Catalog, totalCopies, maxCopies i
 		counts[order[k]] += extra
 	}
 	return capAndRedistribute(counts, maxCopies, order), nil
+}
+
+// CheckBudget reports whether s can split totalCopies replicas among n
+// videos with at most maxCopies each, as Copies will: the top videos'
+// extra copies must leave the even base at least one copy per video.
+// It needs no catalog, so a configuration can be vetted before one is
+// generated.
+func (s PartialPredictive) CheckBudget(n, totalCopies, maxCopies int) error {
+	_, _, err := s.split(n, totalCopies, maxCopies)
+	return err
+}
+
+// split resolves the zero-value defaults into how many of the n most
+// popular videos get extra copies and how many each, and checks that
+// the even base allocation still fits the rest of the budget.
+func (s PartialPredictive) split(n, totalCopies, maxCopies int) (top, extra int, err error) {
+	frac := cmp.Or(s.TopFraction, 0.1)
+	extra = cmp.Or(s.Extra, 2)
+	if !(frac >= 0 && frac <= 1) {
+		return 0, 0, fmt.Errorf("placement: TopFraction %g outside [0,1]", frac)
+	}
+	if extra < 0 {
+		return 0, 0, fmt.Errorf("placement: negative Extra %d", extra)
+	}
+	top = max(int(float64(n)*frac+0.5), 1)
+	if top*extra >= totalCopies {
+		return 0, 0, fmt.Errorf("placement: extra copies (%d) exceed budget %d", top*extra, totalCopies)
+	}
+	return top, extra, checkBudget(n, totalCopies-top*extra, maxCopies)
 }
 
 func checkBudget(n, totalCopies, maxCopies int) error {

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -153,6 +154,25 @@ func TestPartialPredictiveErrors(t *testing.T) {
 	}
 	if _, err := (PartialPredictive{TopFraction: 1, Extra: 5}).Copies(cat, 30, 5, rng.New(1)); err == nil {
 		t.Error("boost exceeding budget accepted")
+	}
+}
+
+// TestPartialPredictiveCheckBudget checks that CheckBudget, which needs
+// no catalog, gives Copies' verdict on every budget shape, including a
+// NaN fraction and extras that leave a video without a copy.
+func TestPartialPredictiveCheckBudget(t *testing.T) {
+	cat := testCatalog(t, 100, 0)
+	for _, frac := range []float64{0, 0.1, 0.5, 0.7, 1, 2, -0.5, math.NaN()} {
+		for _, extra := range []int{0, 1, 2, 3, -1} {
+			s := PartialPredictive{TopFraction: frac, Extra: extra}
+			_, copyErr := s.Copies(cat, Budget(100, 2.2), 5, rng.New(1))
+			if checkErr := s.CheckBudget(100, Budget(100, 2.2), 5); (checkErr == nil) != (copyErr == nil) {
+				t.Errorf("%+v: CheckBudget %v, Copies %v", s, checkErr, copyErr)
+			}
+		}
+	}
+	if err := (PartialPredictive{TopFraction: 0.7, Extra: 2}).CheckBudget(100, 220, 5); err == nil {
+		t.Error("extras leaving 80 copies for 100 videos accepted")
 	}
 }
 

@@ -11,9 +11,12 @@ type Alias struct {
 	n     int
 }
 
+// MaxAliasWeight is the largest weight NewAlias accepts.
+const MaxAliasWeight = 1e308
+
 // NewAlias builds an alias table from non-negative weights. Weights need
 // not be normalized. It returns an error if no weight is positive, or if
-// any weight is negative, NaN, or infinite.
+// any weight is negative, NaN, or above MaxAliasWeight.
 func NewAlias(weights []float64) (*Alias, error) {
 	n := len(weights)
 	if n == 0 {
@@ -21,7 +24,7 @@ func NewAlias(weights []float64) (*Alias, error) {
 	}
 	total := 0.0
 	for i, w := range weights {
-		if w < 0 || w != w || w > 1e308 {
+		if w < 0 || w != w || w > MaxAliasWeight {
 			return nil, fmt.Errorf("rng: invalid weight %v at index %d", w, i)
 		}
 		total += w

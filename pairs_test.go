@@ -1,0 +1,123 @@
+package semicont
+
+import (
+	"slices"
+	"testing"
+
+	"semicont/internal/workload"
+)
+
+// pairFeatures are single features, each layered onto PolicyP4 on the
+// small system. TestFeaturePairs turns them on two at a time, applying
+// the earlier entry first.
+var pairFeatures = []struct {
+	name string
+	on   func(*Scenario)
+}{
+	{"no-staging", func(s *Scenario) { s.Policy.StagingFrac = 0 }},
+	{"no-migration", func(s *Scenario) { s.Policy.Migration = false }},
+	{"intermittent", func(s *Scenario) { s.Policy.Intermittent = true }},
+	{"lftf", func(s *Scenario) { s.Policy.Spare = LFTFSpare }},
+	{"even-split", func(s *Scenario) { s.Policy.Spare = EvenSplitSpare }},
+	{"unlimited-hops", func(s *Scenario) { s.Policy.MaxHops = UnlimitedHops }},
+	{"direct-only", func(s *Scenario) { s.Policy.Planner = PlannerDirectOnly }},
+	{"random-feasible", func(s *Scenario) { s.Policy.Selector = SelectorRandomFeasible }},
+	{"switch-delay", func(s *Scenario) { s.Policy.SwitchDelay = 5 }},
+	{"replication", func(s *Scenario) { s.Policy.Replicate = true }},
+	{"patch-window", func(s *Scenario) { s.Policy.PatchWindowSec = 600 }},
+	{"batch-patch", func(s *Scenario) {
+		s.Policy.BatchPolicy, s.Policy.BatchWindowSec = BatchPolicyPatch, 600
+	}},
+	{"edge", func(s *Scenario) {
+		s.Policy.EdgeNodes, s.Policy.EdgePrefixSec, s.Policy.EdgeCacheMb = 2, 900, 90000
+	}},
+	{"batch-prefix", func(s *Scenario) {
+		s.Policy.EdgeNodes, s.Policy.EdgePrefixSec, s.Policy.EdgeCacheMb = 2, 900, 90000
+		s.Policy.EdgeCachePolicy = EdgeCacheLRU
+		s.Policy.BatchPolicy, s.Policy.BatchWindowSec = BatchPolicyBatchPrefix, 300
+	}},
+	{"retry", func(s *Scenario) { s.Policy.RetryQueue = true }},
+	{"degraded", func(s *Scenario) { s.Policy.DegradedPlayback = true }},
+	{"pauses", func(s *Scenario) {
+		s.Policy.PauseProb, s.Policy.MinPauseSec, s.Policy.MaxPauseSec = 0.3, 30, 300
+	}},
+	{"client-mix", func(s *Scenario) {
+		s.Policy.ClientMix = []ClientClass{
+			{Weight: 2, StagingFrac: 0.2, ReceiveCap: 30},
+			{Weight: 1},
+		}
+	}},
+	{"classes-shed", func(s *Scenario) {
+		s.Policy.Classes = []TrafficClass{{Name: "premium", Share: 1}, {Name: "standard", Share: 3}}
+		s.Policy.ShedWatermark = 0.7
+	}},
+	{"churn", func(s *Scenario) { s.Faults.MTBFHours, s.Faults.MTTRHours = 2, 0.5 }},
+	{"brownouts", func(s *Scenario) {
+		s.Faults.BrownoutMTBFHours, s.Faults.BrownoutMTTRHours, s.Faults.BrownoutFraction = 2, 0.5, 0.5
+	}},
+	{"flash-crowd", func(s *Scenario) {
+		s.Curve = workload.Curve{FlashAt: 300, FlashDuration: 600, FlashFactor: 3}
+	}},
+	{"fail-at", func(s *Scenario) { s.FailAtHours, s.FailServer = 0.1, 1 }},
+	{"partial-placement", func(s *Scenario) { s.Policy.Placement = PartialPredictivePlacement }},
+}
+
+// TestFeaturePairs checks the composition space pairwise: every pair of
+// pairFeatures that validates must run audit-clean, and the pairs that
+// Validate rejects are exactly the pinned ones.
+func TestFeaturePairs(t *testing.T) {
+	wantRejected := []string{
+		"no-staging+intermittent",
+		"no-migration+unlimited-hops",
+		"no-migration+direct-only",
+		"intermittent+patch-window",
+		"intermittent+batch-patch",
+		"intermittent+batch-prefix",
+		"patch-window+batch-patch",
+		"patch-window+edge",
+		"patch-window+batch-prefix",
+		"patch-window+pauses",
+		"batch-patch+edge",
+		"batch-patch+pauses",
+		"batch-prefix+pauses",
+		"churn+fail-at",
+		"brownouts+fail-at",
+	}
+	hours := 1.0
+	if testing.Short() {
+		hours = 0.25
+	}
+	var rejected []string
+	for i, a := range pairFeatures {
+		for _, b := range pairFeatures[i+1:] {
+			sc := Scenario{
+				System:       SmallSystem(),
+				Policy:       PolicyP4(),
+				Theta:        0.271,
+				HorizonHours: hours,
+				Seed:         1,
+				Audit:        true,
+			}
+			a.on(&sc)
+			b.on(&sc)
+			name := a.name + "+" + b.name
+			if err := sc.Validate(); err != nil {
+				rejected = append(rejected, name)
+				continue
+			}
+			if _, err := Run(sc); err != nil {
+				t.Errorf("%s: validated but Run failed: %v", name, err)
+			}
+		}
+	}
+	for _, name := range rejected {
+		if !slices.Contains(wantRejected, name) {
+			t.Errorf("%s: rejected by Validate, want it to run", name)
+		}
+	}
+	for _, name := range wantRejected {
+		if !slices.Contains(rejected, name) {
+			t.Errorf("%s: accepted by Validate, want it rejected", name)
+		}
+	}
+}

@@ -438,10 +438,14 @@ func (p Policy) receiveCap() float64 {
 	}
 }
 
-// Validate reports policy errors.
-func (p Policy) Validate() error {
-	intermittent, _, err := p.allocChoice()
-	if err != nil {
+// validate reports errors in the Policy's own spellings: the
+// conventions Run decodes before the engine sees a value (zero meaning
+// a default, a negative cap meaning unlimited, a feature's second
+// spelling). What the engine and the placement accept is theirs to
+// check; Scenario.Validate applies their validators to what Run builds,
+// since receive caps, for one, are bounded by the System's view rate.
+func (p Policy) validate() error {
+	if _, _, err := p.allocChoice(); err != nil {
 		return err
 	}
 	switch {
@@ -449,129 +453,25 @@ func (p Policy) Validate() error {
 		return fmt.Errorf("semicont: unknown placement %d", int(p.Placement))
 	case !finite(p.StagingFrac) || p.StagingFrac < 0:
 		return fmt.Errorf("semicont: negative StagingFrac %g", p.StagingFrac)
-	case p.Placement == PartialPredictivePlacement &&
-		(!finite(p.PartialTopFraction) || p.PartialTopFraction < 0 || p.PartialTopFraction > 1):
-		return fmt.Errorf("semicont: PartialTopFraction %g outside [0,1]", p.PartialTopFraction)
-	case p.Placement == PartialPredictivePlacement && p.PartialExtra < 0:
-		return fmt.Errorf("semicont: negative PartialExtra %d", p.PartialExtra)
-	case !finite(p.SwitchDelay) || p.SwitchDelay < 0:
-		return fmt.Errorf("semicont: negative SwitchDelay %g", p.SwitchDelay)
-	case p.Migration && p.MaxHops < UnlimitedHops:
-		return fmt.Errorf("semicont: MaxHops %d (use UnlimitedHops=-1)", p.MaxHops)
-	case p.Migration && p.MaxChain < 0:
-		return fmt.Errorf("semicont: negative MaxChain %d", p.MaxChain)
 	case !p.Migration && (p.MaxHops != 0 || p.MaxChain != 0):
 		return fmt.Errorf("semicont: MaxHops=%d/MaxChain=%d set while Migration is disabled (enable Migration or leave them zero)", p.MaxHops, p.MaxChain)
-	case !p.Migration && p.Planner != "":
-		return fmt.Errorf("semicont: Planner %q configured while Migration is disabled", p.Planner)
-	case p.Selector != "" && !core.HasSelector(p.Selector):
-		return fmt.Errorf("semicont: unknown selector %q (have %v)", p.Selector, SelectorNames())
-	case p.Planner != "" && !core.HasPlanner(p.Planner):
-		return fmt.Errorf("semicont: unknown planner %q (have %v)", p.Planner, PlannerNames())
 	case !finite(p.ReceiveCap):
 		return fmt.Errorf("semicont: ReceiveCap %g must be finite", p.ReceiveCap)
-	case !finite(p.ResumeGuard) || p.ResumeGuard < 0:
-		return fmt.Errorf("semicont: negative ResumeGuard %g", p.ResumeGuard)
-	case !finite(p.ReplicationRate) || p.ReplicationRate < 0:
-		return fmt.Errorf("semicont: negative ReplicationRate %g", p.ReplicationRate)
 	case p.Spare < EFTFSpare || p.Spare > EvenSplitSpare:
 		return fmt.Errorf("semicont: unknown spare discipline %d", int(p.Spare))
-	case !finite(p.PatchWindowSec) || p.PatchWindowSec < 0:
-		return fmt.Errorf("semicont: negative PatchWindowSec %g", p.PatchWindowSec)
-	case p.PatchWindowSec > 0 && intermittent:
-		return fmt.Errorf("semicont: patching is incompatible with intermittent scheduling")
-	case p.RetryMaxQueue < 0:
-		return fmt.Errorf("semicont: negative RetryMaxQueue %d", p.RetryMaxQueue)
-	case !finite(p.RetryPatienceSec) || p.RetryPatienceSec < 0:
-		return fmt.Errorf("semicont: negative RetryPatienceSec %g", p.RetryPatienceSec)
-	case !finite(p.RetryBackoffSec) || p.RetryBackoffSec < 0:
-		return fmt.Errorf("semicont: negative RetryBackoffSec %g", p.RetryBackoffSec)
-	case !finite(p.DegradedRetrySec) || p.DegradedRetrySec < 0:
-		return fmt.Errorf("semicont: negative DegradedRetrySec %g", p.DegradedRetrySec)
-	case !finite(p.PauseProb) || p.PauseProb < 0 || p.PauseProb > 1:
-		return fmt.Errorf("semicont: PauseProb %g outside [0,1]", p.PauseProb)
-	case p.PatchWindowSec > 0 && p.PauseProb > 0:
-		return fmt.Errorf("semicont: patching is incompatible with viewer interactivity")
-	case p.PauseProb > 0 && (!finite(p.MinPauseSec) || !finite(p.MaxPauseSec) ||
-		p.MinPauseSec <= 0 || p.MaxPauseSec < p.MinPauseSec):
-		return fmt.Errorf("semicont: invalid pause range [%g, %g]", p.MinPauseSec, p.MaxPauseSec)
-	}
-	switch {
-	case p.EdgeNodes < 0:
-		return fmt.Errorf("semicont: negative EdgeNodes %d", p.EdgeNodes)
-	case p.EdgeNodes > 0 && (!finite(p.EdgePrefixSec) || p.EdgePrefixSec <= 0):
-		return fmt.Errorf("semicont: EdgeNodes=%d needs a positive EdgePrefixSec, got %g", p.EdgeNodes, p.EdgePrefixSec)
-	case p.EdgeNodes > 0 && (!finite(p.EdgeCacheMb) || p.EdgeCacheMb <= 0):
-		return fmt.Errorf("semicont: EdgeNodes=%d needs a positive EdgeCacheMb, got %g", p.EdgeNodes, p.EdgeCacheMb)
-	case p.EdgeNodes == 0 && (p.EdgePrefixSec != 0 || p.EdgeCacheMb != 0 || p.EdgeCachePolicy != ""):
-		return fmt.Errorf("semicont: EdgePrefixSec=%g/EdgeCacheMb=%g/EdgeCachePolicy=%q set while EdgeNodes is zero (enable the edge tier or leave them zero)",
-			p.EdgePrefixSec, p.EdgeCacheMb, p.EdgeCachePolicy)
-	case p.EdgeCachePolicy != "" && !edge.Has(p.EdgeCachePolicy):
-		return fmt.Errorf("semicont: unknown edge cache policy %q (have %v)", p.EdgeCachePolicy, EdgeCachePolicyNames())
-	case p.EdgeNodes > 0 && p.PatchWindowSec > 0:
-		return fmt.Errorf("semicont: PatchWindowSec and EdgeNodes are mutually exclusive (express patching as BatchPolicy=%q)", BatchPolicyPatch)
-	case p.BatchPolicy != "" && !core.HasBatchPolicy(p.BatchPolicy):
-		return fmt.Errorf("semicont: unknown batch policy %q (have %v)", p.BatchPolicy, BatchPolicyNames())
-	case p.BatchPolicy != "" && p.PatchWindowSec > 0:
-		return fmt.Errorf("semicont: PatchWindowSec and BatchPolicy are both set (use BatchPolicy=%q with BatchWindowSec)", BatchPolicyPatch)
-	case !finite(p.BatchWindowSec) || p.BatchWindowSec < 0:
-		return fmt.Errorf("semicont: negative BatchWindowSec %g", p.BatchWindowSec)
-	case p.BatchPolicy == BatchPolicyPatch && p.EdgeNodes > 0:
-		return fmt.Errorf("semicont: BatchPolicy %q taps full streams from their start and cannot run behind the edge tier (use %q)",
-			BatchPolicyPatch, BatchPolicyBatchPrefix)
-	case p.BatchPolicy == BatchPolicyBatchPrefix && p.EdgeNodes == 0:
-		return fmt.Errorf("semicont: BatchPolicy %q joins suffix streams and requires the edge tier (EdgeNodes > 0)", BatchPolicyBatchPrefix)
-	case p.BatchPolicy == BatchPolicyBatchPrefix && p.BatchWindowSec <= 0:
-		return fmt.Errorf("semicont: BatchPolicy %q requires a positive BatchWindowSec", BatchPolicyBatchPrefix)
-	case (p.BatchPolicy == "" || p.BatchPolicy == BatchPolicyUnicast) && p.BatchWindowSec != 0:
-		return fmt.Errorf("semicont: BatchWindowSec=%g set without a batching BatchPolicy", p.BatchWindowSec)
-	}
-	if p.BatchPolicy != "" && p.BatchPolicy != BatchPolicyUnicast {
-		if intermittent {
-			return fmt.Errorf("semicont: BatchPolicy %q is incompatible with intermittent scheduling", p.BatchPolicy)
-		}
-		if p.PauseProb > 0 {
-			return fmt.Errorf("semicont: BatchPolicy %q is incompatible with viewer interactivity", p.BatchPolicy)
-		}
-	}
-	if len(p.Classes) > MaxTrafficClasses {
-		return fmt.Errorf("semicont: %d traffic classes exceed the limit of %d", len(p.Classes), MaxTrafficClasses)
-	}
-	for i, c := range p.Classes {
-		if !finite(c.Share) || c.Share <= 0 {
-			return fmt.Errorf("semicont: traffic class %d share %g must be positive", i, c.Share)
-		}
-		if c.Selector != "" && !core.HasSelector(c.Selector) {
-			return fmt.Errorf("semicont: traffic class %d names unknown selector %q (have %v)", i, c.Selector, SelectorNames())
-		}
-		if !finite(c.RetryPatienceSec) || c.RetryPatienceSec < 0 {
-			return fmt.Errorf("semicont: traffic class %d negative RetryPatienceSec %g", i, c.RetryPatienceSec)
-		}
-	}
-	switch {
 	case !finite(p.ShedWatermark) || p.ShedWatermark < 0 || p.ShedWatermark > 1:
 		return fmt.Errorf("semicont: ShedWatermark %g outside [0, 1]", p.ShedWatermark)
-	case p.ShedWatermark > 0 && len(p.Classes) < 2:
-		return fmt.Errorf("semicont: ShedWatermark needs at least two traffic classes to differentiate")
+	case !finite(p.PatchWindowSec) || p.PatchWindowSec < 0:
+		return fmt.Errorf("semicont: negative PatchWindowSec %g", p.PatchWindowSec)
+	case p.PatchWindowSec > 0 && p.EdgeNodes > 0:
+		return fmt.Errorf("semicont: PatchWindowSec and EdgeNodes are mutually exclusive (express patching as BatchPolicy=%q)", BatchPolicyPatch)
+	case p.PatchWindowSec > 0 && (p.BatchPolicy != "" || p.BatchWindowSec != 0):
+		return fmt.Errorf("semicont: PatchWindowSec and BatchPolicy/BatchWindowSec are both set (use BatchPolicy=%q with BatchWindowSec)", BatchPolicyPatch)
 	}
-	total, staged := 0.0, p.StagingFrac > 0
 	for i, c := range p.ClientMix {
-		if !finite(c.Weight) || !finite(c.StagingFrac) || !finite(c.ReceiveCap) ||
-			c.Weight < 0 || c.StagingFrac < 0 || c.ReceiveCap < 0 {
-			return fmt.Errorf("semicont: client class %d has negative fields: %+v", i, c)
+		if !finite(c.StagingFrac) || c.StagingFrac < 0 {
+			return fmt.Errorf("semicont: client class %d has negative StagingFrac %g", i, c.StagingFrac)
 		}
-		total += c.Weight
-		if c.StagingFrac > 0 {
-			// Mirrors the construction path: any class buffer enables
-			// workahead, even on a zero-weight class.
-			staged = true
-		}
-	}
-	if len(p.ClientMix) > 0 && total <= 0 {
-		return fmt.Errorf("semicont: ClientMix has no positive weight")
-	}
-	if intermittent && !staged {
-		return fmt.Errorf("semicont: intermittent scheduling needs client staging buffers")
 	}
 	return nil
 }

@@ -1,6 +1,9 @@
 package semicont
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestPaperPolicies(t *testing.T) {
 	ps := PaperPolicies()
@@ -26,10 +29,18 @@ func TestPaperPolicies(t *testing.T) {
 		if (p.StagingFrac == 0.2) != wantStage || (wantStage == (p.StagingFrac == 0)) {
 			t.Errorf("%s staging = %v", p.Name, p.StagingFrac)
 		}
-		if err := p.Validate(); err != nil {
+		if err := validatePolicy(p); err != nil {
 			t.Errorf("%s invalid: %v", p.Name, err)
 		}
 	}
+}
+
+// validatePolicy validates p the one way a Policy is validated: inside
+// a Scenario, here quickScenario's small system.
+func validatePolicy(p Policy) error {
+	sc := quickScenario()
+	sc.Policy = p
+	return sc.Validate()
 }
 
 func TestPolicyDefaults(t *testing.T) {
@@ -64,9 +75,12 @@ func TestPolicyValidate(t *testing.T) {
 		{SwitchDelay: -1},
 		{Migration: true, MaxHops: -5},
 		{Migration: true, MaxChain: -1},
+		{Placement: PartialPredictivePlacement, PartialTopFraction: math.NaN()},
+		{Placement: PartialPredictivePlacement, PartialTopFraction: 1.5},
+		{Placement: PartialPredictivePlacement, PartialExtra: -1},
 	}
 	for i, p := range cases {
-		if err := p.Validate(); err == nil {
+		if err := validatePolicy(p); err == nil {
 			t.Errorf("case %d accepted: %+v", i, p)
 		}
 	}
@@ -91,11 +105,11 @@ func TestSpareKind(t *testing.T) {
 		t.Error("unknown kind renders empty")
 	}
 	bad := Policy{Spare: SpareKind(9)}
-	if err := bad.Validate(); err == nil {
+	if err := validatePolicy(bad); err == nil {
 		t.Error("unknown spare kind accepted")
 	}
 	ok := Policy{StagingFrac: 0.2, Spare: LFTFSpare}
-	if err := ok.Validate(); err != nil {
+	if err := validatePolicy(ok); err != nil {
 		t.Errorf("LFTF policy rejected: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package semicont
 
 import (
+	"math"
 	"testing"
 
 	"semicont/internal/trace"
@@ -32,12 +33,38 @@ func TestScenarioValidate(t *testing.T) {
 		{"negative shards", func(s *Scenario) { s.Shards = -1 }},
 		{"shards 2", func(s *Scenario) { s.Shards = 2 }},
 		{"shards 8", func(s *Scenario) { s.Shards = 8 }},
+		// Shapes that once validated and then failed to build in Run.
+		{"failure at +Inf", func(s *Scenario) { s.FailAtHours, s.FailServer = math.Inf(1), 0 }},
+		{"theta overflows the Zipf weights", func(s *Scenario) { s.Theta = 1000 }},
+		{"partial extras exceed the budget", func(s *Scenario) {
+			s.Policy.Placement = PartialPredictivePlacement
+			s.Policy.PartialTopFraction, s.Policy.PartialExtra = 1, 3
+		}},
+		{"partial extras leave a video without a copy", func(s *Scenario) {
+			s.Policy.Placement = PartialPredictivePlacement
+			s.Policy.PartialTopFraction, s.Policy.PartialExtra = 0.7, 2
+		}},
+		{"class shares sum to +Inf", func(s *Scenario) {
+			s.Policy.Classes = []TrafficClass{{Share: 1e308}, {Share: 1e308}}
+		}},
+		{"staging class with a receive cap below the view rate", func(s *Scenario) {
+			s.Policy.StagingFrac, s.Policy.ReceiveCap = 0, 0.5
+			s.Policy.ClientMix = []ClientClass{{Weight: 1, StagingFrac: 0.2}}
+		}},
 	}
 	for _, tc := range cases {
 		sc := quickScenario()
 		tc.mutate(&sc)
 		if err := sc.Validate(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// NaN and -Inf failure times mean no failure, as zero does.
+	for _, at := range []float64{math.NaN(), math.Inf(-1)} {
+		sc := quickScenario()
+		sc.FailAtHours, sc.FailServer = at, 99
+		if err := sc.Validate(); err != nil {
+			t.Errorf("FailAtHours %g rejected: %v", at, err)
 		}
 	}
 	for _, shards := range []int{0, 1} {
@@ -365,12 +392,12 @@ func TestPolicyValidateExtensions(t *testing.T) {
 		{ClientMix: []ClientClass{{Weight: 0}}},  // no positive weight
 	}
 	for i, p := range cases {
-		if err := p.Validate(); err == nil {
+		if err := validatePolicy(p); err == nil {
 			t.Errorf("case %d accepted: %+v", i, p)
 		}
 	}
 	good := Policy{StagingFrac: 0.2, Intermittent: true, ResumeGuard: 10, Replicate: true, ReplicationRate: 6}
-	if err := good.Validate(); err != nil {
+	if err := validatePolicy(good); err != nil {
 		t.Errorf("valid extension policy rejected: %v", err)
 	}
 }
@@ -402,12 +429,12 @@ func TestPolicyValidateInteractivity(t *testing.T) {
 		{PauseProb: 0.5, MinPauseSec: 9, MaxPauseSec: 3}, // inverted
 	}
 	for i, p := range bad {
-		if err := p.Validate(); err == nil {
+		if err := validatePolicy(p); err == nil {
 			t.Errorf("case %d accepted: %+v", i, p)
 		}
 	}
 	good := Policy{PauseProb: 0.3, MinPauseSec: 30, MaxPauseSec: 600}
-	if err := good.Validate(); err != nil {
+	if err := validatePolicy(good); err != nil {
 		t.Errorf("valid interactive policy rejected: %v", err)
 	}
 }
