@@ -4,10 +4,6 @@ import (
 	"fmt"
 
 	"semicont/internal/analytic"
-	"semicont/internal/catalog"
-	"semicont/internal/placement"
-	"semicont/internal/rng"
-	"semicont/internal/workload"
 )
 
 // Analysis is the closed-form performance estimate for a scenario
@@ -35,27 +31,7 @@ func Analyze(sc Scenario) (*Analysis, error) {
 		return nil, err
 	}
 	sys := sc.System
-
-	cat, err := catalog.Generate(catalog.Config{
-		NumVideos: sys.NumVideos,
-		MinLength: sys.MinVideoLength,
-		MaxLength: sys.MaxVideoLength,
-		ViewRate:  sys.ViewRate,
-		Theta:     sc.Theta,
-	}, rng.New(rng.DeriveSeed(sc.Seed, seedCatalog)))
-	if err != nil {
-		return nil, err
-	}
-	lay, err := placement.Build(placementStrategy(sc.Policy), cat, sys.AvgCopies,
-		sys.capacities(), rng.New(rng.DeriveSeed(sc.Seed, seedPlacement)))
-	if err != nil {
-		return nil, err
-	}
-	load := sc.LoadFactor
-	if load == 0 {
-		load = 1
-	}
-	rate, err := workload.CalibratedRate(cat, sys.TotalBandwidth(), load)
+	cat, lay, rate, err := sc.build()
 	if err != nil {
 		return nil, err
 	}

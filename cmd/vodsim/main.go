@@ -90,7 +90,6 @@ func main() {
 		retryBack = flag.Float64("retry-backoff", 0, "seconds between admission retries (0 = 10s default)")
 		degraded  = flag.Bool("degraded", false, "degraded-mode playback: streams parked at a failure drain their buffer and reconnect on recovery")
 		traceOut  = flag.String("trace", "", "write an event trace CSV to this file (single trial only)")
-		check     = flag.Bool("check", false, "enable per-event invariant checking (slow)")
 		auditOn   = flag.Bool("audit", false, "attach the invariant auditor: every event is checked against the model's conservation laws; a violation aborts the run with a structured error")
 		auditSamp = flag.Int("audit-sample", 0, "with -audit, snapshot-check only every k-th event (0 or 1 = every event); deterministic from the event sequence, keeps audited large runs feasible")
 		statsOn   = flag.Bool("stats", false, "record per-request distributions (wait, retry sojourn, glitch, migrations, degraded park) into O(1)-memory quantile sketches and print p50/p95/p99")
@@ -327,20 +326,19 @@ func main() {
 	}
 
 	sc := semicont.Scenario{
-		System:          sys,
-		Policy:          pol,
-		Theta:           *theta,
-		HorizonHours:    *hours,
-		LoadFactor:      *load,
-		Seed:            *seed,
-		FailServer:      *failSrv,
-		FailAtHours:     *failAt,
-		Faults:          fcfg,
-		Curve:           curve,
-		CheckInvariants: *check,
-		Audit:           *auditOn,
-		AuditSample:     *auditSamp,
-		Stats:           *statsOn,
+		System:       sys,
+		Policy:       pol,
+		Theta:        *theta,
+		HorizonHours: *hours,
+		LoadFactor:   *load,
+		Seed:         *seed,
+		FailServer:   *failSrv,
+		FailAtHours:  *failAt,
+		Faults:       fcfg,
+		Curve:        curve,
+		Audit:        *auditOn,
+		AuditSample:  *auditSamp,
+		Stats:        *statsOn,
 	}
 
 	if *traceOut != "" {

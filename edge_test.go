@@ -78,7 +78,6 @@ func TestPolicyValidateEdge(t *testing.T) {
 func TestRunEdgePolicy(t *testing.T) {
 	sc := edgeScenario()
 	sc.Audit = true
-	sc.CheckInvariants = true
 	res, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +114,6 @@ func TestRunBatchPrefixPolicy(t *testing.T) {
 	sc.Policy.BatchPolicy = BatchPolicyBatchPrefix
 	sc.Policy.BatchWindowSec = 300
 	sc.Audit = true
-	sc.CheckInvariants = true
 	res, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)

@@ -167,6 +167,13 @@ func TestEventViolations(t *testing.T) {
 			wantRule(t, a.Event(tc.rec()), tc.rule)
 		})
 	}
+	t.Run("run-ahead with workahead disabled", func(t *testing.T) {
+		a := testAuditor(t)
+		a.cfg.Workahead = false // read by the per-event checks, not Begin
+		r := okRequest(1, 0)
+		r.Rate = 4 // > b_view = 3
+		wantRule(t, a.Event(record(server(0, []core.AuditRequestState{r}, nil))), "workahead-off")
+	})
 }
 
 func TestEventAllowsExemptStates(t *testing.T) {

@@ -148,7 +148,8 @@ func (e *Engine) intermittentAudited(s *server, t float64, avail float64) float6
 
 // canAccept is the admission test for one server: minimum-flow slot
 // availability normally, urgent-stream availability in intermittent
-// mode. Intermittent mode reads buffers, so s must be synced to t.
+// mode. The urgent count reads buffer levels, so intermittent mode
+// first syncs s to t (a no-op when it already is).
 func (e *Engine) canAccept(s *server, t float64) bool {
 	if s.failed {
 		return false
@@ -156,6 +157,7 @@ func (e *Engine) canAccept(s *server, t float64) bool {
 	if !e.cfg.Intermittent {
 		return s.hasSlot()
 	}
+	s.syncAll(t)
 	return e.urgentCount(s, t)+1 <= s.slots
 }
 

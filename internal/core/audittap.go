@@ -316,7 +316,7 @@ func auditKind(ev event) (kind AuditEventKind, server int32, req int64) {
 
 // auditRecord fills the reusable snapshot buffers with the full cluster
 // state. Fluid quantities are reported as of each request's own sync
-// time, mirroring what checkInvariants reads.
+// time; building the record never syncs, so it cannot move the run.
 func (e *Engine) auditRecord(kind AuditEventKind, server int32, req int64) AuditEventRecord {
 	if e.auditServers == nil {
 		e.auditServers = make([]AuditServerState, len(e.servers))

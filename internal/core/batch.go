@@ -68,45 +68,18 @@ func (e *Engine) tryBatchPrefixJoin(v int, t, bufCap, prefix float64) bool {
 	if bufCap < maxCatch {
 		maxCatch = bufCap // the relayed catch-up is buffered client-side
 	}
-	// Find the cheapest joinable primary: the suffix stream with the
-	// least progress (smallest relay) wins, ties to the lowest id.
-	var primary *request
-	var primarySent float64
-	for _, h := range e.holders(v) {
-		s := e.servers[h]
-		if s.failed {
-			continue
-		}
-		synced := false
-		for i, r := range s.active {
-			if int(r.video) != v || r.startOff <= 0 || r.isPatch || s.suspendedAt(i, t) {
-				continue
-			}
-			if !synced {
-				s.syncAll(t)
-				synced = true
-			}
-			sent := s.ln.sent[i]
-			if s.finishedAt(i) || sent > maxCatch+dataEps {
-				continue
-			}
-			if primary == nil || sent < primarySent ||
-				(sent == primarySent && r.id < primary.id) {
-				primary, primarySent = r, sent
-			}
-		}
-	}
+	// The suffix stream with the least progress (smallest relay) wins.
+	// Every suffix stream of v starts prefix deep (the prefix size is
+	// fixed per run), and the join takes no slot.
+	primary, primarySent := e.cheapestPrimary(v, t, prefix, maxCatch, false)
 	if primary == nil {
 		return false
 	}
 	s := e.servers[primary.server]
-	s.syncAll(t)
 	primary.taps++
 
-	// Every suffix stream of v starts startOff = prefix deep (the
-	// prefix size is fixed per run), so the joiner's delivery is
-	// exactly: prefix (edge cache) + catch-up (edge relay) + the rest
-	// of the suffix (shared stream).
+	// The joiner's delivery is exactly: prefix (edge cache) + catch-up
+	// (edge relay) + the rest of the suffix (shared stream).
 	full := e.cat.Video(v).Size
 	shared := full - prefix - primarySent
 	e.metrics.Accepted++
@@ -122,4 +95,40 @@ func (e *Engine) tryBatchPrefixJoin(v int, t, bufCap, prefix float64) bool {
 	// taps > 0); re-run the allocation so the pin takes effect now.
 	e.reschedule(s, t)
 	return true
+}
+
+// cheapestPrimary is the join search patching and batch-prefix share:
+// among the unfinished, unsuspended non-patch streams of video v that
+// start startOff Mb into the object and have sent at most maxSent Mb,
+// it returns the one with the least progress and that progress, ties
+// to the lowest id. With slot set, the primary's server must also admit
+// one more stream. Each candidate's server is synced to t.
+func (e *Engine) cheapestPrimary(v int, t, startOff, maxSent float64, slot bool) (primary *request, sent float64) {
+	for _, h := range e.holders(v) {
+		s := e.servers[h]
+		if s.failed {
+			continue
+		}
+		synced := false
+		for i, r := range s.active {
+			if int(r.video) != v || r.startOff != startOff || r.isPatch || s.suspendedAt(i, t) {
+				continue
+			}
+			if !synced {
+				s.syncAll(t)
+				synced = true
+			}
+			x := s.ln.sent[i]
+			if s.finishedAt(i) || x > maxSent+dataEps {
+				continue
+			}
+			if slot && !e.canAccept(s, t) {
+				continue
+			}
+			if primary == nil || x < sent || (x == sent && r.id < primary.id) {
+				primary, sent = r, x
+			}
+		}
+	}
+	return primary, sent
 }

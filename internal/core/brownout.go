@@ -5,9 +5,9 @@ package core
 // f ∈ (0,1] of the configured capacity for a duration — an overheating
 // host, a degraded NIC, a noisy neighbour. The engine models it by
 // rewriting the server's bandwidth and the slot count derived from it;
-// every downstream consumer (allocators, selectors, canAccept, the
-// invariant checks, audit snapshots) already reads those effective
-// fields, so a browned-out server simply looks like a smaller one.
+// every downstream consumer (allocators, selectors, canAccept, audit
+// snapshots) already reads those effective fields, so a browned-out
+// server simply looks like a smaller one.
 //
 // Under minimum-flow scheduling, streams in excess of the reduced slot
 // count cannot all be guaranteed b_view; the excess goes through the
@@ -26,6 +26,23 @@ const (
 	evictDropped                     // lost mid-play
 )
 
+// evictDownTo forces streams off s, one evictSlot0 at a time, until at
+// most keep remain, and counts the outcomes. The server must be synced
+// to t.
+func (e *Engine) evictDownTo(s *server, t float64, keep int) (rescued, dropped, parked int) {
+	for len(s.active) > keep {
+		switch e.evictSlot0(s, t) {
+		case evictRescued:
+			rescued++
+		case evictParked:
+			parked++
+		case evictDropped:
+			dropped++
+		}
+	}
+	return rescued, dropped, parked
+}
+
 // evictSlot0 forces the stream in slot 0 of s off the server through
 // the rescue → park → drop ladder shared by failures and brownouts:
 // migrate to the least-loaded live replica holder that can accept it
@@ -39,18 +56,11 @@ func (e *Engine) evictSlot0(s *server, t float64) evictOutcome {
 	var target *server
 	// Rescue is migration: it requires DRM to be configured (the
 	// paper's fault-tolerance benefit comes from the ability to
-	// switch servers mid-stream).
+	// switch servers mid-stream). The target is the least-loaded holder
+	// whatever Config.Selector names; s itself never qualifies, since
+	// it is failed or browned out above its slot count.
 	if e.cfg.Migration.Enabled && e.migratable(r, t, true) {
-		for _, h := range e.holders(int(r.video)) {
-			c := e.servers[h]
-			if e.cfg.Intermittent {
-				c.syncAll(t) // canAccept reads buffer levels
-			}
-			if e.canAccept(c, t) && e.eligibleTarget(r, c, t) &&
-				(target == nil || c.load() < target.load()) {
-				target = c
-			}
-		}
+		target = leastLoadedSelector{}.Select(e, int(r.video), t)
 	}
 	if target == nil {
 		// No rescue target. A stream with buffered data can play on
@@ -65,12 +75,7 @@ func (e *Engine) evictSlot0(s *server, t float64) evictOutcome {
 		// No home for this stream: it is dropped mid-play.
 		s.detach(r)
 		e.metrics.DroppedStreams++
-		e.metrics.DeliveredBytes += r.carrySent
-		if e.cfg.Edge.Nodes > 0 {
-			e.metrics.ClusterEgressMb += r.carrySent
-		}
-		e.observe(ObsMigrations, float64(r.hops))
-		e.recycle(r)
+		e.retire(r)
 		return evictDropped
 	}
 	target.syncAll(t)
@@ -106,33 +111,11 @@ func (e *Engine) handleBrownout(s *server, frac, t float64) {
 	s.slots = int(s.bandwidth/e.cfg.ViewRate + timeEps)
 	e.metrics.Brownouts++
 	// Completed streams and copies release their slots before the
-	// over-capacity check (the same pass handleWake runs).
-	for i := 0; i < len(s.active); {
-		if s.finishedAt(i) {
-			e.finish(s.active[i], s, t)
-			continue // detach swapped another request into slot i
-		}
-		i++
-	}
-	for i := 0; i < len(s.copies); {
-		if c := s.copies[i]; c.done() {
-			e.finishCopy(s, c, t)
-			continue
-		}
-		i++
-	}
+	// over-capacity check.
+	e.releaseFinished(s, t)
 	rescued, dropped, parked := 0, 0, 0
 	if !e.cfg.Intermittent {
-		for len(s.active) > s.slots {
-			switch e.evictSlot0(s, t) {
-			case evictRescued:
-				rescued++
-			case evictParked:
-				parked++
-			case evictDropped:
-				dropped++
-			}
-		}
+		rescued, dropped, parked = e.evictDownTo(s, t, s.slots)
 	}
 	if e.audit != nil {
 		e.auditFail(e.audit.Brownout(t, s.id, frac, rescued, dropped, parked))

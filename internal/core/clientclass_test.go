@@ -148,7 +148,7 @@ func TestClassDrawRespectsWeights(t *testing.T) {
 	}
 	for e.Now() < 250 && e.Step() {
 	}
-	snaps := e.Requests()
+	snaps := requestsInFlight(e)
 	if len(snaps) < 150 {
 		t.Fatalf("only %d in-flight requests", len(snaps))
 	}

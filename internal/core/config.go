@@ -317,10 +317,6 @@ type Config struct {
 	// Smaller guards admit more aggressively but glitch more.
 	ResumeGuard float64
 
-	// CheckInvariants enables expensive model-invariant assertions after
-	// every event (tests use this; experiment runs leave it off).
-	CheckInvariants bool
-
 	// Shards is obsolete: within-run parallelism was removed and every
 	// run uses the one serial engine. The field stays so existing
 	// callers compile; Validate accepts only 0 and 1.
@@ -505,9 +501,6 @@ func (c Config) Validate() error {
 	}
 	if !finite(c.Replication.CopyRateCap) || c.Replication.CopyRateCap < 0 {
 		return fmt.Errorf("core: replication copy rate cap %g must be finite and non-negative", c.Replication.CopyRateCap)
-	}
-	if c.Replication.PerSourceLimit < 0 {
-		return fmt.Errorf("core: negative PerSourceLimit %d", c.Replication.PerSourceLimit)
 	}
 	if c.Intermittent && !c.Workahead {
 		return fmt.Errorf("core: intermittent scheduling needs client staging buffers (it pauses streams against them)")

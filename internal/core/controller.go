@@ -24,10 +24,9 @@ import (
 // Implementations live beside the engine in this package (they read
 // per-server state directly, keeping the admission hot path free of
 // per-candidate interface dispatch) and must be deterministic given the
-// engine state and Config.SelectorSeed. In intermittent mode a selector
-// must syncAll each candidate before testing it — canAccept reads
-// buffer levels. Adding a selector means implementing the interface in
-// controller_selectors.go and adding its constructor to selectors.
+// engine state and Config.SelectorSeed. Adding a selector means
+// implementing the interface in controller_selectors.go and adding its
+// constructor to selectors.
 type ServerSelector interface {
 	// Select picks the admitting server for a new stream of video v at
 	// time t, or nil when no feasible holder exists.

@@ -24,9 +24,6 @@ func (leastLoadedSelector) Select(e *Engine, v int, t float64) *server {
 	var best *server
 	for _, h := range e.holders(v) {
 		s := e.servers[h]
-		if e.cfg.Intermittent {
-			s.syncAll(t) // the admission test reads buffer levels
-		}
 		if e.canAccept(s, t) && (best == nil || s.load() < best.load()) {
 			best = s
 		}
@@ -40,9 +37,6 @@ type firstFitSelector struct{}
 func (firstFitSelector) Select(e *Engine, v int, t float64) *server {
 	for _, h := range e.holders(v) {
 		s := e.servers[h]
-		if e.cfg.Intermittent {
-			s.syncAll(t)
-		}
 		if e.canAccept(s, t) {
 			return s
 		}
@@ -62,9 +56,6 @@ func (mostHeadroomSelector) Select(e *Engine, v int, t float64) *server {
 	bestRoom := 0.0
 	for _, h := range e.holders(v) {
 		s := e.servers[h]
-		if e.cfg.Intermittent {
-			s.syncAll(t)
-		}
 		if !e.canAccept(s, t) {
 			continue
 		}
@@ -93,9 +84,6 @@ func (sel *randomFeasibleSelector) Select(e *Engine, v int, t float64) *server {
 	sel.feas = sel.feas[:0]
 	for _, h := range e.holders(v) {
 		s := e.servers[h]
-		if e.cfg.Intermittent {
-			s.syncAll(t)
-		}
 		if e.canAccept(s, t) {
 			sel.feas = append(sel.feas, s)
 		}

@@ -114,8 +114,8 @@ func TestSelectorChoice(t *testing.T) {
 
 // TestRandomFeasibleSeeded pins the random selector's contract: the
 // choice stream is a pure function of Config.SelectorSeed, and every
-// pick is a feasible replica holder (the invariant auditor would fail
-// the run otherwise — CheckInvariants is on in newTestEngine).
+// pick is a feasible replica holder (newTestEngine's auditor fails the
+// run otherwise: its admission-feasible rule).
 func TestRandomFeasibleSeeded(t *testing.T) {
 	build := func(seed uint64) *finishObserver {
 		cfg := Config{

@@ -540,9 +540,6 @@ func (e *Engine) Step() bool {
 		e.auditFail(e.audit.BeginEvent(e.auditSeq, e.now, akind, aserver, areq))
 	}
 	e.dispatch(ev)
-	if e.cfg.CheckInvariants {
-		e.checkInvariants()
-	}
 	if e.audit != nil {
 		// The full post-event snapshot is the expensive audit step;
 		// with sampling enabled only every auditEvery-th event builds
@@ -718,6 +715,13 @@ func (e *Engine) handleWake(s *server, version uint64, t float64) {
 		return // stale event
 	}
 	s.syncAll(t)
+	e.releaseFinished(s, t)
+	e.reschedule(s, t)
+}
+
+// releaseFinished frees the slots and bandwidth of s's completed
+// streams and copy jobs. s must be synced to t.
+func (e *Engine) releaseFinished(s *server, t float64) {
 	for i := 0; i < len(s.active); {
 		if s.finishedAt(i) {
 			e.finish(s.active[i], s, t)
@@ -726,27 +730,33 @@ func (e *Engine) handleWake(s *server, version uint64, t float64) {
 		i++
 	}
 	for i := 0; i < len(s.copies); {
-		c := s.copies[i]
-		if c.done() {
+		if c := s.copies[i]; c.done() {
 			e.finishCopy(s, c, t) // removes by swapping; don't advance i
 			continue
 		}
 		i++
 	}
-	e.reschedule(s, t)
 }
 
 func (e *Engine) finish(r *request, s *server, t float64) {
 	s.detach(r)
 	e.metrics.Completions++
-	e.observe(ObsMigrations, float64(r.hops))
-	e.metrics.DeliveredBytes += r.carrySent // detach just stored the lane state
-	if e.cfg.Edge.Nodes > 0 {
-		e.metrics.ClusterEgressMb += r.carrySent
-	}
 	if e.obs != nil {
 		e.obs.OnFinish(t, r.id, int(r.video), int(s.id))
 	}
+	e.retire(r)
+}
+
+// retire accounts for a detached stream leaving the cluster for good —
+// finished, dropped by an eviction, or dry in degraded playback: the
+// bytes it was delivered, mirrored into the cluster egress on edge
+// runs, and its lifetime migrations. It then recycles the request.
+func (e *Engine) retire(r *request) {
+	e.metrics.DeliveredBytes += r.carrySent // detach stored the lane state
+	if e.cfg.Edge.Nodes > 0 {
+		e.metrics.ClusterEgressMb += r.carrySent
+	}
+	e.observe(ObsMigrations, float64(r.hops))
 	e.recycle(r)
 }
 
@@ -758,17 +768,7 @@ func (e *Engine) handleFailure(s *server, t float64) {
 	s.failed = true
 	e.metrics.Failures++
 	e.abortCopies(s)
-	rescued, dropped, parked := 0, 0, 0
-	for len(s.active) > 0 {
-		switch e.evictSlot0(s, t) {
-		case evictRescued:
-			rescued++
-		case evictParked:
-			parked++
-		case evictDropped:
-			dropped++
-		}
-	}
+	rescued, dropped, parked := e.evictDownTo(s, t, 0)
 	s.version++ // cancel any pending wake; the server is dead
 	if e.obs != nil {
 		e.obs.OnFailure(t, int(s.id), rescued, dropped, parked)
@@ -815,147 +815,4 @@ func (e *Engine) recycle(r *request) {
 		delete(e.byID, r.id)
 	}
 	e.freeList = append(e.freeList, r)
-}
-
-// checkInvariants asserts the fluid-model and admission invariants on
-// every server. It panics with a diagnostic on violation; tests run
-// with Config.CheckInvariants to exercise it.
-func (e *Engine) checkInvariants() {
-	bview := e.cfg.ViewRate
-	for _, s := range e.servers {
-		if s.failed {
-			if len(s.active) != 0 {
-				panic(fmt.Sprintf("core: failed server %d still has %d streams", s.id, len(s.active)))
-			}
-			continue
-		}
-		// Minimum-flow admission caps concurrent streams at the slot
-		// count; intermittent admission deliberately over-subscribes
-		// (paused streams play from their buffers).
-		if !e.cfg.Intermittent && len(s.active) > s.slots {
-			panic(fmt.Sprintf("core: server %d holds %d streams, capacity %d", s.id, len(s.active), s.slots))
-		}
-		if n := len(s.active); len(s.ln.rate) != n || len(s.ln.sent) != n ||
-			len(s.ln.last) != n || len(s.ln.susp) != n ||
-			len(s.ln.size) != n || len(s.ln.wake) != n {
-			panic(fmt.Sprintf("core: server %d lane arrays out of step with %d active streams", s.id, n))
-		}
-		total := 0.0
-		for i, r := range s.active {
-			if int(r.slot) != i {
-				panic(fmt.Sprintf("core: server %d slot index corrupt for request %d", s.id, r.id))
-			}
-			rate, sent, last := s.ln.rate[i], s.ln.sent[i], s.ln.last[i]
-			total += rate
-			if sent > r.size+dataEps {
-				panic(fmt.Sprintf("core: request %d sent %g > size %g", r.id, sent, r.size))
-			}
-			if s.ln.size[i] != r.size {
-				panic(fmt.Sprintf("core: request %d lane size %g != %g", r.id, s.ln.size[i], r.size))
-			}
-			if !e.cfg.Intermittent && !s.suspendedAt(i, last) && !s.finishedAt(i) && !r.pausedView && rate < bview-dataEps {
-				panic(fmt.Sprintf("core: request %d rate %g below minimum flow %g", r.id, rate, bview))
-			}
-			if e.cfg.Workahead && r.recvCap > 0 && rate > r.recvCap+dataEps {
-				panic(fmt.Sprintf("core: request %d rate %g exceeds receive cap %g", r.id, rate, r.recvCap))
-			}
-			if !e.cfg.Workahead && !s.suspendedAt(i, last) && rate > bview+dataEps {
-				panic(fmt.Sprintf("core: request %d rate %g with workahead disabled", r.id, rate))
-			}
-			buf := sent - r.viewedAt(last, bview)
-			// Underruns are impossible under minimum-flow scheduling;
-			// the intermittent heuristic risks them by design and
-			// accounts for them as glitches instead.
-			if buf < -dataEps && !e.cfg.Intermittent {
-				panic(fmt.Sprintf("core: request %d buffer underrun %g at t=%g", r.id, buf, last))
-			}
-			if buf > r.bufCap+bview*timeEps+dataEps {
-				panic(fmt.Sprintf("core: request %d buffer %g exceeds capacity %g", r.id, buf, r.bufCap))
-			}
-		}
-		for _, c := range s.copies {
-			total += c.rate
-			if c.sent > c.size+dataEps {
-				panic(fmt.Sprintf("core: copy of video %d sent %g > size %g", c.video, c.sent, c.size))
-			}
-			if c.rate > e.copyRateCap()+dataEps {
-				panic(fmt.Sprintf("core: copy of video %d rate %g exceeds cap %g", c.video, c.rate, e.copyRateCap()))
-			}
-		}
-		if total > s.bandwidth+dataEps {
-			panic(fmt.Sprintf("core: server %d allocated %g of %g Mb/s", s.id, total, s.bandwidth))
-		}
-	}
-}
-
-// --- introspection for tests and tracing ---
-
-// ServerSnapshot summarizes one server's state.
-type ServerSnapshot struct {
-	ID        int
-	Load      int     // unfinished streams
-	Slots     int     // minimum-flow capacity
-	Allocated float64 // Σ rates, Mb/s
-	Failed    bool
-}
-
-// RequestSnapshot summarizes one in-flight request.
-type RequestSnapshot struct {
-	ID        int64
-	Video     int
-	Server    int
-	Size      float64
-	Sent      float64
-	Rate      float64
-	Buffer    float64
-	Hops      int
-	Suspended bool
-	Glitched  bool
-}
-
-// Snapshot returns the state of every server at the current time.
-func (e *Engine) Snapshot() []ServerSnapshot {
-	out := make([]ServerSnapshot, len(e.servers))
-	for i, s := range e.servers {
-		total := 0.0
-		for _, rate := range s.ln.rate {
-			total += rate
-		}
-		out[i] = ServerSnapshot{
-			ID: i, Load: s.load(), Slots: s.slots, Allocated: total, Failed: s.failed,
-		}
-	}
-	return out
-}
-
-// Requests returns snapshots of every in-flight request, synced to the
-// current simulation time, ordered by request id.
-func (e *Engine) Requests() []RequestSnapshot {
-	var out []RequestSnapshot
-	for _, s := range e.servers {
-		// Advance the streams (but not the copies, whose sync times the
-		// snapshot must not disturb) to the current instant.
-		s.syncStreams(e.now)
-		for i, r := range s.active {
-			out = append(out, RequestSnapshot{
-				ID: r.id, Video: int(r.video), Server: int(r.server),
-				Size: r.size, Sent: s.ln.sent[i], Rate: s.ln.rate[i],
-				Buffer:    s.bufferOf(i, e.now, e.cfg.ViewRate),
-				Hops:      int(r.hops),
-				Suspended: s.suspendedAt(i, e.now),
-				Glitched:  r.glitched,
-			})
-		}
-	}
-	sortRequestSnapshots(out)
-	return out
-}
-
-func sortRequestSnapshots(s []RequestSnapshot) {
-	// Insertion sort: snapshots are test-path only and nearly sorted.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].ID < s[j-1].ID; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -192,49 +192,6 @@ func TestArrivalsBeyondHorizonIgnored(t *testing.T) {
 	}
 }
 
-func TestSnapshotAndRequests(t *testing.T) {
-	cat := fixedCatalog(t, 1, 1200)
-	cfg := Config{ServerBandwidth: []float64{100, 100}, ViewRate: 3}
-	e := newTestEngine(t, cfg, cat, [][]int{{0, 1}}, []workload.Request{
-		{Arrival: 0, Video: 0},
-		{Arrival: 0, Video: 0},
-	})
-	// Step through the two arrivals only.
-	if err := e.Start(100); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if !e.Step() {
-			t.Fatal("engine ran dry early")
-		}
-	}
-	snaps := e.Snapshot()
-	if len(snaps) != 2 {
-		t.Fatalf("snapshot has %d servers", len(snaps))
-	}
-	if snaps[0].Load != 1 || snaps[1].Load != 1 {
-		t.Errorf("loads = %d, %d; want 1 each", snaps[0].Load, snaps[1].Load)
-	}
-	if snaps[0].Slots != 33 {
-		t.Errorf("slots = %d, want 33", snaps[0].Slots)
-	}
-	reqs := e.Requests()
-	if len(reqs) != 2 {
-		t.Fatalf("%d in-flight requests, want 2", len(reqs))
-	}
-	if reqs[0].ID != 1 || reqs[1].ID != 2 {
-		t.Errorf("request ids = %d, %d", reqs[0].ID, reqs[1].ID)
-	}
-	for _, r := range reqs {
-		if r.Rate != 3 {
-			t.Errorf("request %d rate %v, want 3", r.ID, r.Rate)
-		}
-		if r.Size != 3600 {
-			t.Errorf("request %d size %v", r.ID, r.Size)
-		}
-	}
-}
-
 func TestEngineValidation(t *testing.T) {
 	cat := fixedCatalog(t, 1, 1200)
 	lay := manualLayout(t, cat, [][]int{{0}}, 1)

@@ -10,16 +10,16 @@ import (
 	"semicont/internal/workload"
 )
 
-// buildKitchenSink assembles an engine with an arbitrary combination of
-// every feature the engine supports, driven by a seed. Invariant
-// checking is always on; this is the engine's fuzz harness.
+// buildKitchenSink assembles an audited engine with an arbitrary
+// combination of every feature the engine supports, driven by a seed;
+// this is the engine's fuzz harness.
 func buildKitchenSink(t testing.TB, seed uint64) (*Engine, Config) {
 	cfg, cat, lay, mkSrc := kitchenSinkParts(t, seed)
 	e, err := NewEngine(cfg, cat, lay, mkSrc())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e, cfg
+	return audited(t, e), cfg
 }
 
 // kitchenSinkParts builds the kitchen-sink scenario without allocating
@@ -58,7 +58,6 @@ func kitchenSinkParts(t testing.TB, seed uint64) (Config, *catalog.Catalog, *pla
 		ServerBandwidth: bws,
 		ServerStorage:   caps,
 		ViewRate:        3,
-		CheckInvariants: true,
 	}
 	if p.Float64() < 0.7 {
 		cfg.Workahead = true
@@ -122,7 +121,7 @@ func kitchenSinkParts(t testing.TB, seed uint64) (Config, *catalog.Catalog, *pla
 }
 
 // TestKitchenSinkFuzz runs randomized simulations with every feature
-// combination under full invariant checking and verifies the global
+// combination under the model checker and verifies the global
 // accounting identities that must hold regardless of configuration.
 func TestKitchenSinkFuzz(t *testing.T) {
 	prop := func(seedRaw uint16, failServer uint8) bool {

@@ -264,14 +264,9 @@ func (e *Engine) handleParkTick(id int64, ver uint64, t float64) {
 		r.glitched = true
 		e.metrics.DegradedGlitches++
 		e.metrics.DroppedStreams++
-		e.metrics.DeliveredBytes += r.carrySent
-		if e.cfg.Edge.Nodes > 0 {
-			e.metrics.ClusterEgressMb += r.carrySent
-		}
 		e.observe(ObsPark, t-r.parkStart)
 		e.observe(ObsGlitch, (r.size-r.viewedAt(t, bview))/bview)
-		e.observe(ObsMigrations, float64(r.hops))
-		e.recycle(r)
+		e.retire(r)
 		return
 	}
 	e.nextParkTick(r, t)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -48,17 +49,88 @@ func manualLayout(t *testing.T, cat *catalog.Catalog, holders [][]int, numServer
 	return lay
 }
 
-// newTestEngine builds an engine over fixed-length videos with an
-// explicit layout and scripted arrivals. CheckInvariants is always on.
+// newTestEngine builds an audited engine over fixed-length videos with
+// an explicit layout and scripted arrivals.
 func newTestEngine(t *testing.T, cfg Config, cat *catalog.Catalog, holders [][]int, reqs []workload.Request) *Engine {
 	t.Helper()
-	cfg.CheckInvariants = true
 	lay := manualLayout(t, cat, holders, len(cfg.ServerBandwidth))
 	e, err := NewEngine(cfg, cat, lay, &scriptSource{reqs: reqs})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return audited(t, e)
+}
+
+// NewTestAuditor returns a fresh internal/audit auditor that fails t
+// when t ends if it recorded a violation. That package imports this
+// one, so tests here cannot import it: audit_hook_test.go, an external
+// test file built into the same test binary, sets this from init.
+var NewTestAuditor func(t testing.TB) AuditTap
+
+// audited attaches the model checker this package's test engines run
+// under: the auditor, with checkLanes before its per-event checks. A
+// violation fails t whether the test drives the engine with Run or
+// Step. Reset detaches it.
+func audited(t testing.TB, e *Engine) *Engine {
+	e.SetAuditTap(laneCheckTap{NewTestAuditor(t), t, e})
 	return e
+}
+
+// laneCheckTap is an audit tap that runs checkLanes after every event.
+type laneCheckTap struct {
+	AuditTap
+	t testing.TB
+	e *Engine
+}
+
+func (c laneCheckTap) Event(rec AuditEventRecord) error {
+	if err := checkLanes(c.e); err != nil {
+		c.t.Errorf("event %d (%s) at t=%g: %v", rec.Seq, rec.Kind, rec.Time, err)
+		return err
+	}
+	return c.AuditTap.Event(rec)
+}
+
+// checkLanes checks the lane structure no audit snapshot can see: the
+// lane arrays are as long as the active list, each request holds its
+// own slot index, and the lane's size mirror matches the request.
+func checkLanes(e *Engine) error {
+	for _, s := range e.servers {
+		n, ln := len(s.active), &s.ln
+		if len(ln.rate) != n || len(ln.sent) != n || len(ln.last) != n ||
+			len(ln.susp) != n || len(ln.size) != n || len(ln.wake) != n {
+			return fmt.Errorf("server %d: lane arrays out of step with %d active streams", s.id, n)
+		}
+		for i, r := range s.active {
+			if int(r.slot) != i {
+				return fmt.Errorf("server %d: request %d in slot %d holds slot index %d", s.id, r.id, i, r.slot)
+			}
+			if ln.size[i] != r.size {
+				return fmt.Errorf("server %d: request %d lane size %g != %g", s.id, r.id, ln.size[i], r.size)
+			}
+		}
+	}
+	return nil
+}
+
+// inFlight is one in-flight request as the audit snapshot reports it,
+// with the id of the server carrying it.
+type inFlight struct {
+	AuditRequestState
+	Server int32
+}
+
+// requestsInFlight lists every in-flight request from the audit
+// snapshot. Its fluid state is as of each request's own last sync, so
+// reading it never moves the simulation.
+func requestsInFlight(e *Engine) []inFlight {
+	var out []inFlight
+	for _, s := range e.auditRecord(0, -1, 0).Servers {
+		for _, r := range s.Requests {
+			out = append(out, inFlight{r, s.ID})
+		}
+	}
+	return out
 }
 
 // run drives the engine to completion with the given horizon and

@@ -116,9 +116,6 @@ func (e *Engine) planDirect(s *server, now float64) (move, bool) {
 		}
 		for _, h := range e.holders(int(r.video)) {
 			t := e.servers[h]
-			if e.cfg.Intermittent {
-				t.syncAll(now) // canAccept reads buffer levels
-			}
 			if !e.canAccept(t, now) || !e.eligibleTarget(r, t, now) {
 				continue
 			}

@@ -258,7 +258,7 @@ func TestMigrationHopsVisibleInSnapshot(t *testing.T) {
 	// Process both arrivals (second triggers the migration).
 	for e.Now() < 11 && e.Step() {
 	}
-	reqs := e.Requests()
+	reqs := requestsInFlight(e)
 	if len(reqs) != 2 {
 		t.Fatalf("%d in-flight requests", len(reqs))
 	}

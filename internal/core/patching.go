@@ -48,42 +48,14 @@ func (e *Engine) tryPatchJoin(v int, t float64, bufCap, recvCap float64) bool {
 	if maxPrefix <= 0 {
 		return false
 	}
-	// Find the cheapest tappable primary: smallest missed prefix wins.
-	var primary *request
-	var primarySent float64
-	for _, h := range e.holders(v) {
-		s := e.servers[h]
-		if s.failed {
-			continue
-		}
-		synced := false
-		for i, r := range s.active {
-			if int(r.video) != v || r.isPatch || s.suspendedAt(i, t) {
-				continue
-			}
-			if !synced {
-				s.syncAll(t)
-				synced = true
-			}
-			sent := s.ln.sent[i]
-			if s.finishedAt(i) || sent > maxPrefix+dataEps {
-				continue
-			}
-			// The primary's server must also have a slot for the patch.
-			if !e.canAccept(s, t) {
-				continue
-			}
-			if primary == nil || sent < primarySent ||
-				(sent == primarySent && r.id < primary.id) {
-				primary, primarySent = r, sent
-			}
-		}
-	}
+	// The smallest missed prefix wins. Patching never runs behind the
+	// edge tier, so every primary starts at offset 0, and the patch
+	// takes a slot on the primary's server.
+	primary, primarySent := e.cheapestPrimary(v, t, 0, maxPrefix, true)
 	if primary == nil {
 		return false
 	}
 	s := e.servers[primary.server]
-	s.syncAll(t)
 
 	prefix := primarySent
 	if prefix < dataEps {

@@ -165,7 +165,7 @@ func TestTappedPrimaryPinned(t *testing.T) {
 			t.Fatal("engine ran dry early")
 		}
 	}
-	reqs := e.Requests()
+	reqs := requestsInFlight(e)
 	if len(reqs) != 2 {
 		t.Fatalf("%d in-flight requests, want primary + patch", len(reqs))
 	}

@@ -26,10 +26,6 @@ type ReplicationConfig struct {
 	// CopyRateCap bounds the bandwidth one copy job consumes on its
 	// source, in Mb/s. Zero means twice the view rate.
 	CopyRateCap float64
-
-	// PerSourceLimit bounds concurrent copy jobs per source server.
-	// Zero means one.
-	PerSourceLimit int
 }
 
 // copyJob is an in-flight replica transfer, accounted on its source
@@ -76,14 +72,6 @@ func (e *Engine) copyRateCap() float64 {
 	return 2 * e.cfg.ViewRate
 }
 
-// perSourceLimit returns the concurrent-copy bound with its default.
-func (e *Engine) perSourceLimit() int {
-	if l := e.cfg.Replication.PerSourceLimit; l > 0 {
-		return l
-	}
-	return 1
-}
-
 // holders returns the servers currently holding a replica of video v:
 // the static layout plus any replicas created at runtime.
 func (e *Engine) holders(v int) []int32 {
@@ -113,11 +101,11 @@ func (e *Engine) startReplication(v int32, t float64) {
 		e.metrics.ReplicationsDeferred++
 		return
 	}
-	// Source: a live holder with copy capacity, least busy first.
+	// Source: a live holder with no copy in flight, least busy first.
 	var src *server
 	for _, h := range e.holders(int(v)) {
 		s := e.servers[h]
-		if s.failed || len(s.copies) >= e.perSourceLimit() {
+		if s.failed || len(s.copies) > 0 {
 			continue
 		}
 		if src == nil || s.load() < src.load() || (s.load() == src.load() && s.id < src.id) {

@@ -184,9 +184,9 @@ func TestCopyConsumesOnlySpareBandwidth(t *testing.T) {
 		t.Fatalf("completed=%d", m.ReplicationsCompleted)
 	}
 	_ = obs
-	// Invariant checking (enabled by the harness) has already asserted
-	// the bandwidth budget at every event; conservation of request
-	// bytes must still hold alongside the copy traffic.
+	// The harness's auditor has already asserted the bandwidth budget
+	// at every event; conservation of request bytes must still hold
+	// alongside the copy traffic.
 	if !approx(m.DeliveredBytes, m.AcceptedBytes, 1e-3) {
 		t.Errorf("delivered %v vs accepted %v", m.DeliveredBytes, m.AcceptedBytes)
 	}

@@ -17,23 +17,25 @@ import (
 // a completely different configuration (different server count, feature
 // set, and seeds). The kitchen-sink builder supplies the scenario
 // diversity; every feature's state must therefore survive — or be
-// wiped by — Reset correctly. The reused engine always checks
-// invariants; on odd seeds the fresh one does not, which also pins that
-// invariant checking never changes a result.
+// wiped by — Reset correctly. The reused engine is always audited; on
+// odd seeds the fresh one is not, which also pins that auditing never
+// changes a result.
 func TestResetEquivalence(t *testing.T) {
 	reused := new(Engine)
 	for _, seed := range []uint64{1, 2, 3, 7, 11, 23, 42, 99} {
 		cfg, cat, lay, mkSrc := kitchenSinkParts(t, seed)
 
-		freshCfg := cfg
-		freshCfg.CheckInvariants = seed%2 == 0
-		fresh, err := NewEngine(freshCfg, cat, lay, mkSrc())
+		fresh, err := NewEngine(cfg, cat, lay, mkSrc())
 		if err != nil {
 			t.Fatal(err)
+		}
+		if seed%2 == 0 {
+			audited(t, fresh)
 		}
 		if err := reused.Reset(cfg, cat, lay, mkSrc()); err != nil {
 			t.Fatal(err)
 		}
+		audited(t, reused)
 		// Odd seeds also kill and recover a server so the fault path's
 		// per-run state (faultSched, parked, retryQ) is exercised.
 		if seed%2 == 1 {
@@ -75,7 +77,7 @@ func TestResetClearsLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(1800); err != nil {
+	if _, err := audited(t, e).Run(1800); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Reset(cfg, cat, lay, mkSrc()); err != nil {

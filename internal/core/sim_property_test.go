@@ -11,8 +11,8 @@ import (
 )
 
 // buildRandomSim assembles a small but fully random simulation: random
-// cluster size, staging, migration and demand skew, with invariant
-// checking enabled. It is the workhorse of the property tests below.
+// cluster size, staging, migration and demand skew, audited. It is the
+// workhorse of the property tests below.
 func buildRandomSim(t testing.TB, seed uint64, staging, migration bool) (*Engine, float64) {
 	cat, err := catalog.Generate(catalog.Config{
 		NumVideos: 20,
@@ -38,7 +38,6 @@ func buildRandomSim(t testing.TB, seed uint64, staging, migration bool) (*Engine
 	cfg := Config{
 		ServerBandwidth: bws,
 		ViewRate:        3,
-		CheckInvariants: true,
 	}
 	if staging {
 		cfg.Workahead = true
@@ -64,11 +63,11 @@ func buildRandomSim(t testing.TB, seed uint64, staging, migration bool) (*Engine
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e, total
+	return audited(t, e), total
 }
 
-// TestRandomSimsRespectInvariants runs randomized mini-simulations with
-// per-event invariant checking on (any violation panics inside Step).
+// TestRandomSimsRespectInvariants runs randomized mini-simulations
+// under the model checker (any violation fails the run).
 // It also verifies the global accounting identities:
 //
 //	arrivals  = accepted + rejected
@@ -204,7 +203,7 @@ func TestHopsNeverExceedBudget(t *testing.T) {
 	for e.Step() {
 		steps++
 		if steps%500 == 0 {
-			for _, r := range e.Requests() {
+			for _, r := range requestsInFlight(e) {
 				if r.Hops > 1 {
 					t.Fatalf("request %d has %d hops with MaxHops=1", r.ID, r.Hops)
 				}

@@ -2,6 +2,7 @@ package semicont
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"semicont/internal/trace"
@@ -74,11 +75,17 @@ func TestScenarioValidate(t *testing.T) {
 			t.Errorf("Shards %d rejected: %v", shards, err)
 		}
 	}
+	// The obsolete CheckInvariants points at its replacement.
+	sc := quickScenario()
+	sc.CheckInvariants = true
+	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "Audit") {
+		t.Errorf("CheckInvariants: got %v, want an error naming Audit", err)
+	}
 }
 
 func TestRunBasics(t *testing.T) {
 	sc := quickScenario()
-	sc.CheckInvariants = true
+	sc.Audit = true
 	res, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +310,7 @@ func TestRunIntermittentPolicy(t *testing.T) {
 		Name: "intermittent", Placement: EvenPlacement,
 		StagingFrac: 0.2, Intermittent: true,
 	}
-	sc.CheckInvariants = true
+	sc.Audit = true
 	res, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +365,7 @@ func TestRunClientMixPolicy(t *testing.T) {
 			{Weight: 1, StagingFrac: 0, ReceiveCap: 30},
 		},
 	}
-	sc.CheckInvariants = true
+	sc.Audit = true
 	res, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -407,7 +414,7 @@ func TestRunInteractivePolicy(t *testing.T) {
 	sc.Policy.PauseProb = 0.5
 	sc.Policy.MinPauseSec = 60
 	sc.Policy.MaxPauseSec = 300
-	sc.CheckInvariants = true
+	sc.Audit = true
 	res, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -492,7 +499,7 @@ func TestRunPatchingPolicy(t *testing.T) {
 		Name: "patch", Placement: EvenPlacement,
 		StagingFrac: 0.2, PatchWindowSec: 600,
 	}
-	sc.CheckInvariants = true
+	sc.Audit = true
 	res, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
