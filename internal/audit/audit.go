@@ -13,6 +13,9 @@
 //     it passed still has headroom, and no candidate the feed skipped
 //     had headroom and an earlier finish than the last one fed (the
 //     feed lists skipped candidates unordered; the check is O(k));
+//   - intermittent: bandwidth goes in ascending-buffer order up to the
+//     first stream it ran out at, and every stream the feed paused
+//     after that one, listed unordered, is unfed and no drier than it;
 //   - admission: the controller's chosen server could actually accept
 //     the stream it claimed to admit, and holds a replica of its video;
 //   - DRM: per-request hop budgets and per-admission chain lengths are
@@ -454,23 +457,33 @@ func saturated(g *core.SpareGrant) bool {
 }
 
 // IntermittentOrder implements core.AuditTap: ascending-buffer feeding.
+// Grants up to the first drained stream (unfed for want of bandwidth,
+// not paused-full) must come in ascending-buffer order; the tail after
+// it is unordered, and every tail stream must be unfed and no drier
+// than the drained one.
 func (a *Auditor) IntermittentOrder(t float64, server int32, grants []core.IntermittentGrant) error {
-	drained := false // bandwidth ran out at some earlier stream
+	var drained *core.IntermittentGrant // first stream the bandwidth ran out at
 	for i := range grants {
 		g := &grants[i]
+		if drained != nil {
+			if g.Buffer+dataEps < drained.Buffer {
+				return a.fail("intermittent-order", int(server), g.Request,
+					"buffer %g Mb left after drained request %d (%g Mb)",
+					g.Buffer, drained.Request, drained.Buffer)
+			}
+			if g.Rate > 0 {
+				return a.fail("intermittent-feed", int(server), g.Request,
+					"fed %g Mb/s after a drier stream was paused", g.Rate)
+			}
+			continue
+		}
 		if i > 0 && g.Buffer+dataEps < grants[i-1].Buffer {
 			return a.fail("intermittent-order", int(server), g.Request,
 				"buffer %g Mb considered after %g Mb (request %d)",
 				g.Buffer, grants[i-1].Buffer, grants[i-1].Request)
 		}
-		if g.PausedFull {
-			continue // paused viewer with a full buffer: legitimately unfed anywhere
-		}
-		if g.Rate <= 0 {
-			drained = true
-		} else if drained {
-			return a.fail("intermittent-feed", int(server), g.Request,
-				"fed %g Mb/s after a drier stream was paused", g.Rate)
+		if !g.PausedFull && g.Rate <= 0 {
+			drained = g
 		}
 	}
 	return nil

@@ -320,6 +320,31 @@ func TestIntermittentOrderViolations(t *testing.T) {
 			t.Fatalf("legal intermittent pass flagged: %v", err)
 		}
 	})
+	// After the first drained stream the feed pauses the rest off-heap,
+	// so the tail arrives unordered.
+	t.Run("unordered unfed tail passes", func(t *testing.T) {
+		a := testAuditor(t)
+		err := a.IntermittentOrder(10, 0, []core.IntermittentGrant{
+			g(1, 1, 3, false), g(2, 4, 0, false), g(3, 9, 0, false), g(4, 6, 0, true), g(5, 4, 0, false),
+		})
+		if err != nil {
+			t.Fatalf("unordered tail flagged: %v", err)
+		}
+	})
+	t.Run("tail stream drier than the drained one", func(t *testing.T) {
+		a := testAuditor(t)
+		err := a.IntermittentOrder(10, 0, []core.IntermittentGrant{
+			g(1, 1, 3, false), g(2, 4, 0, false), g(3, 9, 0, false), g(4, 3, 0, false),
+		})
+		wantRule(t, err, "intermittent-order")
+	})
+	t.Run("fed tail stream", func(t *testing.T) {
+		a := testAuditor(t)
+		err := a.IntermittentOrder(10, 0, []core.IntermittentGrant{
+			g(1, 1, 3, false), g(2, 4, 0, false), g(3, 9, 0, false), g(4, 6, 3, false),
+		})
+		wantRule(t, err, "intermittent-feed")
+	})
 }
 
 func TestMigrationViolations(t *testing.T) {

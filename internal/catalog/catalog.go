@@ -4,12 +4,12 @@
 // for the large one) and a size determined by the constant-bit-rate view
 // bandwidth, size = length × b_view.
 //
-// The catalog also binds the Zipf-like popularity distribution to the
-// videos: video 0 is the most popular. Keeping popularity attached to
-// the catalog lets placement strategies and the workload generator agree
-// on which video is which. Libraries with hand-picked lengths and
-// popularities (real deployments, tests) use FromVideos instead of the
-// generated form.
+// The catalog also binds the Zipf-like popularity distribution (see
+// zipfProbs) to the videos: video 0 is the most popular. Keeping
+// popularity attached to the catalog lets placement strategies and the
+// workload generator agree on which video is which. Libraries with
+// hand-picked lengths and popularities (real deployments, tests) use
+// FromVideos instead of the generated form.
 package catalog
 
 import (
@@ -17,7 +17,6 @@ import (
 	"math"
 
 	"semicont/internal/rng"
-	"semicont/internal/zipf"
 )
 
 // Video describes one object in the library.
@@ -63,8 +62,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("catalog: %d videos of up to %g s at %g Mb/s overflow the library size", c.NumVideos, c.MaxLength, c.ViewRate)
 	case math.Pow(float64(c.NumVideos), c.Theta) > rng.MaxAliasWeight:
 		// The Zipf weights i^(θ−1) peak at NumVideos^(θ−1); bounding
-		// NumVideos times that keeps every weight and their sum inside
-		// the alias table's range.
+		// NumVideos times that keeps every weight and their sum finite,
+		// so each normalized probability is a number.
 		return fmt.Errorf("catalog: Theta %g overflows the Zipf weights of %d videos", c.Theta, c.NumVideos)
 	}
 	return nil
@@ -75,10 +74,7 @@ func Generate(cfg Config, p *rng.PCG) (*Catalog, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pop, err := zipf.New(cfg.NumVideos, cfg.Theta)
-	if err != nil {
-		return nil, err
-	}
+	probs := zipfProbs(cfg.NumVideos, cfg.Theta)
 	videos := make([]Video, cfg.NumVideos)
 	for i := range videos {
 		length := cfg.MinLength
@@ -89,10 +85,34 @@ func Generate(cfg Config, p *rng.PCG) (*Catalog, error) {
 			ID:     i,
 			Length: length,
 			Size:   length * cfg.ViewRate,
-			Prob:   pop.Prob(i),
+			Prob:   probs[i],
 		}
 	}
 	return FromVideos(videos, cfg.ViewRate)
+}
+
+// zipfProbs returns the Zipf-like popularity of n videos exactly as the
+// paper parameterizes it (Section 4.1), most popular first:
+//
+//	p_i = c / i^(1-θ),  i = 1..n,  c = 1 / Σ_{i=1..n} 1/i^(1-θ)
+//
+// θ = 1 makes every video equally popular, θ = 0 is classic Zipf
+// (p_i ∝ 1/i), and smaller θ is more skewed: the paper sweeps θ down to
+// −1.5, i.e. p_i ∝ 1/i^2.5. This differs from the common Zipf exponent
+// s of p_i ∝ 1/i^s: here s = 1−θ, so smaller θ means more skew.
+func zipfProbs(n int, theta float64) []float64 {
+	s := 1 - theta // conventional Zipf exponent
+	probs := make([]float64, n)
+	total := 0.0
+	for i := range probs {
+		w := math.Pow(float64(i+1), -s)
+		probs[i] = w
+		total += w
+	}
+	for i, w := range probs {
+		probs[i] = w / total
+	}
+	return probs
 }
 
 // FromVideos builds a catalog from an explicit video list: lengths and

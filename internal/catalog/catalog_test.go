@@ -255,3 +255,69 @@ func TestFromVideosSampling(t *testing.T) {
 		t.Errorf("hot video frequency %v, want ≈0.9", frac)
 	}
 }
+
+func TestZipfNormalization(t *testing.T) {
+	prop := func(nRaw uint8, thetaRaw int8) bool {
+		n := int(nRaw%200) + 1
+		theta := float64(thetaRaw) / 50 // roughly [-2.5, 2.5]
+		sum := 0.0
+		for _, p := range zipfProbs(n, theta) {
+			sum += p
+		}
+		return math.Abs(sum-1) < 1e-9
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestZipfUniformAtThetaOne(t *testing.T) {
+	for i, p := range zipfProbs(50, 1) {
+		if math.Abs(p-0.02) > 1e-12 {
+			t.Fatalf("p[%d] = %v, want 0.02 at theta=1", i, p)
+		}
+	}
+}
+
+func TestZipfMonotoneForSkewedTheta(t *testing.T) {
+	for _, theta := range []float64{0.5, 0.271, 0, -0.5, -1.5} {
+		p := zipfProbs(100, theta)
+		for i := 1; i < 100; i++ {
+			if p[i] > p[i-1]+1e-15 {
+				t.Fatalf("theta=%g: p[%d]=%v > p[%d]=%v", theta, i, p[i], i-1, p[i-1])
+			}
+		}
+	}
+}
+
+func TestZipfSmallerThetaMeansMoreSkew(t *testing.T) {
+	// The probability of the most popular item must grow as theta falls.
+	prev := -1.0
+	for _, theta := range []float64{1, 0.5, 0, -0.5, -1, -1.5} {
+		p0 := zipfProbs(100, theta)[0]
+		if p0 < prev {
+			t.Fatalf("p_1 at theta=%g is %v, below previous %v", theta, p0, prev)
+		}
+		prev = p0
+	}
+}
+
+func TestZipfClassicRatios(t *testing.T) {
+	// theta = 0 is classic Zipf: p_i ∝ 1/i, so p_1/p_2 = 2.
+	p := zipfProbs(10, 0)
+	if r := p[0] / p[1]; math.Abs(r-2) > 1e-9 {
+		t.Errorf("p_1/p_2 = %v, want 2", r)
+	}
+	if r := p[0] / p[3]; math.Abs(r-4) > 1e-9 {
+		t.Errorf("p_1/p_4 = %v, want 4", r)
+	}
+}
+
+func TestZipfNegativeThetaExponent(t *testing.T) {
+	// theta = -1.5 gives p_i ∝ 1/i^2.5.
+	p := zipfProbs(10, -1.5)
+	want := math.Pow(2, 2.5)
+	if r := p[0] / p[1]; math.Abs(r-want) > 1e-9 {
+		t.Errorf("p_1/p_2 = %v, want %v", r, want)
+	}
+}

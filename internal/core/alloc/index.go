@@ -15,12 +15,15 @@
 //     candidates costs O(k + I log m), with I ≤ k the number of
 //     insertions (a candidate behind a covered prefix is rejected by one
 //     comparison, before the caller loads anything else about it).
-//   - Index holds every candidate: Init heapifies them in O(k) and Pop
-//     yields them lazily in feed order (the intermittent feed, which
-//     serves an unknown number of streams), Sort orders them all (only
-//     the audited intermittent feed, whose tap reports every grant in
-//     order), and All keeps them for order-free passes (even split, and
-//     the skipped candidates an audited spare feed reports).
+//   - Index holds every candidate: Init heapifies them in O(k), Pop
+//     yields them lazily in feed order, Rest returns the un-popped rest
+//     unordered and Popped the popped ones in reverse pop order (the
+//     intermittent feed, which serves an unknown number of streams and
+//     pauses the rest once its bandwidth runs out; its audit report
+//     reads both afterwards), All keeps them for order-free passes
+//     (even split, and the skipped candidates an audited spare feed
+//     reports), and Sort orders them all (the reference order the tests
+//     check Pop and the feeds against).
 //
 // Entries carry a position into the server's active slice instead of a
 // pointer, so a retained scratch index never pins finished requests
@@ -48,7 +51,7 @@ type Entry struct {
 
 // Index is a reusable candidate index. The zero value is ready to use.
 // Typical cycle: Reset, Add each candidate, then either Init+Pop (lazy
-// ordered selection) or Sort (full order for instrumented runs).
+// ordered selection) or Sort (the full order, as a test reference).
 type Index struct {
 	entries []Entry
 	n       int // live heap length; entries[n:len] are popped
@@ -94,7 +97,7 @@ func (x *Index) Init() {
 }
 
 // Pop removes and returns the next candidate in feed order. The popped
-// entry remains reachable via All. Panics when empty.
+// entry remains reachable via All and Popped. Panics when empty.
 func (x *Index) Pop() Entry {
 	top := x.entries[0]
 	x.n--
@@ -129,6 +132,11 @@ func (x *Index) siftDown(i int) {
 // for order-independent passes. The slice aliases the index; it is
 // invalidated by Reset, Add, Pop, and Sort.
 func (x *Index) Rest() []Entry { return x.entries[:x.n] }
+
+// Popped returns the popped candidates, most recently popped first:
+// read backwards, it is the order Pop yielded them in. Same aliasing
+// caveats as Rest.
+func (x *Index) Popped() []Entry { return x.entries[x.n:] }
 
 // All returns every added candidate — popped and un-popped — in
 // unspecified order. Same aliasing caveats as Rest.

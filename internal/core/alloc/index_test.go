@@ -62,6 +62,9 @@ func TestPartialPopRestAll(t *testing.T) {
 	if len(x.All()) != 10 {
 		t.Fatalf("all = %d, want 10", len(x.All()))
 	}
+	if got, want := x.Popped(), []Entry{popped[2], popped[1], popped[0]}; !slices.Equal(got, want) {
+		t.Fatalf("Popped() = %v, want the pops most recent first %v", got, want)
+	}
 	// Rest plus popped must cover every id exactly once.
 	seen := map[int64]bool{}
 	for _, e := range x.All() {

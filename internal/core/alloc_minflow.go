@@ -45,11 +45,15 @@ func (e *Engine) minFlowRates(s *server, t float64) float64 {
 		} else {
 			rateA[i] = bview
 			avail -= bview
-			// wakeKeyServing at rate = bview, manually unrolled: the call
-			// exceeds the inline budget and this loop pays it per slot.
-			// Identical operations in the same order — the keys must stay
-			// bit-identical to wakeKeyServing's (TestWakeIndexMatchesScan
-			// and the wake-exact audit rule pin the equivalence).
+			// wakeKeyServing at rate = bview, unrolled by hand: the call
+			// exceeds the inline budget and this loop pays it per slot
+			// (calling it here cost p4-large 11.5% and f7-sweep 8.3% of
+			// their req/s; DESIGN §12). Identical operations in the same
+			// order keep the keys bit-identical to wakeKeyServing's.
+			// TestWakeIndexMatchesScan pins that, since its nextWake
+			// recomputes every key through wakeKeyServing; the wake-exact
+			// audit rule cannot, as it compares the min with keys this
+			// loop itself wrote.
 			sent := sentA[i]
 			rem := sizeA[i] - sent
 			if rem < 0 {

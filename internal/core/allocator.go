@@ -76,13 +76,11 @@ func (e *Engine) allocate(s *server, t float64) float64 {
 }
 
 // reschedule recomputes s's allocation at time t and replaces its
-// pending wake event. Requests must be synced to t first. The wake is
-// held rather than pushed: reschedule is almost always the last act of
-// an event handler, so the wake can be fused with the next pop.
+// pending wake event. Requests must be synced to t first.
 func (e *Engine) reschedule(s *server, t float64) {
 	next := e.allocate(s, t)
 	s.version++
 	if !math.IsInf(next, 1) {
-		e.holdWake(next, event{kind: evServerWake, server: s.id, version: s.version})
+		e.events.Push(next, event{kind: evServerWake, server: s.id, version: s.version})
 	}
 }

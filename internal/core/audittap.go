@@ -133,7 +133,7 @@ type SpareGrant struct {
 }
 
 // IntermittentGrant records one stream considered by the intermittent
-// allocator, in feed (ascending-buffer) order.
+// allocator.
 type IntermittentGrant struct {
 	Request    int64
 	Buffer     float64 // clamped client buffer when considered, Mb
@@ -172,7 +172,12 @@ type AuditTap interface {
 	// Skipped. The feed sorts only what it feeds, so the skipped ones
 	// come unordered; a tap checks them against the fed ones instead.
 	SpareOrder(t float64, server int32, discipline SpareDiscipline, grants []SpareGrant) error
-	// IntermittentOrder reports every intermittent allocation pass.
+	// IntermittentOrder reports every intermittent allocation pass, one
+	// grant per stream in the order the feed decided it: ascending
+	// buffer up to and including the first stream the bandwidth ran out
+	// at, then every other stream, paused, in unspecified order. The
+	// feed pops only what it serves, so the paused tail comes unordered;
+	// a tap checks it against that first drained stream instead.
 	IntermittentOrder(t float64, server int32, grants []IntermittentGrant) error
 	// Admission reports the controller's server choice for one admitted
 	// stream (new arrival or retry-queue attempt): the selected server,

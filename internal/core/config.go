@@ -233,8 +233,9 @@ type Config struct {
 	Planner string
 
 	// SelectorSeed seeds randomized selectors (SelectorRandomFeasible);
-	// runs with equal seeds draw the same selection sequence.
-	// Deterministic selectors ignore it.
+	// runs with equal seeds draw the same selection sequence. The
+	// default selector and each traffic class's override draw from
+	// distinct streams split off it. Deterministic selectors ignore it.
 	SelectorSeed uint64
 
 	// ClientClasses, when non-empty, makes the client population

@@ -121,7 +121,7 @@ func (c Config) validateController() error {
 // event. Validate vets the name.
 func (e *Engine) selector() ServerSelector {
 	if e.sel == nil {
-		e.sel = selectors[e.cfg.SelectorName()]()
+		e.sel = selectors[e.cfg.SelectorName()](e.cfg.selectorSeed(-1))
 	}
 	return e.sel
 }
@@ -214,9 +214,7 @@ func (e *Engine) admitViaMigration(v int32, now float64) (*server, bool) {
 			if s.failed {
 				continue
 			}
-			for i := range e.visited {
-				e.visited[i] = false
-			}
+			clear(e.visited)
 			e.visited[s.id] = true
 			plan := e.planChain(s, now, depth, e.visited)
 			if plan == nil {

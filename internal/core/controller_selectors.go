@@ -7,12 +7,25 @@ import "semicont/internal/rng"
 
 // selectors maps each selector name to its constructor. An engine
 // builds its own instance, because random-feasible carries per-engine
-// RNG state and scratch.
-var selectors = map[string]func() ServerSelector{
-	SelectorLeastLoaded:    func() ServerSelector { return leastLoadedSelector{} },
-	SelectorFirstFit:       func() ServerSelector { return firstFitSelector{} },
-	SelectorMostHeadroom:   func() ServerSelector { return mostHeadroomSelector{} },
-	SelectorRandomFeasible: func() ServerSelector { return &randomFeasibleSelector{} },
+// RNG state and scratch; seed is that instance's own stream (see
+// selectorSeed), which the deterministic selectors ignore.
+var selectors = map[string]func(seed uint64) ServerSelector{
+	SelectorLeastLoaded:    func(uint64) ServerSelector { return leastLoadedSelector{} },
+	SelectorFirstFit:       func(uint64) ServerSelector { return firstFitSelector{} },
+	SelectorMostHeadroom:   func(uint64) ServerSelector { return mostHeadroomSelector{} },
+	SelectorRandomFeasible: func(seed uint64) ServerSelector { return &randomFeasibleSelector{rng: rng.New(seed)} },
+}
+
+// selectorSeed derives a selector instance's stream from
+// Config.SelectorSeed: the engine default's (class < 0) under the
+// "sele" label alone, traffic class k's under the same label and k+1,
+// so no two instances share a stream.
+func (c Config) selectorSeed(class int32) uint64 {
+	const label = 0x73656c65 // "sele"
+	if class < 0 {
+		return rng.DeriveSeed(c.SelectorSeed, label)
+	}
+	return rng.DeriveSeed(c.SelectorSeed, label, uint64(class)+1)
 }
 
 // leastLoadedSelector picks the feasible holder with the fewest
@@ -68,19 +81,17 @@ func (mostHeadroomSelector) Select(e *Engine, v int, t float64) *server {
 }
 
 // randomFeasibleSelector picks uniformly at random among the feasible
-// holders. Its stream is split off Config.SelectorSeed on first use, so
-// equal seeds draw the same selection sequence regardless of trial
-// fan-out; the candidate slice is per-engine scratch reused across
-// events to keep the admission path allocation-free in steady state.
+// holders. Its stream is split off Config.SelectorSeed when the engine
+// builds it, so equal seeds draw the same selection sequence regardless
+// of trial fan-out; the candidate slice is per-engine scratch reused
+// across events to keep the admission path allocation-free in steady
+// state.
 type randomFeasibleSelector struct {
 	rng  *rng.PCG
 	feas []*server
 }
 
 func (sel *randomFeasibleSelector) Select(e *Engine, v int, t float64) *server {
-	if sel.rng == nil {
-		sel.rng = rng.New(rng.DeriveSeed(e.cfg.SelectorSeed, 0x73656c65)) // "sele"
-	}
 	sel.feas = sel.feas[:0]
 	for _, h := range e.holders(v) {
 		s := e.servers[h]

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"semicont/internal/workload"
@@ -157,6 +158,48 @@ func TestRandomFeasibleSeeded(t *testing.T) {
 	}
 	if same {
 		t.Error("seeds 42 and 43 produced identical assignments — seed not wired through")
+	}
+}
+
+// TestClassSelectorStreams pins the per-instance selector streams: two
+// traffic classes naming random-feasible draw different sequences, each
+// distinct from the engine default's, a class override is the selector
+// the class uses, a class without one shares the default, and the
+// default's first picks are pinned so its stream stays where it was.
+func TestClassSelectorStreams(t *testing.T) {
+	cfg := Config{
+		ServerBandwidth: []float64{9, 9, 9, 9, 9, 9, 9, 9},
+		ViewRate:        3,
+		Selector:        SelectorRandomFeasible,
+		SelectorSeed:    42,
+		Classes: []TrafficClass{
+			{Name: "a", Share: 1, Selector: SelectorRandomFeasible},
+			{Name: "b", Share: 1, Selector: SelectorRandomFeasible},
+			{Name: "c", Share: 1, Selector: SelectorFirstFit},
+			{Name: "d", Share: 1},
+		},
+	}
+	e := newTestEngine(t, cfg, fixedCatalog(t, 1, 1200), [][]int{{0, 1, 2, 3, 4, 5, 6, 7}}, nil)
+	picks := func(class int32) []int32 {
+		sel := e.classSelector(class)
+		out := make([]int32, 20)
+		for i := range out {
+			out[i] = sel.Select(e, 0, 0).id
+		}
+		return out
+	}
+	def, a, b, c := picks(-1), picks(0), picks(1), picks(2)
+	if want := []int32{3, 0, 6, 7, 2, 6, 2, 3, 6, 3, 5, 2, 2, 7, 6, 5, 2, 0, 7, 0}; !slices.Equal(def, want) {
+		t.Errorf("default selector picks = %v, want %v", def, want)
+	}
+	if slices.Equal(a, b) || slices.Equal(a, def) || slices.Equal(b, def) {
+		t.Errorf("random-feasible instances share a stream: default %v, class a %v, class b %v", def, a, b)
+	}
+	if want := make([]int32, 20); !slices.Equal(c, want) {
+		t.Errorf("first-fit class picks = %v, want server 0 every time", c)
+	}
+	if e.classSelector(3) != e.selector() {
+		t.Error("class without an override does not use the engine default")
 	}
 }
 

@@ -139,7 +139,7 @@ func (e *Engine) resetEdge() {
 		return
 	}
 	n := e.cat.Len()
-	e.edgePrefix = resizeFloats(e.edgePrefix, n)
+	e.edgePrefix = resize(e.edgePrefix, n)
 	pref := e.cfg.Edge.PrefixSec * e.cfg.ViewRate
 	for v := 0; v < n; v++ {
 		size := e.cat.Video(v).Size

@@ -185,12 +185,9 @@ func TestRescheduleBumpsVersionAndSchedules(t *testing.T) {
 	if s.version != v0+1 {
 		t.Errorf("version = %d, want %d", s.version, v0+1)
 	}
-	if !e.hasHeld {
-		t.Error("reschedule did not hold a wake event")
-	}
-	tm, ev, ok := e.popEvent()
+	tm, ev, ok := e.events.Pop()
 	if !ok {
-		t.Fatal("popEvent returned no event")
+		t.Fatal("reschedule queued no wake event")
 	}
 	if ev.kind != evServerWake || ev.version != s.version {
 		t.Errorf("queued event = %+v", ev)

@@ -64,18 +64,6 @@ type Engine struct {
 	nextID  int64
 	pending workload.Request
 
-	// Deferred server wake: reschedule holds its wake push here instead
-	// of touching the heap, because the dominant event pattern is
-	// "handle event → reschedule → pop the very next event" and the
-	// held wake can then be fused with that pop via Queue.PushPop
-	// (replace the root, one sift) instead of a full push plus pop.
-	// Ordering is untouched: every other push flushes the held wake
-	// first, so sequence numbers are assigned in exactly the order the
-	// eager pushes would have produced. See push/holdWake/popEvent.
-	hasHeld bool
-	heldT   float64
-	held    event
-
 	// Heterogeneous client population (nil when homogeneous).
 	classAlias *rng.Alias
 	classRNG   *rng.PCG
@@ -187,7 +175,6 @@ func (e *Engine) Reset(cfg Config, cat *catalog.Catalog, lay *placement.Layout, 
 	e.layout = lay
 	e.source = src
 	e.events.Reset()
-	e.hasHeld = false
 
 	n := len(cfg.ServerBandwidth)
 	if cap(e.servers) < n {
@@ -197,9 +184,9 @@ func (e *Engine) Reset(cfg Config, cat *catalog.Catalog, lay *placement.Layout, 
 	}
 	for i, b := range cfg.ServerBandwidth {
 		if s := e.servers[i]; s != nil {
-			clearRequests(s.active)
+			clear(s.active)
 			s.active = s.active[:0]
-			clearCopies(s.copies)
+			clear(s.copies)
 			ln := s.ln
 			ln.reset()
 			*s = server{id: int32(i), bandwidth: b, slots: cfg.Slots(i), active: s.active, copies: s.copies[:0], ln: ln}
@@ -208,8 +195,8 @@ func (e *Engine) Reset(cfg Config, cat *catalog.Catalog, lay *placement.Layout, 
 			e.servers[i].ln.beginRound() // an idle server's wake min is +Inf
 		}
 	}
-	e.visited = resizeBools(e.visited, n)
-	e.extraUsed = resizeFloats(e.extraUsed, n)
+	e.visited = resize(e.visited, n)
+	e.extraUsed = resize(e.extraUsed, n)
 
 	e.now, e.horizon = 0, 0
 	e.metrics = Metrics{}
@@ -219,7 +206,7 @@ func (e *Engine) Reset(cfg Config, cat *catalog.Catalog, lay *placement.Layout, 
 
 	// Per-run selector and RNG state: nil so the lazy selector lookups
 	// rebuild from the new config (random-feasible's choice stream, for
-	// one, seeds itself from cfg.SelectorSeed on first use).
+	// one, is split off cfg.SelectorSeed when first built).
 	e.sel = nil
 	e.resetEdge()
 	e.classAlias, e.classRNG = nil, nil
@@ -280,38 +267,15 @@ func (e *Engine) Reset(cfg Config, cat *catalog.Catalog, lay *placement.Layout, 
 	return nil
 }
 
-func clearRequests(rs []*request) {
-	for i := range rs {
-		rs[i] = nil
+// resize returns s resliced to length n and zeroed, reusing its
+// storage when the capacity allows.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-}
-
-func clearCopies(cs []*copyJob) {
-	for i := range cs {
-		cs[i] = nil
-	}
-}
-
-func resizeBools(b []bool, n int) []bool {
-	if cap(b) < n {
-		return make([]bool, n)
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = false
-	}
-	return b
-}
-
-func resizeFloats(f []float64, n int) []float64 {
-	if cap(f) < n {
-		return make([]float64, n)
-	}
-	f = f[:n]
-	for i := range f {
-		f[i] = 0
-	}
-	return f
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // SetObserver installs a lifecycle observer (may be nil). Call before Run.
@@ -375,7 +339,7 @@ func (e *Engine) ScheduleFailure(t float64, id int) error {
 		return fmt.Errorf("core: server %d is scheduled to be browned out at t=%g (schedule its restore first)", id, t)
 	}
 	e.faultSched[id] = faultSched{down: true, lastT: t}
-	e.push(t, event{kind: evFailure, server: int32(id)})
+	e.events.Push(t, event{kind: evFailure, server: int32(id)})
 	return nil
 }
 
@@ -393,7 +357,7 @@ func (e *Engine) ScheduleRecovery(t float64, id int, cold bool) error {
 		return fmt.Errorf("core: recovery of server %d at t=%g without a preceding failure", id, t)
 	}
 	e.faultSched[id] = faultSched{down: false, lastT: t}
-	e.push(t, event{kind: evRecovery, server: int32(id), cold: cold})
+	e.events.Push(t, event{kind: evRecovery, server: int32(id), cold: cold})
 	return nil
 }
 
@@ -418,7 +382,7 @@ func (e *Engine) ScheduleBrownout(t float64, id int, frac float64) error {
 		return fmt.Errorf("core: server %d is already scheduled to be browned out at t=%g (schedule its restore first)", id, t)
 	}
 	e.faultSched[id] = faultSched{dimmed: true, lastT: t}
-	e.push(t, event{kind: evBrownout, server: int32(id), frac: frac})
+	e.events.Push(t, event{kind: evBrownout, server: int32(id), frac: frac})
 	return nil
 }
 
@@ -433,7 +397,7 @@ func (e *Engine) ScheduleRestore(t float64, id int) error {
 		return fmt.Errorf("core: restore of server %d at t=%g without a preceding brownout", id, t)
 	}
 	e.faultSched[id] = faultSched{lastT: t}
-	e.push(t, event{kind: evBrownoutEnd, server: int32(id)})
+	e.events.Push(t, event{kind: evBrownoutEnd, server: int32(id)})
 	return nil
 }
 
@@ -481,47 +445,14 @@ func (e *Engine) primeArrival() {
 		return
 	}
 	e.pending = r
-	e.push(r.Arrival, event{kind: evArrival})
-}
-
-// push schedules an event. Any held wake is flushed first, so sequence
-// numbers are assigned in exactly the order the eager pushes would have
-// produced — the deferred wake is invisible to the FIFO tie-break.
-func (e *Engine) push(t float64, ev event) {
-	if e.hasHeld {
-		e.events.Push(e.heldT, e.held)
-		e.hasHeld = false
-	}
-	e.events.Push(t, ev)
-}
-
-// holdWake defers a server-wake push so popEvent can fuse it with the
-// next pop. A previously held wake is flushed first, preserving order.
-func (e *Engine) holdWake(t float64, ev event) {
-	if e.hasHeld {
-		e.events.Push(e.heldT, e.held)
-	}
-	e.hasHeld = true
-	e.heldT, e.held = t, ev
-}
-
-// popEvent removes the earliest event, fusing a pending held wake with
-// the pop via Queue.PushPop (one sift instead of an up-sift plus a
-// down-sift). With a held wake the queue is momentarily never empty, so
-// the run keeps draining until the last wake has actually been handled.
-func (e *Engine) popEvent() (float64, event, bool) {
-	if e.hasHeld {
-		e.hasHeld = false
-		return e.events.PushPop(e.heldT, e.held)
-	}
-	return e.events.Pop()
+	e.events.Push(r.Arrival, event{kind: evArrival})
 }
 
 // Step processes a single event. It returns false when the event list
 // is exhausted (the run is complete) or an attached auditor raised a
 // violation (consult AuditErr).
 func (e *Engine) Step() bool {
-	t, ev, ok := e.popEvent()
+	t, ev, ok := e.events.Pop()
 	if !ok {
 		return false
 	}
@@ -675,8 +606,8 @@ func (e *Engine) scheduleInteraction(r *request, t float64) {
 	frac := e.interactRNG.UniformRange(0.05, 0.95)
 	dur := e.interactRNG.UniformRange(e.cfg.Interactivity.MinPause, e.cfg.Interactivity.MaxPause)
 	pauseAt := t + frac*r.size/e.cfg.ViewRate
-	e.push(pauseAt, event{kind: evPause, req: r.id})
-	e.push(pauseAt+dur, event{kind: evResume, req: r.id})
+	e.events.Push(pauseAt, event{kind: evPause, req: r.id})
+	e.events.Push(pauseAt+dur, event{kind: evResume, req: r.id})
 }
 
 // handleInteraction applies a viewer pause or resume. Events whose

@@ -152,7 +152,7 @@ func (e *Engine) pushRetry(en *retryEntry, t float64) {
 	if next > en.deadline {
 		next = en.deadline
 	}
-	e.push(next, event{kind: evRetry, req: en.id})
+	e.events.Push(next, event{kind: evRetry, req: en.id})
 }
 
 // handleRetry re-attempts admission for a queued request. Queued
@@ -219,7 +219,7 @@ func (e *Engine) nextParkTick(r *request, t float64) {
 			next = dry
 		}
 	}
-	e.push(next, event{kind: evParkTick, req: r.id, version: r.parkVer})
+	e.events.Push(next, event{kind: evParkTick, req: r.id, version: r.parkVer})
 }
 
 // handleParkTick is a parked stream's reconnect attempt. Readmission is

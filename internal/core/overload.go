@@ -30,7 +30,7 @@ func (e *Engine) classSelector(class int32) ServerSelector {
 		return e.selector()
 	}
 	if e.classSel[class] == nil {
-		e.classSel[class] = selectors[e.cfg.Classes[class].Selector]()
+		e.classSel[class] = selectors[e.cfg.Classes[class].Selector](e.cfg.selectorSeed(class))
 	}
 	return e.classSel[class]
 }

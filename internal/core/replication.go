@@ -236,9 +236,7 @@ func (e *Engine) abortCopies(failed *server) {
 			}
 			kept = append(kept, c)
 		}
-		for i := len(kept); i < len(s.copies); i++ {
-			s.copies[i] = nil
-		}
+		clear(s.copies[len(kept):])
 		s.copies = kept
 	}
 }

@@ -28,10 +28,9 @@ const (
 // server's lane at index slot — read and write them there. The carry*
 // fields below are the detached representation only: server.detach
 // stores the lane slot into them, attach loads them back, and the
-// fluid methods on request (syncTo, bufferAt, remaining, finished,
-// suspended) operate on them — legal only for detached requests
-// (parked streams playing from their buffers, freelist entries, and
-// requests not yet attached).
+// fluid methods on request (syncTo, bufferAt) operate on them — legal
+// only for detached requests (parked streams playing from their
+// buffers, freelist entries, and requests not yet attached).
 type request struct {
 	id    int64
 	video int32
@@ -161,29 +160,4 @@ func (r *request) bufferAt(t float64, bview float64) float64 {
 		return 0 // float noise only; the model guarantees buffer ≥ 0
 	}
 	return b
-}
-
-// remaining returns the untransmitted volume of the carried state.
-func (r *request) remaining() float64 {
-	rem := r.size - r.carrySent
-	if rem < 0 {
-		return 0
-	}
-	return rem
-}
-
-// finished reports whether transmission is complete (carried state).
-func (r *request) finished() bool { return r.remaining() <= dataEps }
-
-// suspended reports whether the stream is mid-switch at time t
-// (carried state).
-func (r *request) suspended(t float64) bool { return r.carrySusp > t+timeEps }
-
-// deadline returns the time by which transmission must complete for
-// uninterrupted playback, given the playback state as of now: when
-// viewing catches up with the object size. For a paused viewer the
-// true deadline depends on the unknown resume time; this reports the
-// lower bound obtained if playback resumed immediately.
-func (r *request) deadline(bview float64) float64 {
-	return r.viewSyncT + (r.size-r.viewOffset)/bview
 }

@@ -28,7 +28,7 @@ func TestRequestSyncClampsAtSize(t *testing.T) {
 	if r.carrySent != 100 {
 		t.Errorf("sent = %v, want clamp at size 100", r.carrySent)
 	}
-	if !r.finished() {
+	if r.carrySent < r.size-dataEps {
 		t.Error("request not finished after transmitting everything")
 	}
 }
@@ -69,40 +69,6 @@ func TestBufferNeverNegative(t *testing.T) {
 	}
 }
 
-func TestRemainingAndFinished(t *testing.T) {
-	r := &request{size: 100, carrySent: 40}
-	if got := r.remaining(); got != 60 {
-		t.Errorf("remaining() = %v, want 60", got)
-	}
-	if r.finished() {
-		t.Error("finished() with 60 Mb left")
-	}
-	r.carrySent = 100 - dataEps/2
-	if !r.finished() {
-		t.Error("finished() false within tolerance of completion")
-	}
-}
-
-func TestDeadline(t *testing.T) {
-	r := &request{size: 3600, start: 50, viewSyncT: 50}
-	if got := r.deadline(3); got != 1250 {
-		t.Errorf("deadline = %v, want 1250", got)
-	}
-}
-
-func TestSuspended(t *testing.T) {
-	r := &request{carrySusp: 100}
-	if !r.suspended(50) {
-		t.Error("suspended(50) = false with suspendedUntil=100")
-	}
-	if r.suspended(100) {
-		t.Error("suspended(100) = true at the resume instant")
-	}
-	if r.suspended(150) {
-		t.Error("suspended(150) = true after resume")
-	}
-}
-
 // Property: for any play history with rate ≥ b_view, the fluid
 // invariants hold: 0 ≤ viewed ≤ sent ≤ size.
 func TestFluidInvariantProperty(t *testing.T) {
@@ -122,7 +88,7 @@ func TestFluidInvariantProperty(t *testing.T) {
 			if r.bufferAt(now, bview) < 0 {
 				return false
 			}
-			if r.finished() {
+			if r.carrySent >= r.size-dataEps {
 				r.carryRate = 0
 			}
 		}

@@ -14,7 +14,6 @@ import (
 type Layout struct {
 	numServers int
 	holders    [][]int32 // video id -> sorted server ids holding a replica
-	onServer   [][]int32 // server id -> sorted video ids stored there
 	used       []float64 // per-server storage consumed, Mb
 	shortfall  int       // copies that could not be placed for lack of space
 }
@@ -50,7 +49,6 @@ func Place(cat *catalog.Catalog, counts []int, capacities []float64, p *rng.PCG)
 	l := &Layout{
 		numServers: numServers,
 		holders:    make([][]int32, n),
-		onServer:   make([][]int32, numServers),
 		used:       make([]float64, numServers),
 	}
 
@@ -93,13 +91,9 @@ func Place(cat *catalog.Catalog, counts []int, capacities []float64, p *rng.PCG)
 		}
 		for _, s := range candidates[:want] {
 			l.holders[v] = append(l.holders[v], int32(s))
-			l.onServer[s] = append(l.onServer[s], int32(v))
 			l.used[s] += size
 		}
-		sortInt32(l.holders[v])
-	}
-	for s := range l.onServer {
-		sortInt32(l.onServer[s])
+		slices.Sort(l.holders[v])
 	}
 	return l, nil
 }
@@ -139,7 +133,6 @@ func Manual(cat *catalog.Catalog, holders [][]int, numServers int) (*Layout, err
 	l := &Layout{
 		numServers: numServers,
 		holders:    make([][]int32, cat.Len()),
-		onServer:   make([][]int32, numServers),
 		used:       make([]float64, numServers),
 	}
 	for v, hs := range holders {
@@ -156,13 +149,9 @@ func Manual(cat *catalog.Catalog, holders [][]int, numServers int) (*Layout, err
 			}
 			seen[s] = true
 			l.holders[v] = append(l.holders[v], int32(s))
-			l.onServer[s] = append(l.onServer[s], int32(v))
 			l.used[s] += cat.Video(v).Size
 		}
-		sortInt32(l.holders[v])
-	}
-	for s := range l.onServer {
-		sortInt32(l.onServer[s])
+		slices.Sort(l.holders[v])
 	}
 	return l, nil
 }
@@ -173,10 +162,6 @@ func (l *Layout) NumServers() int { return l.numServers }
 // Holders returns the servers holding a replica of video v, ascending.
 // Callers must not modify the returned slice.
 func (l *Layout) Holders(v int) []int32 { return l.holders[v] }
-
-// VideosOn returns the videos stored on server s, ascending.
-// Callers must not modify the returned slice.
-func (l *Layout) VideosOn(s int) []int32 { return l.onServer[s] }
 
 // Holds reports whether server s stores a replica of video v.
 func (l *Layout) Holds(v, s int) bool {
@@ -205,10 +190,6 @@ func (l *Layout) TotalCopies() int {
 		t += len(h)
 	}
 	return t
-}
-
-func sortInt32(s []int32) {
-	slices.Sort(s)
 }
 
 func fmtMb(v float64) string { return fmt.Sprintf("%.0f Mb", v) }

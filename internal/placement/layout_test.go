@@ -57,40 +57,6 @@ func TestPlaceBasics(t *testing.T) {
 	}
 }
 
-func TestPlaceHoldersAndVideosOnAgree(t *testing.T) {
-	cat := testCatalog(t, 30, -0.5)
-	counts := make([]int, 30)
-	for i := range counts {
-		counts[i] = 1 + i%3
-	}
-	lay, err := Place(cat, counts, capacities(6, 1e6), rng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cross-check the two indexes.
-	for v := 0; v < 30; v++ {
-		for _, h := range lay.Holders(v) {
-			found := false
-			for _, vid := range lay.VideosOn(int(h)) {
-				if int(vid) == v {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("video %d in Holders but not in VideosOn(%d)", v, h)
-			}
-		}
-	}
-	total := 0
-	for s := 0; s < 6; s++ {
-		total += len(lay.VideosOn(s))
-	}
-	if total != lay.TotalCopies() {
-		t.Errorf("VideosOn total %d != TotalCopies %d", total, lay.TotalCopies())
-	}
-}
-
 func TestPlaceRespectsCapacity(t *testing.T) {
 	cat := testCatalog(t, 10, 0)
 	// Room for roughly three average (3600 Mb) videos per server.
@@ -230,9 +196,6 @@ func TestManualLayout(t *testing.T) {
 	}
 	if got := lay.Used(0); got != cat.Video(0).Size+cat.Video(1).Size {
 		t.Errorf("Used(0) = %v", got)
-	}
-	if len(lay.VideosOn(2)) != 1 || lay.VideosOn(2)[0] != 2 {
-		t.Errorf("VideosOn(2) = %v", lay.VideosOn(2))
 	}
 }
 

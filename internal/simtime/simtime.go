@@ -65,35 +65,9 @@ func (q *Queue[T]) Pop() (t float64, v T, ok bool) {
 	return top.time, top.payload, true
 }
 
-// PushPop schedules payload v at time t and immediately removes the
-// earliest event — exactly equivalent to Push(t, v) followed by Pop(),
-// including the FIFO tie-break (the new event gets the next sequence
-// number, so it loses time ties to everything already queued). It is
-// the fast path for the pop-then-push-wake cycle that dominates the
-// engine's event loop: when the new event is the earliest it never
-// touches the heap at all, and otherwise it replaces the root with a
-// single sift-down instead of an up-sift plus a down-sift.
-// ok is always true: the queue momentarily holds at least the new event.
-func (q *Queue[T]) PushPop(t float64, v T) (float64, T, bool) {
-	q.seq++
-	if len(q.items) == 0 || t < q.items[0].time {
-		// The new event is strictly earliest (on a time tie the queued
-		// root has the smaller seq and wins), so it would be popped
-		// right back out.
-		return t, v, true
-	}
-	top := q.items[0]
-	q.items[0] = item[T]{time: t, seq: q.seq, payload: v}
-	q.down(0)
-	return top.time, top.payload, true
-}
-
 // Reset empties the queue, retaining its backing storage for reuse.
 func (q *Queue[T]) Reset() {
-	var zero item[T]
-	for i := range q.items {
-		q.items[i] = zero
-	}
+	clear(q.items)
 	q.items = q.items[:0]
 	q.seq = 0
 }

@@ -163,3 +163,40 @@ func TestLargeDrain(t *testing.T) {
 		t.Errorf("drained %d events, want %d", count, n)
 	}
 }
+
+// --- benchmarks (baselines in BENCH_queue.json) ---
+
+// benchmarkPushPopCycle measures the engine's pop-then-push cycle on a
+// queue held at n events.
+func benchmarkPushPopCycle(b *testing.B, n int) {
+	var q Queue[int]
+	// Pseudo-random but deterministic times, like the event list's mix
+	// of near-term wakes and far-future arrivals.
+	tm := func(i int) float64 { return float64((i * 2654435761) % 99991) }
+	for i := 0; i < n; i++ {
+		q.Push(tm(i), i)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		t, v, _ := q.Pop()
+		q.Push(t+float64(v%13), v)
+	}
+}
+
+func BenchmarkQueuePushPop1e3(b *testing.B) { benchmarkPushPopCycle(b, 1_000) }
+func BenchmarkQueuePushPop1e5(b *testing.B) { benchmarkPushPopCycle(b, 100_000) }
+
+func BenchmarkQueueFill1e3(b *testing.B) { benchmarkFill(b, 1_000) }
+func BenchmarkQueueFill1e5(b *testing.B) { benchmarkFill(b, 100_000) }
+
+func benchmarkFill(b *testing.B, n int) {
+	var q Queue[int]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		q.Reset()
+		for j := 0; j < n; j++ {
+			q.Push(float64((j*2654435761)%99991), j)
+		}
+	}
+}
