@@ -22,7 +22,6 @@ import (
 	"strings"
 	"time"
 
-	"semicont"
 	"semicont/internal/experiments"
 	"semicont/internal/report"
 	"semicont/internal/sweep"
@@ -36,7 +35,6 @@ func main() {
 		seed   = flag.Uint64("seed", 1, "base random seed")
 		outDir = flag.String("out", "", "directory for CSV output (empty: no CSV)")
 		list   = flag.Bool("list", false, "list experiment ids and exit")
-		listAl = flag.Bool("list-allocators", false, "list registered bandwidth allocators and exit")
 		verb   = flag.Bool("v", false, "print per-point progress")
 		par    = flag.Int("parallel", 0, "max concurrent simulation jobs, shared by all experiments (0 = GOMAXPROCS); output is identical at any setting")
 	)
@@ -45,12 +43,6 @@ func main() {
 	if *list {
 		for _, e := range experiments.Registry() {
 			fmt.Printf("%-14s %s\n", e.ID, e.Description)
-		}
-		return
-	}
-	if *listAl {
-		for _, name := range semicont.AllocatorNames() {
-			fmt.Println(name)
 		}
 		return
 	}

@@ -9,7 +9,7 @@
 //	vodsim -system large -placement even -migration -staging 0.2 -theta -1
 //	vodsim -system small -policy P3 -fail-at 50 -fail-server 2
 //	vodsim -system small -policy P4 -trace events.csv -hours 2
-//	vodsim -system small -policy P4 -admission first-fit -planner direct-only
+//	vodsim -system small -policy P4 -admission first-fit
 //	vodsim -system small -staging 0.2 -edge-nodes 2 -prefix-sec 900 -edge-cache-mb 96000 -batch-policy batch-prefix -batch-window 300
 //	vodsim -experiment fault-sweep-small -parallel 8 -hours 20
 //	vodsim -experiment all -trials 5 -hours 100
@@ -45,23 +45,18 @@ func main() {
 		switchDel = flag.Float64("switch-delay", 0, "seconds of blackout per migration")
 		staging   = flag.Float64("staging", 0, "client buffer as fraction of average object size")
 		spare     = flag.String("spare", "eftf", "workahead discipline: eftf, lftf, even-split")
-		alloc     = flag.String("alloc", "", "bandwidth allocator by name (see -list-allocators; must agree with -spare and -intermittent)")
-		listAlloc = flag.Bool("list-allocators", false, "list registered bandwidth allocators and exit")
 		admission = flag.String("admission", "", "admission server selector by name (see -list-admissions; empty = least-loaded)")
-		planner   = flag.String("planner", "", "DRM migration planner by name (see -list-planners; requires -migration)")
 		listAdm   = flag.Bool("list-admissions", false, "list registered admission selectors and exit")
-		listPlan  = flag.Bool("list-planners", false, "list registered DRM planners and exit")
 		intermit  = flag.Bool("intermittent", false, "intermittent scheduling (pause full-buffer streams; risks glitches)")
 		guard     = flag.Float64("resume-guard", 0, "intermittent resume guard, seconds (0 = 30s default)")
 		replicate = flag.Bool("replicate", false, "dynamic replication on rejection")
 		copyRate  = flag.Float64("copy-rate", 0, "replication copy rate cap, Mb/s (0 = 2x view rate)")
-		patchWin  = flag.Float64("patch-window", 0, "multicast patch window, seconds (0 = off)")
 		edgeNodes = flag.Int("edge-nodes", 0, "edge/proxy nodes holding video prefixes in front of the cluster (0 = no edge tier)")
 		prefixSec = flag.Float64("prefix-sec", 0, "edge-cached prefix length per video, seconds of playback (requires -edge-nodes)")
 		edgeCache = flag.Float64("edge-cache-mb", 0, "per-node edge cache byte budget, Mb (requires -edge-nodes)")
 		edgePol   = flag.String("edge-cache-policy", "", "edge prefix-cache policy by name (see -list-edge-caches; empty = static-zipf)")
 		listEdge  = flag.Bool("list-edge-caches", false, "list registered edge prefix-cache policies and exit")
-		batchPol  = flag.String("batch-policy", "", `multicast batching policy by name (see -list-batch-policies; empty = "patch" with -patch-window, else "unicast")`)
+		batchPol  = flag.String("batch-policy", "", "multicast batching policy by name (see -list-batch-policies; empty = unicast)")
 		batchWin  = flag.Float64("batch-window", 0, "batching window for -batch-policy, seconds")
 		listBatch = flag.Bool("list-batch-policies", false, "list registered multicast batching policies and exit")
 		pauseProb = flag.Float64("pause-prob", 0, "probability a viewer pauses once")
@@ -108,20 +103,8 @@ func main() {
 		return
 	}
 
-	if *listAlloc {
-		for _, name := range semicont.AllocatorNames() {
-			fmt.Println(name)
-		}
-		return
-	}
 	if *listAdm {
 		for _, name := range semicont.SelectorNames() {
-			fmt.Println(name)
-		}
-		return
-	}
-	if *listPlan {
-		for _, name := range semicont.PlannerNames() {
 			fmt.Println(name)
 		}
 		return
@@ -207,7 +190,6 @@ func main() {
 			ResumeGuard:     *guard,
 			Replicate:       *replicate,
 			ReplicationRate: *copyRate,
-			PatchWindowSec:  *patchWin,
 			PauseProb:       *pauseProb,
 		}
 		if *pauseProb > 0 {
@@ -240,14 +222,8 @@ func main() {
 			fatal(fmt.Errorf("unknown placement %q", *placement))
 		}
 	}
-	if *alloc != "" {
-		pol.Allocator = *alloc
-	}
 	if *admission != "" {
 		pol.Selector = *admission
-	}
-	if *planner != "" {
-		pol.Planner = *planner
 	}
 	// Fault-tolerance knobs compose with both custom and paper policies.
 	pol.RetryQueue = pol.RetryQueue || *retryQ
@@ -528,10 +504,8 @@ func parsePolicy(name string) (semicont.Policy, error) {
 func printResult(sc semicont.Scenario, r *semicont.Result) {
 	fmt.Printf("system=%s policy=%s theta=%g hours=%g seed=%d\n",
 		sc.System.Name, sc.Policy.Name, sc.Theta, sc.HorizonHours, sc.Seed)
-	if sc.Policy.Selector != "" || sc.Policy.Planner != "" {
-		fmt.Printf("controller         admission=%s planner=%s\n",
-			orName(sc.Policy.Selector, semicont.SelectorLeastLoaded),
-			orName(sc.Policy.Planner, semicont.PlannerChainDFS))
+	if sc.Policy.Selector != "" {
+		fmt.Printf("controller         admission=%s\n", sc.Policy.Selector)
 	}
 	fmt.Printf("arrival rate       %.4f req/s (offered load = %.0f%% of %g Mb/s)\n",
 		r.ArrivalRate, 100*orOne(sc.LoadFactor), r.TotalBandwidthMbps)
@@ -588,7 +562,7 @@ func printResult(sc semicont.Scenario, r *semicont.Result) {
 	if sc.Policy.PauseProb > 0 {
 		fmt.Printf("interactivity      %d viewer pauses\n", r.ViewerPauses)
 	}
-	if sc.Policy.PatchWindowSec > 0 || sc.Policy.BatchPolicy == semicont.BatchPolicyPatch {
+	if sc.Policy.BatchPolicy == semicont.BatchPolicyPatch {
 		fmt.Printf("patching           %d joins, %.0f Mb delivered over shared streams\n",
 			r.PatchedJoins, r.SharedMb)
 	}
@@ -625,13 +599,6 @@ func printDist(d *semicont.DistStats) {
 		fmt.Printf("dist %-14s n=%d p50=%.4f p95=%.4f p99=%.4f max=%.4f\n",
 			c.Name, c.Sketch.N(), q.P50, q.P95, q.P99, c.Sketch.Max())
 	}
-}
-
-func orName(name, def string) string {
-	if name == "" {
-		return def
-	}
-	return name
 }
 
 func orOne(v float64) float64 {

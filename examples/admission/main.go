@@ -1,13 +1,14 @@
 // Admission: the same overloaded cluster run under every admission
-// selector, plus both DRM planners, to show the controller's choices
-// in action.
+// selector, plus two DRM chain budgets, to show the controller's
+// choices in action.
 //
 // The paper's controller (Section 3.2) assigns each arrival to the
 // least-loaded replica holder. That rule is now one of several named
 // selectors: Policy.Selector names the admission policy and
-// Policy.Planner names the migration planner, so alternatives can be
-// compared without touching the engine. At high load the selector decides which servers
-// saturate first, which shows up directly in the rejection ratio.
+// Policy.MaxChain bounds the migration chain, so alternatives can be
+// compared without touching the engine. At high load the selector
+// decides which servers saturate first, which shows up directly in the
+// rejection ratio.
 //
 //	go run ./examples/admission
 package main
@@ -49,20 +50,19 @@ func main() {
 			sel, res.Utilization, 100*res.RejectionRatio)
 	}
 
-	// The planners: same selector, DRM enabled with chains of up to
-	// three moves, planned either by the default DFS chain search or by
-	// the single-move planner.
+	// The chain budgets: same selector, DRM enabled with chains of up
+	// to three moves, or of single moves only.
 	fmt.Println()
-	fmt.Printf("%-18s  %-10s  %-12s  %s\n", "planner", "rejected", "via DRM", "max chain")
-	for _, pl := range semicont.PlannerNames() {
+	fmt.Printf("%-18s  %-10s  %-12s  %s\n", "chain budget", "rejected", "via DRM", "max chain")
+	for _, chain := range []int{3, 1} {
+		name := fmt.Sprintf("max-chain %d", chain)
 		res, err := semicont.Run(semicont.Scenario{
 			System: system,
 			Policy: semicont.Policy{
-				Name:      pl,
+				Name:      name,
 				Placement: semicont.EvenPlacement,
 				Migration: true,
-				MaxChain:  3,
-				Planner:   pl,
+				MaxChain:  chain,
 			},
 			Theta:        0.271,
 			LoadFactor:   1.2,
@@ -73,11 +73,11 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-18s  %5.2f%%     %-12d  %d\n",
-			pl, 100*res.RejectionRatio, res.AdmissionsViaDRM, res.MaxChainUsed)
+			name, 100*res.RejectionRatio, res.AdmissionsViaDRM, res.MaxChainUsed)
 	}
 
 	fmt.Println()
 	fmt.Println("least-loaded spreads streams evenly and rejects least; first-fit piles")
-	fmt.Println("onto the early servers and pays for it. The chain planner turns more")
-	fmt.Println("full-cluster arrivals into migrations than single moves alone can.")
+	fmt.Println("onto the early servers and pays for it. Chains of up to three moves turn")
+	fmt.Println("more full-cluster arrivals into migrations than single moves alone can.")
 }

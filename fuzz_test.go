@@ -30,8 +30,8 @@ func FuzzScenarioValidate(f *testing.F) {
 		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0, 0.0, 0.0, "", "", 0.0)
 	f.Add(3, 45.0, 25, 300.0, 900.0, 2.0, 3.0,
-		0.2, 0.0, 2, true, -1, 2, false, true, 0.0, 0.0, 30.0, 120.0, 1.0, 1.0, 0.0, 0, uint64(9),
-		0.05, 0.02, false, true, false, "most-headroom", "direct-only",
+		0.2, 0.0, 2, true, -1, 1, false, true, 0.0, 0.0, 30.0, 120.0, 1.0, 1.0, 0.0, 0, uint64(9),
+		0.05, 0.02, false, true, false, "most-headroom", "",
 		0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0, 0.0, 0.0, "", "", 0.0)
@@ -41,12 +41,12 @@ func FuzzScenarioValidate(f *testing.F) {
 		0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0, 0.0, 0.0, "", "", 0.0)
-	// DRM + server churn + retry queue + a non-default controller pair in
-	// one seed: the selector seam is crossed by arrivals, retry
+	// DRM + server churn + retry queue + a non-default selector in one
+	// seed: the selector seam is crossed by arrivals, retry
 	// re-attempts, and rescue reconnects all at once.
 	f.Add(4, 60.0, 20, 300.0, 900.0, 2.5, 3.0,
 		0.2, 0.0, 0, true, 2, 2, false, false, 0.0, 0.0, 30.0, 120.0, 0.271, 1.2, 0.0, 0, uint64(11),
-		0.5, 0.1, true, true, true, "random-feasible", "chain-dfs",
+		0.5, 0.1, true, true, true, "random-feasible", "",
 		0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0,
 		0, 0.0, 0.0, "", "", 0.0)
@@ -252,7 +252,7 @@ func FuzzScenarioValidate(f *testing.F) {
 		if numServers > 5 || numVideos > 50 || bw > 150 ||
 			viewRate < 1 || minLen < 60 || maxLen > 1800 ||
 			load > 1.5 ||
-			stagingFrac > 1 || patchWindow > 1800 ||
+			stagingFrac > 1 ||
 			maxPause > 3600 || classStagingA > 1 || classStagingB > 1 ||
 			flashFactor > 20 || tShareB > 1e6 ||
 			edgeNodes > 8 || edgePrefixSec > 3600 || batchWindow > 1800 {

@@ -80,8 +80,8 @@ func goldenMatrix() []struct {
 	add("intermittent-guard10", base(Policy{Name: "intermittent-guard10", StagingFrac: 0.3, Intermittent: true, ResumeGuard: 10}))
 
 	// Patching (multicast taps pin streams; spare order interacts).
-	add("patching", base(Policy{Name: "patching", StagingFrac: 0.2, PatchWindowSec: 300}))
-	add("patching-drm", base(drm(Policy{Name: "patching-drm", StagingFrac: 0.2, PatchWindowSec: 600}, 1, 1)))
+	add("patching", base(Policy{Name: "patching", StagingFrac: 0.2, BatchPolicy: BatchPolicyPatch, BatchWindowSec: 300}))
+	add("patching-drm", base(drm(Policy{Name: "patching-drm", StagingFrac: 0.2, BatchPolicy: BatchPolicyPatch, BatchWindowSec: 600}, 1, 1)))
 
 	// Extension mechanisms layered over the allocator.
 	add("interactive", base(drm(Policy{Name: "interactive", StagingFrac: 0.2, PauseProb: 0.3, MinPauseSec: 30, MaxPauseSec: 300}, 1, 1)))
@@ -91,15 +91,15 @@ func goldenMatrix() []struct {
 		{Weight: 2, StagingFrac: 0, ReceiveCap: 0},
 	}}))
 
-	// Controller seam: non-default admission selectors and DRM planner.
-	// The default pair (least-loaded + chain-dfs) is pinned by every
-	// other cell; these pin the alternates, one of them audited so the
-	// admission-feasible tap rides the fixture too.
+	// Controller seam: non-default admission selectors, and single moves
+	// under unlimited hops. The default selector (least-loaded) is pinned
+	// by every other cell; these pin the alternates, one of them audited
+	// so the admission-feasible tap rides the fixture too.
 	add("admission-firstfit", base(Policy{Name: "admission-firstfit", StagingFrac: 0.2, Selector: SelectorFirstFit}))
 	admRand := base(drm(Policy{Name: "admission-random", StagingFrac: 0.2, Selector: SelectorRandomFeasible}, 1, 1))
 	admRand.Audit = true
 	add("admission-random", admRand)
-	add("planner-direct", base(drm(Policy{Name: "planner-direct", StagingFrac: 0.2, Planner: PlannerDirectOnly}, UnlimitedHops, 2)))
+	add("planner-direct", base(drm(Policy{Name: "planner-direct", StagingFrac: 0.2}, UnlimitedHops, 1)))
 
 	// Failure rescue mid-run.
 	fail := base(drm(Policy{Name: "failover", StagingFrac: 0.2}, UnlimitedHops, 1))

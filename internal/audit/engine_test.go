@@ -13,10 +13,10 @@ import (
 	"semicont/internal/workload"
 )
 
-// stagedEngine builds a small two-server cluster with client staging —
-// enough concurrency that the EFTF spreader runs multi-candidate passes
-// on nearly every wake.
-func stagedEngine(t *testing.T, seed uint64) *core.Engine {
+// stagedEngine builds a small two-server cluster with client staging,
+// feeding spare under the given discipline — enough concurrency that
+// the spreader runs multi-candidate passes on nearly every wake.
+func stagedEngine(t *testing.T, seed uint64, spare core.SpareDiscipline) *core.Engine {
 	t.Helper()
 	cat, err := catalog.Generate(catalog.Config{
 		NumVideos: 20, MinLength: 300, MaxLength: 900, ViewRate: 3, Theta: 0,
@@ -43,6 +43,7 @@ func stagedEngine(t *testing.T, seed uint64) *core.Engine {
 		ServerBandwidth: []float64{60, 60},
 		ViewRate:        3,
 		Workahead:       true,
+		Spare:           spare,
 		BufferCapacity:  cat.AvgSize() * 0.2,
 		ReceiveCap:      6,
 		Migration:       core.MigrationConfig{Enabled: true, MaxHops: 1, MaxChain: 1},
@@ -53,16 +54,23 @@ func stagedEngine(t *testing.T, seed uint64) *core.Engine {
 	return e
 }
 
+// eftfLabel forwards every tap to the auditor, but reports each spare
+// feed as EFTF whatever discipline ran it.
+type eftfLabel struct{ *audit.Auditor }
+
+func (l eftfLabel) SpareOrder(t float64, server int32, _ core.SpareDiscipline, grants []core.SpareGrant) error {
+	return l.Auditor.SpareOrder(t, server, core.EFTF, grants)
+}
+
 // TestAuditorCatchesBrokenEFTF is the acceptance check for the audit
-// layer: sabotage the EFTF comparator (test-only engine hook that feeds
-// spare bandwidth in inverted order while still reporting EFTF to the
-// taps) and require the auditor to reject the run with a structured
-// eftf-order violation.
+// layer: sabotage the EFTF comparator (an LFTF engine feeds spare
+// bandwidth in inverted order, and eftfLabel reports it as EFTF) and
+// require the auditor to reject the run with a structured eftf-order
+// violation.
 func TestAuditorCatchesBrokenEFTF(t *testing.T) {
-	e := stagedEngine(t, 7)
+	e := stagedEngine(t, 7, core.LFTF)
 	a := audit.New()
-	e.SetAuditTap(a)
-	e.DebugForceSpareMisorder(true)
+	e.SetAuditTap(eftfLabel{a})
 	_, err := e.Run(2 * 3600)
 	if err == nil {
 		t.Fatal("sabotaged EFTF ordering passed the audit")
@@ -82,19 +90,30 @@ func TestAuditorCatchesBrokenEFTF(t *testing.T) {
 	}
 }
 
+// wakeSkew forwards every tap to the auditor, but reports each loaded
+// server's NextWake one second early in the event snapshots, leaving
+// the stored wake keys intact.
+type wakeSkew struct{ *audit.Auditor }
+
+func (w wakeSkew) Event(rec core.AuditEventRecord) error {
+	for i := range rec.Servers {
+		if len(rec.Servers[i].Requests) > 0 {
+			rec.Servers[i].NextWake--
+		}
+	}
+	return w.Auditor.Event(rec)
+}
+
 // TestAuditorCatchesSkewedWakeIndex is the acceptance check for the
-// wake-exact rule: sabotage the audit snapshot's NextWake (test-only
-// engine hook that reports a loaded server's incremental answer one
-// second early while leaving the stored keys intact) and require the
-// auditor to reject the run. This is exactly the signature of a real
-// maintenance bug — a missed dirty mark or unfolded copy key makes the
-// index disagree with its own keys — and the rule must catch it with
-// an exact comparison, not an epsilon.
+// wake-exact rule: sabotage the audit snapshot's NextWake (wakeSkew)
+// and require the auditor to reject the run. This is exactly the
+// signature of a real maintenance bug — a missed dirty mark or
+// unfolded copy key makes the index disagree with its own keys — and
+// the rule must catch it with an exact comparison, not an epsilon.
 func TestAuditorCatchesSkewedWakeIndex(t *testing.T) {
-	e := stagedEngine(t, 7)
+	e := stagedEngine(t, 7, core.EFTF)
 	a := audit.New()
-	e.SetAuditTap(a)
-	e.DebugSkewWakeIndex(true)
+	e.SetAuditTap(wakeSkew{a})
 	_, err := e.Run(2 * 3600)
 	if err == nil {
 		t.Fatal("skewed wake index passed the audit")
@@ -114,7 +133,7 @@ func TestAuditorCatchesSkewedWakeIndex(t *testing.T) {
 // TestAuditorCleanOnHonestEFTF is the control: the identical simulation
 // without sabotage audits clean.
 func TestAuditorCleanOnHonestEFTF(t *testing.T) {
-	e := stagedEngine(t, 7)
+	e := stagedEngine(t, 7, core.EFTF)
 	a := audit.New()
 	e.SetAuditTap(a)
 	if _, err := e.Run(2 * 3600); err != nil {
@@ -162,7 +181,7 @@ func randomScenario(seed uint64) semicont.Scenario {
 	switch (seed >> 4) % 3 {
 	case 1:
 		if pol.StagingFrac > 0 && !pol.Intermittent {
-			pol.PatchWindowSec = 300
+			pol.BatchPolicy, pol.BatchWindowSec = semicont.BatchPolicyPatch, 300
 		}
 	case 2:
 		if !pol.Intermittent {
@@ -180,7 +199,7 @@ func randomScenario(seed uint64) semicont.Scenario {
 		Seed:         seed,
 		Audit:        true,
 	}
-	if (seed>>6)&1 != 0 && pol.PatchWindowSec == 0 {
+	if (seed>>6)&1 != 0 && pol.BatchPolicy == "" {
 		sc.FailAtHours = 0.5
 		sc.FailServer = int(seed) % sys.NumServers
 	}

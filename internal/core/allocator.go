@@ -1,59 +1,11 @@
 package core
 
-import (
-	"fmt"
-	"math"
-	"slices"
-)
+import "math"
 
-// Names of the bandwidth-allocation policies. Config.Allocator may name
-// one, as another spelling of the Intermittent and Spare fields it
-// implies; the engine reads only those fields.
-const (
-	// AllocMinFlowEFTF is the paper's algorithm: minimum-flow guarantee
-	// plus Earliest-Finishing-Time-First workahead (Figure 2).
-	AllocMinFlowEFTF = "minflow-eftf"
-	// AllocMinFlowLFTF feeds spare to the latest projected finisher
-	// first — the adversarial ablation of the EFTF theorem.
-	AllocMinFlowLFTF = "minflow-lftf"
-	// AllocMinFlowEvenSplit water-fills spare bandwidth equally across
-	// staging candidates.
-	AllocMinFlowEvenSplit = "minflow-evensplit"
-	// AllocIntermittent is the Section 3.3 intermittent-class heuristic:
-	// full-buffer streams may be paused entirely so the server can
-	// over-subscribe its minimum-flow slots.
-	AllocIntermittent = "intermittent"
-)
-
-// AllocatorNames returns the allocation policy names, sorted.
-func AllocatorNames() []string {
-	return []string{AllocIntermittent, AllocMinFlowEFTF, AllocMinFlowEvenSplit, AllocMinFlowLFTF}
-}
-
-// validateAllocator checks Config.Allocator: a set name must be one of
-// the four policies and agree with the Intermittent/Spare fields it
-// mirrors (admission control and the audit contract read those fields).
-func (c Config) validateAllocator() error {
-	if c.Allocator == "" {
-		return nil
-	}
-	if !slices.Contains(AllocatorNames(), c.Allocator) {
-		return fmt.Errorf("core: unknown allocator %q (have %v)", c.Allocator, AllocatorNames())
-	}
-	implied := AllocMinFlowEFTF
-	switch {
-	case c.Intermittent:
-		implied = AllocIntermittent
-	case c.Spare == LFTF:
-		implied = AllocMinFlowLFTF
-	case c.Spare == EvenSplit:
-		implied = AllocMinFlowEvenSplit
-	}
-	if c.Allocator != implied {
-		return fmt.Errorf("core: Allocator %q inconsistent with Intermittent/Spare (which imply %q)", c.Allocator, implied)
-	}
-	return nil
-}
+// AllocMinFlowEFTF names the paper's algorithm, minimum-flow guarantee
+// plus Earliest-Finishing-Time-First workahead (Figure 2): the one value
+// the obsolete Config.Allocator still accepts.
+const AllocMinFlowEFTF = "minflow-eftf"
 
 // allocate recomputes the bandwidth allocation of server s at time t:
 // the intermittent heuristic or the minimum-flow guarantee, then copy

@@ -250,19 +250,6 @@ func (e *Engine) SetAuditSampling(every int) {
 // surfaces it as its error.
 func (e *Engine) AuditErr() error { return e.auditErr }
 
-// DebugForceSpareMisorder inverts the EFTF feed order while still
-// reporting the configured discipline to audit taps. It exists solely so
-// tests outside this package can prove the auditor detects ordering
-// violations; never enable it otherwise.
-func (e *Engine) DebugForceSpareMisorder(on bool) { e.spareMisorder = on }
-
-// DebugSkewWakeIndex makes audit snapshots report each loaded server's
-// NextWake one second early, without touching the stored keys. It
-// exists solely so tests outside this package can prove the auditor's
-// wake-exact rule detects an index that disagrees with its keys; never
-// enable it otherwise.
-func (e *Engine) DebugSkewWakeIndex(on bool) { e.wakeSkew = on }
-
 // auditFail records the first tap error; the engine aborts at the next
 // Step boundary.
 func (e *Engine) auditFail(err error) {
@@ -334,9 +321,6 @@ func (e *Engine) auditRecord(kind AuditEventKind, server int32, req int64) Audit
 		st.Slots = s.slots
 		st.Failed = s.failed
 		st.NextWake = s.currentWake()
-		if e.wakeSkew && len(s.active) > 0 {
-			st.NextWake = st.NextWake - 1 // test-only sabotage
-		}
 		// Rows are written in place: a struct literal per row would be
 		// built and then copied into the slice.
 		st.Requests = slices.Grow(st.Requests[:0], len(s.active))[:len(s.active)]

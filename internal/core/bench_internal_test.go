@@ -70,6 +70,7 @@ func BenchmarkAllocate(b *testing.B) {
 		for _, k := range benchKs {
 			b.Run(fmt.Sprintf("%sk=%d", sp.prefix, k), func(b *testing.B) {
 				e, s := benchEngine(k, sp.frac, false)
+				benchAllocateWake(e, s) // grow the feed scratch
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -115,7 +116,9 @@ func BenchmarkAllocateSaturated(b *testing.B) {
 	for _, k := range benchKs {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			e, s := benchEngine(k, 0, false)
+			benchAllocateWake(e, s)
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				benchAllocateWake(e, s)
 			}
@@ -132,6 +135,12 @@ func BenchmarkSpreadSpare(b *testing.B) {
 			b.Run(fmt.Sprintf("%sk=%d", sp.prefix, k), func(b *testing.B) {
 				e, s := benchEngine(k, sp.frac, false)
 				spare := s.bandwidth - 3*float64(k)
+				// One untimed pass from the loop's start state grows the
+				// feed scratch.
+				for j := range s.ln.rate {
+					s.ln.rate[j] = 3
+				}
+				benchSpreadSpare(e, s, spare)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -157,6 +166,7 @@ func BenchmarkNextWake(b *testing.B) {
 			e, s := benchEngine(k, 0.1, false)
 			benchAllocateWake(e, s)
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.ln.wakeDirty = true
 				s.wakeAt(0)
@@ -174,6 +184,7 @@ func BenchmarkNextWakeScan(b *testing.B) {
 			e, s := benchEngine(k, 0.1, false)
 			benchAllocateWake(e, s)
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.nextWake(s, 0)
 			}
@@ -190,10 +201,42 @@ func BenchmarkIntermittent(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			e, s := benchEngine(k, 0.1, true)
 			s.bandwidth = 3 * float64(k) * 0.9 // over-subscribed
+			benchAllocateWake(e, s)
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				benchAllocateWake(e, s)
 			}
 		})
+	}
+}
+
+// TestAllocationRoundZeroAlloc pins the steady state the allocator
+// benchmarks report: once a round has grown the engine's scratch
+// (AllocsPerRun's warm-up call), an allocation round allocates nothing,
+// under every spare discipline and the intermittent scheduler, at every
+// benchmarked k.
+func TestAllocationRoundZeroAlloc(t *testing.T) {
+	cases := []struct {
+		name         string
+		spare        SpareDiscipline
+		intermittent bool
+	}{
+		{"eftf", EFTF, false},
+		{"lftf", LFTF, false},
+		{"even-split", EvenSplit, false},
+		{"intermittent", EFTF, true},
+	}
+	for _, c := range cases {
+		for _, k := range benchKs {
+			e, s := benchEngine(k, 0.1, c.intermittent)
+			e.cfg.Spare = c.spare
+			if c.intermittent {
+				s.bandwidth = 3 * float64(k) * 0.9 // over-subscribed, as BenchmarkIntermittent
+			}
+			if got := testing.AllocsPerRun(20, func() { benchAllocateWake(e, s) }); got != 0 {
+				t.Errorf("%s/k=%d: allocation round allocates %.1f per op, want 0", c.name, k, got)
+			}
+		}
 	}
 }

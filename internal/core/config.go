@@ -215,10 +215,10 @@ type Config struct {
 	// paper's algorithm; LFTF and EvenSplit are ablations).
 	Spare SpareDiscipline
 
-	// Allocator optionally names the bandwidth-allocation policy (see
-	// AllocatorNames). It is another spelling of the Intermittent and
-	// Spare fields, which are what the engine reads: a set name must
-	// agree with them (Validate enforces it). Empty is the usual path.
+	// Allocator is obsolete: Intermittent and Spare select the
+	// scheduler. The field stays so existing callers compile; Validate
+	// accepts only "" and AllocMinFlowEFTF, the latter while
+	// Intermittent and Spare hold their defaults.
 	Allocator string
 
 	// Selector names the admission server-selection policy (see
@@ -226,10 +226,9 @@ type Config struct {
 	// Section 3.2 assignment rule.
 	Selector string
 
-	// Planner names the DRM move-planning policy (see PlannerNames).
-	// Empty selects PlannerChainDFS. Naming one while Migration is
-	// disabled is a validation error — a planner that can never run is
-	// a configuration contradiction.
+	// Planner is obsolete: Migration.MaxChain bounds the DRM chain
+	// search. The field stays so existing callers compile; Validate
+	// accepts only "".
 	Planner string
 
 	// SelectorSeed seeds randomized selectors (SelectorRandomFeasible);
@@ -491,11 +490,14 @@ func (c Config) Validate() error {
 	if c.Spare > EvenSplit {
 		return fmt.Errorf("core: unknown spare discipline %d", uint8(c.Spare))
 	}
-	if err := c.validateAllocator(); err != nil {
-		return err
+	if c.Allocator != "" && (c.Allocator != AllocMinFlowEFTF || c.Intermittent || c.Spare != EFTF) {
+		return fmt.Errorf("core: Allocator %q is obsolete: select the scheduler with Intermittent and Spare, and leave Allocator empty", c.Allocator)
 	}
-	if err := c.validateController(); err != nil {
-		return err
+	if c.Planner != "" {
+		return fmt.Errorf("core: Planner %q is obsolete: bound the DRM chain with Migration.MaxChain, and leave Planner empty", c.Planner)
+	}
+	if c.Selector != "" && !HasSelector(c.Selector) {
+		return fmt.Errorf("core: unknown selector %q (have %v)", c.Selector, SelectorNames())
 	}
 	if len(c.ServerStorage) > 0 && len(c.ServerStorage) != len(c.ServerBandwidth) {
 		return fmt.Errorf("core: %d storage capacities for %d servers", len(c.ServerStorage), len(c.ServerBandwidth))

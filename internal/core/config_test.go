@@ -36,10 +36,11 @@ func TestConfigValidate(t *testing.T) {
 		{"negative shards", func(c *Config) { c.Shards = -1 }},
 		{"shards 2", func(c *Config) { c.Shards = 2 }},
 		{"shards 8", func(c *Config) { c.Shards = 8 }},
-		{"unknown allocator", func(c *Config) { c.Allocator = "bogus" }},
-		{"allocator contradicts spare", func(c *Config) { c.Allocator = AllocMinFlowLFTF }},
-		{"allocator contradicts intermittent", func(c *Config) { c.Allocator, c.Intermittent = AllocMinFlowEFTF, true }},
-		{"intermittent allocator without the flag", func(c *Config) { c.Allocator = AllocIntermittent }},
+		{"obsolete allocator name", func(c *Config) { c.Allocator = "minflow-lftf" }},
+		{"obsolete allocator beside LFTF spare", func(c *Config) { c.Allocator, c.Spare = AllocMinFlowEFTF, LFTF }},
+		{"obsolete allocator beside intermittent", func(c *Config) { c.Allocator, c.Intermittent = AllocMinFlowEFTF, true }},
+		{"obsolete planner", func(c *Config) { c.Planner = "direct-only" }},
+		{"obsolete default planner", func(c *Config) { c.Planner = "chain-dfs" }},
 		{"NaN resume guard", func(c *Config) { c.ResumeGuard = math.NaN() }},
 		{"infinite copy rate cap", func(c *Config) { c.Replication.CopyRateCap = math.Inf(1) }},
 		{"NaN pause probability", func(c *Config) { c.Interactivity.PauseProb = math.NaN() }},
@@ -67,22 +68,11 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("%s: Validate() passed, want error", tc.name)
 		}
 	}
-	// Each allocator name is accepted beside the fields it aliases.
-	for _, alias := range []struct {
-		name         string
-		spare        SpareDiscipline
-		intermittent bool
-	}{
-		{AllocMinFlowEFTF, EFTF, false},
-		{AllocMinFlowLFTF, LFTF, false},
-		{AllocMinFlowEvenSplit, EvenSplit, false},
-		{AllocIntermittent, LFTF, true},
-	} {
-		cfg := validCoreConfig()
-		cfg.Allocator, cfg.Spare, cfg.Intermittent = alias.name, alias.spare, alias.intermittent
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("Allocator %q with its fields rejected: %v", alias.name, err)
-		}
+	// The obsolete Allocator keeps accepting the default scheduler's name.
+	cfg := validCoreConfig()
+	cfg.Allocator = AllocMinFlowEFTF
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("Allocator %q with the default scheduler rejected: %v", AllocMinFlowEFTF, err)
 	}
 	for _, shards := range []int{0, 1} {
 		cfg := validCoreConfig()

@@ -2,20 +2,17 @@ package core
 
 // The controller layer: the paper separates the distribution controller
 // (admission control and dynamic request migration, Sections 3.1–3.2)
-// from the data servers. The controller's two choices are named by
+// from the data servers. The controller's two choices are
 // Config.Selector (which feasible replica holder admits a new stream;
-// threaded from Policy.Selector) and Config.Planner (how far the DRM
-// chain search may go; threaded from Policy.Planner).
+// threaded from Policy.Selector) and Migration.MaxChain (how far the DRM
+// chain search may go; threaded from Policy.MaxChain).
 //
 // The engine keeps event dispatch and accounting; findAdmission and
 // admitViaMigration below are the controller glue shared by arrivals,
 // retry-queue re-attempts, and (selection only) parked-stream
 // reconnects, so fault-tolerance behavior rides the same path.
 
-import (
-	"fmt"
-	"slices"
-)
+import "slices"
 
 // ServerSelector is the admission-control policy: given a new stream's
 // video, pick the server that admits it among the live replica holders
@@ -33,7 +30,7 @@ type ServerSelector interface {
 	Select(e *Engine, v int, t float64) *server
 }
 
-// Names of the controller policies.
+// Names of the admission selectors.
 const (
 	// SelectorLeastLoaded assigns to the feasible replica holder with
 	// the fewest unfinished streams (Section 3.2's assignment rule).
@@ -51,27 +48,12 @@ const (
 	// feasible holders, seeded from Config.SelectorSeed (a split-RNG
 	// stream, so runs stay bit-reproducible).
 	SelectorRandomFeasible = "random-feasible"
-
-	// PlannerChainDFS is the iterative-deepening DFS chain search: a
-	// direct move when one exists, else recursively free a target
-	// (depth > 1). The default; depth 1 reproduces the paper's single
-	// migration per arrival.
-	PlannerChainDFS = "chain-dfs"
-	// PlannerDirectOnly plans single moves only: it never recurses, so
-	// chains longer than one are never produced even when MaxChain
-	// permits them.
-	PlannerDirectOnly = "direct-only"
 )
 
 // HasSelector reports whether a selector with the given name exists.
 func HasSelector(name string) bool {
 	_, ok := selectors[name]
 	return ok
-}
-
-// HasPlanner reports whether a planner with the given name exists.
-func HasPlanner(name string) bool {
-	return slices.Contains(PlannerNames(), name)
 }
 
 // SelectorNames returns the selector names, sorted.
@@ -84,11 +66,6 @@ func SelectorNames() []string {
 	return names
 }
 
-// PlannerNames returns the planner names, sorted.
-func PlannerNames() []string {
-	return []string{PlannerChainDFS, PlannerDirectOnly}
-}
-
 // SelectorName returns the effective selector name for this
 // configuration: Selector when set, otherwise the default.
 func (c Config) SelectorName() string {
@@ -96,24 +73,6 @@ func (c Config) SelectorName() string {
 		return c.Selector
 	}
 	return SelectorLeastLoaded
-}
-
-// validateController checks the controller names. A planner is only
-// consulted when DRM runs, so naming one with migration disabled is a
-// configuration contradiction, rejected rather than silently ignored.
-func (c Config) validateController() error {
-	if c.Selector != "" && !HasSelector(c.Selector) {
-		return fmt.Errorf("core: unknown selector %q (have %v)", c.Selector, SelectorNames())
-	}
-	if c.Planner != "" {
-		if !HasPlanner(c.Planner) {
-			return fmt.Errorf("core: unknown planner %q (have %v)", c.Planner, PlannerNames())
-		}
-		if !c.Migration.Enabled {
-			return fmt.Errorf("core: Planner %q configured while Migration is disabled", c.Planner)
-		}
-	}
-	return nil
 }
 
 // selector returns the engine's admission selector, built on first use
@@ -200,15 +159,10 @@ func (e *Engine) admit(v int, t, bufCap, recvCap float64, class int32, prefix fl
 // by migrating active requests. All replica holders of v are known to be
 // full. On success it executes the plan and returns the freed server.
 // Iterative deepening keeps chains as short as possible, so the paper's
-// MaxChain=1 configuration performs exactly one migration per arrival;
-// the direct-only planner caps the chain at that one move.
+// MaxChain=1 configuration performs exactly one migration per arrival.
 func (e *Engine) admitViaMigration(v int32, now float64) (*server, bool) {
 	holders := e.holders(int(v))
-	maxChain := e.cfg.Migration.MaxChain
-	if e.cfg.Planner == PlannerDirectOnly {
-		maxChain = 1
-	}
-	for depth := 1; depth <= maxChain; depth++ {
+	for depth := 1; depth <= e.cfg.Migration.MaxChain; depth++ {
 		for _, h := range holders {
 			s := e.servers[h]
 			if s.failed {

@@ -19,19 +19,8 @@ func TestControllerRegistryNames(t *testing.T) {
 			t.Errorf("SelectorNames not sorted: %v", sels)
 		}
 	}
-	plns := PlannerNames()
-	for _, want := range []string{PlannerChainDFS, PlannerDirectOnly} {
-		if !HasPlanner(want) {
-			t.Errorf("planner %q missing", want)
-		}
-	}
-	for i := 1; i < len(plns); i++ {
-		if plns[i-1] >= plns[i] {
-			t.Errorf("PlannerNames not sorted: %v", plns)
-		}
-	}
-	if HasSelector("nonsense") || HasPlanner("nonsense") {
-		t.Error("unknown names reported as present")
+	if HasSelector("nonsense") {
+		t.Error("unknown name reported as present")
 	}
 }
 
@@ -47,22 +36,8 @@ func TestControllerConfigValidation(t *testing.T) {
 		t.Error("unknown selector accepted")
 	}
 	c = base
-	c.Migration = MigrationConfig{Enabled: true, MaxHops: 1, MaxChain: 1}
-	c.Planner = "nonsense"
-	if err := c.Validate(); err == nil {
-		t.Error("unknown planner accepted")
-	}
-	// A planner is only consulted when DRM runs: naming one without
-	// migration is a contradiction, not a silent no-op.
-	c = base
-	c.Planner = PlannerDirectOnly
-	if err := c.Validate(); err == nil {
-		t.Error("planner without migration accepted")
-	}
-	c = base
 	c.Selector = SelectorRandomFeasible
 	c.Migration = MigrationConfig{Enabled: true, MaxHops: 1, MaxChain: 1}
-	c.Planner = PlannerDirectOnly
 	if err := c.Validate(); err != nil {
 		t.Errorf("valid controller config rejected: %v", err)
 	}
@@ -206,29 +181,26 @@ func TestClassSelectorStreams(t *testing.T) {
 // TestPlannerDepthSemantics drives the canonical chain-of-two layout
 // (server 0 holds {X,Y}, 1 holds {Y,Z}, 2 holds {Z}, one slot each;
 // admitting X requires moving Z off server 1, then Y onto it) through
-// both planners and the depth/hops knobs, table-driven.
+// the depth/hops knobs, table-driven.
 func TestPlannerDepthSemantics(t *testing.T) {
 	cases := []struct {
 		name       string
 		mig        MigrationConfig
-		planner    string
 		accepted   int64
 		rejected   int64
 		migrations int64
 		maxChain   int
 	}{
-		{"chain-dfs depth 1 cannot chain", MigrationConfig{Enabled: true, MaxHops: UnlimitedHops, MaxChain: 1}, PlannerChainDFS, 2, 1, 0, 0},
-		{"chain-dfs depth 2 frees via chain", MigrationConfig{Enabled: true, MaxHops: UnlimitedHops, MaxChain: 2}, PlannerChainDFS, 3, 0, 2, 2},
-		{"chain-dfs deeper budget unused", MigrationConfig{Enabled: true, MaxHops: UnlimitedHops, MaxChain: 5}, PlannerChainDFS, 3, 0, 2, 2},
-		{"zero hops pins every stream", MigrationConfig{Enabled: true, MaxHops: 0, MaxChain: 5}, PlannerChainDFS, 2, 1, 0, 0},
-		{"direct-only never chains", MigrationConfig{Enabled: true, MaxHops: UnlimitedHops, MaxChain: 5}, PlannerDirectOnly, 2, 1, 0, 0},
+		{"depth 1 cannot chain", MigrationConfig{Enabled: true, MaxHops: UnlimitedHops, MaxChain: 1}, 2, 1, 0, 0},
+		{"depth 2 frees via chain", MigrationConfig{Enabled: true, MaxHops: UnlimitedHops, MaxChain: 2}, 3, 0, 2, 2},
+		{"deeper budget unused", MigrationConfig{Enabled: true, MaxHops: UnlimitedHops, MaxChain: 5}, 3, 0, 2, 2},
+		{"zero hops pins every stream", MigrationConfig{Enabled: true, MaxHops: 0, MaxChain: 5}, 2, 1, 0, 0},
 	}
 	for _, tc := range cases {
 		cfg := Config{
 			ServerBandwidth: []float64{3, 3, 3},
 			ViewRate:        3,
 			Migration:       tc.mig,
-			Planner:         tc.planner,
 		}
 		e := newTestEngine(t, cfg, fixedCatalog(t, 3, 1200),
 			[][]int{{0}, {0, 1}, {1, 2}}, []workload.Request{
@@ -246,16 +218,16 @@ func TestPlannerDepthSemantics(t *testing.T) {
 	}
 }
 
-// TestPlannerDirectOnlySingleMove checks direct-only still plans the
-// single moves it exists for: the canonical DRM scenario needs exactly
-// one migration, which both planners find.
+// TestPlannerDirectOnlySingleMove checks that under a chain budget of 3
+// the planner still makes only a direct move where one suffices:
+// iterative deepening tries depth 1 first, and the canonical DRM
+// scenario needs exactly one migration.
 func TestPlannerDirectOnlySingleMove(t *testing.T) {
 	cat := fixedCatalog(t, 2, 1200)
 	cfg := Config{
 		ServerBandwidth: []float64{3, 3},
 		ViewRate:        3,
 		Migration:       MigrationConfig{Enabled: true, MaxHops: 1, MaxChain: 3},
-		Planner:         PlannerDirectOnly,
 	}
 	e := newTestEngine(t, cfg, cat, [][]int{{0}, {0, 1}}, []workload.Request{
 		{Arrival: 0, Video: 1},

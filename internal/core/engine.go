@@ -110,8 +110,6 @@ type Engine struct {
 	spareGrantBuf    []SpareGrant
 	spareFed         []bool
 	intermitGrantBuf []IntermittentGrant
-	spareMisorder    bool
-	wakeSkew         bool
 
 	// Streaming observation channels (see observe.go). Always bound —
 	// stats.Discard by default — so recording never branches.
@@ -260,8 +258,6 @@ func (e *Engine) Reset(cfg Config, cat *catalog.Catalog, lay *placement.Layout, 
 	e.discardObs()
 	e.spareGrantBuf = e.spareGrantBuf[:0]
 	e.intermitGrantBuf = e.intermitGrantBuf[:0]
-	e.spareMisorder = false
-	e.wakeSkew = false
 	// cand/prefix/evenBuf/touchedBuf are reset at each use; freeList is kept —
 	// recycled requests are the cross-trial reuse this enables.
 	return nil

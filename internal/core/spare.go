@@ -160,9 +160,8 @@ func (e *Engine) spreadSpare(s *server, t float64, avail float64) {
 		e.feedSpareOrdered(s, t, avail, true)
 	default:
 		// EFTF: earliest projected finish first; ties broken by request
-		// id for determinism. DebugForceSpareMisorder inverts the order
-		// (test-only sabotage the auditor must catch).
-		e.feedSpareOrdered(s, t, avail, e.spareMisorder)
+		// id for determinism.
+		e.feedSpareOrdered(s, t, avail, false)
 	}
 }
 

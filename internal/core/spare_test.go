@@ -67,7 +67,7 @@ func sortedRound(e *Engine, s *server, t float64) []SpareGrant {
 	}
 	var grants []SpareGrant
 	if avail > dataEps { // spareFeedServer turns workahead on
-		grants = sortedSpareFeed(e, s, t, avail, e.cfg.Spare == LFTF || e.spareMisorder)
+		grants = sortedSpareFeed(e, s, t, avail, e.cfg.Spare == LFTF)
 	}
 	s.wakeAt(t)
 	return grants
@@ -133,21 +133,19 @@ func spareFeedServer(seed int64, k int, frac float64, cfg Config) (*Engine, *ser
 // audited, to the sorted reference: on three clones of a server, the
 // production allocation round without a tap, the same round with a
 // recording tap attached, and sortedRound must leave bit-identical
-// rates, wake keys and wake minima. The grid covers EFTF, LFTF, the
-// forced misorder, intermittent scheduling followed by the spare feed,
-// mixed client receive caps, patch taps, server sizes and spare
-// fractions from none to equal to the demand. The tap must receive the
-// reference's positive grants in feed order, then every other eligible
-// candidate exactly once, in slot order, Skipped and with no grant.
+// rates, wake keys and wake minima. The grid covers EFTF, LFTF,
+// intermittent scheduling followed by the spare feed, mixed client
+// receive caps, patch taps, server sizes and spare fractions from none
+// to equal to the demand. The tap must receive the reference's positive
+// grants in feed order, then every other eligible candidate exactly
+// once, in slot order, Skipped and with no grant.
 func TestSpareFeedMatchesSortedFeed(t *testing.T) {
 	cases := []struct {
-		name     string
-		cfg      Config
-		misorder bool
+		name string
+		cfg  Config
 	}{
 		{name: "eftf", cfg: Config{Spare: EFTF}},
 		{name: "lftf", cfg: Config{Spare: LFTF}},
-		{name: "misorder", cfg: Config{Spare: EFTF}, misorder: true},
 		{name: "intermittent-eftf", cfg: Config{Spare: EFTF, Intermittent: true}},
 		{name: "intermittent-lftf", cfg: Config{Spare: LFTF, Intermittent: true}},
 	}
@@ -162,9 +160,6 @@ func TestSpareFeedMatchesSortedFeed(t *testing.T) {
 					ref, rs := spareFeedServer(seed, k, frac, c.cfg)
 					tap := &spareOrderTap{}
 					aud.SetAuditTap(tap)
-					for _, e := range []*Engine{hot, aud, ref} {
-						e.spareMisorder = c.misorder
-					}
 					hot.allocate(hs, 500)
 					aud.allocate(as, 500)
 					want := sortedRound(ref, rs, 500)

@@ -29,7 +29,6 @@ func AdmissionSweep(sys semicont.System, opts Options) (*Output, error) {
 					Placement:   semicont.EvenPlacement,
 					StagingFrac: 0.2,
 					ReceiveCap:  semicont.DefaultReceiveCap,
-					Allocator:   semicont.AllocatorEFTF,
 					Selector:    name,
 				},
 				Theta:        PriorStudiesTheta,

@@ -255,10 +255,9 @@ func TestFaultSweepTiny(t *testing.T) {
 	if len(out.Figures) != 3 {
 		t.Fatalf("fault-sweep has %d figures, want denial + drop + glitch", len(out.Figures))
 	}
-	allocs := len(semicont.AllocatorNames())
 	for _, fig := range out.Figures {
-		if len(fig.Series) != allocs {
-			t.Fatalf("%s has %d series, want one per allocator (%d)", fig.ID, len(fig.Series), allocs)
+		if len(fig.Series) != 4 {
+			t.Fatalf("%s has %d series, want one per scheduler (4)", fig.ID, len(fig.Series))
 		}
 		for _, s := range fig.Series {
 			if len(s.Points) != 5 {

@@ -356,8 +356,8 @@ func Patching(sys semicont.System, opts Options) (*Output, error) {
 	// load by 24-70%), which saturates the acceptance metric.
 	variants := []semicont.Policy{
 		{Name: "unicast", Placement: semicont.EvenPlacement, StagingFrac: 0.2},
-		{Name: "patch window 1min", Placement: semicont.EvenPlacement, StagingFrac: 0.2, PatchWindowSec: 60},
-		{Name: "patch window 4min", Placement: semicont.EvenPlacement, StagingFrac: 0.2, PatchWindowSec: 240},
+		{Name: "patch window 1min", Placement: semicont.EvenPlacement, StagingFrac: 0.2, BatchPolicy: semicont.BatchPolicyPatch, BatchWindowSec: 60},
+		{Name: "patch window 4min", Placement: semicont.EvenPlacement, StagingFrac: 0.2, BatchPolicy: semicont.BatchPolicyPatch, BatchWindowSec: 240},
 	}
 	w := newSweeper(opts)
 	refs := make([]seriesRef, len(variants))
@@ -378,7 +378,7 @@ func Patching(sys semicont.System, opts Options) (*Output, error) {
 			}
 			return float64(r.Accepted) / float64(r.Arrivals)
 		}))
-		if v.PatchWindowSec > 0 {
+		if v.BatchPolicy == semicont.BatchPolicyPatch {
 			shared = append(shared, refs[i].metric(func(r *semicont.Result) float64 {
 				total := r.AcceptedMb + r.SharedMb
 				if total == 0 {

@@ -9,9 +9,10 @@ import (
 )
 
 // FaultSweep measures graceful degradation under stochastic server
-// churn: every bandwidth allocator runs the full fault-tolerance
-// stack (DRM rescue, bounded admission retry queue, degraded-mode
-// playback) while the per-server MTBF sweeps from
+// churn: the intermittent scheduler and the three minimum-flow
+// workahead disciplines each run the full fault-tolerance stack (DRM
+// rescue, bounded admission retry queue, degraded-mode playback) while
+// the per-server MTBF sweeps from
 // frequent to rare failures at a fixed one-hour MTTR. Three views of
 // the same runs come out: the denial rate (rejections plus reneged
 // retries over arrivals), the drop rate (streams killed mid-play per
@@ -22,19 +23,29 @@ import (
 func FaultSweep(sys semicont.System, opts Options) (*Output, error) {
 	opts = opts.withDefaults()
 	mtbfs := []float64{5, 10, 20, 40, 80}
-	names := semicont.AllocatorNames()
+	schedulers := []struct {
+		name         string
+		intermittent bool
+		spare        semicont.SpareKind
+	}{
+		{"intermittent", true, semicont.EFTFSpare},
+		{"minflow-eftf", false, semicont.EFTFSpare},
+		{"minflow-evensplit", false, semicont.EvenSplitSpare},
+		{"minflow-lftf", false, semicont.LFTFSpare},
+	}
 	w := newSweeper(opts)
-	cells := make(map[string][]cellRef, len(names))
-	for _, name := range names {
+	cells := make(map[string][]cellRef, len(schedulers))
+	for _, sch := range schedulers {
 		for _, mtbf := range mtbfs {
 			sc := semicont.Scenario{
 				System: sys,
 				Policy: semicont.Policy{
-					Name:             name,
+					Name:             sch.name,
 					Placement:        semicont.EvenPlacement,
 					StagingFrac:      0.2,
 					ReceiveCap:       semicont.DefaultReceiveCap,
-					Allocator:        name,
+					Intermittent:     sch.intermittent,
+					Spare:            sch.spare,
 					Migration:        true,
 					MaxHops:          semicont.UnlimitedHops,
 					MaxChain:         1,
@@ -48,15 +59,16 @@ func FaultSweep(sys semicont.System, opts Options) (*Output, error) {
 				Faults:       faults.Config{MTBFHours: mtbf, MTTRHours: 1},
 				Audit:        opts.Audit,
 			}
-			label := fmt.Sprintf("fault-sweep %s at mtbf=%g", name, mtbf)
-			cells[name] = append(cells[name], w.cell(label, sc))
+			label := fmt.Sprintf("fault-sweep %s at mtbf=%g", sch.name, mtbf)
+			cells[sch.name] = append(cells[sch.name], w.cell(label, sc))
 		}
 	}
 	if err := w.wait(); err != nil {
 		return nil, err
 	}
 	var denial, drops, glitches []stats.Series
-	for _, name := range names {
+	for _, sch := range schedulers {
+		name := sch.name
 		den := stats.Series{Name: name}
 		drp := stats.Series{Name: name}
 		gl := stats.Series{Name: name}

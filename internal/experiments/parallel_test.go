@@ -38,7 +38,7 @@ func TestSweepsDeterministicAcrossWorkers(t *testing.T) {
 		name string
 		f    func(semicont.System, Options) (*Output, error)
 	}{
-		{"allocators", Allocators},
+		{"allocators", SpareDisciplines},
 		{"fault-sweep", FaultSweep},
 		{"admission-sweep", AdmissionSweep},
 	}
@@ -69,7 +69,7 @@ func TestSweepsDeterministicWithSharedPool(t *testing.T) {
 	opts := tinyOpts()
 	opts.Trials = 2
 	opts.Pool = shared
-	if _, err := Allocators(semicont.SmallSystem(), opts); err != nil {
+	if _, err := SpareDisciplines(semicont.SmallSystem(), opts); err != nil {
 		t.Fatal(err)
 	}
 	out, err := FaultSweep(semicont.SmallSystem(), opts)

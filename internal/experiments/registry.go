@@ -43,7 +43,6 @@ func Registry() []Entry {
 		{"interactive-small", "Extension: viewer pause/resume interactivity, small system", bind(Interactivity, small)},
 		{"patching-small", "Extension: multicast patching, small system", bind(Patching, small)},
 		{"eftf-small", "Ablation: EFTF vs LFTF vs even-split workahead, small system", bind(SpareDisciplines, small)},
-		{"alloc-small", "Ablation: registered allocator policies via the named registry, small system", bind(Allocators, small)},
 		{"chain-small", "Ablation: migration chain length, small system", bind(ChainLength, small)},
 		{"switch-small", "Ablation: migration switch delay, small system", bind(SwitchDelay, small)},
 		{"fail-small", "Fault tolerance: failure rescue via DRM, small system", bind(Failover, small)},

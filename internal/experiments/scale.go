@@ -80,7 +80,6 @@ func ScaleDist(opts Options) (*Output, error) {
 				Placement:   semicont.EvenPlacement,
 				StagingFrac: 0.2,
 				ReceiveCap:  semicont.DefaultReceiveCap,
-				Allocator:   semicont.AllocatorEFTF,
 				Migration:   true,
 				MaxHops:     semicont.UnlimitedHops,
 				MaxChain:    1,
@@ -155,7 +154,6 @@ func ScaleFaults(opts Options) (*Output, error) {
 				Placement:        semicont.EvenPlacement,
 				StagingFrac:      0.2,
 				ReceiveCap:       semicont.DefaultReceiveCap,
-				Allocator:        semicont.AllocatorEFTF,
 				Migration:        true,
 				MaxHops:          semicont.UnlimitedHops,
 				MaxChain:         1,

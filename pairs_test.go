@@ -20,11 +20,10 @@ var pairFeatures = []struct {
 	{"lftf", func(s *Scenario) { s.Policy.Spare = LFTFSpare }},
 	{"even-split", func(s *Scenario) { s.Policy.Spare = EvenSplitSpare }},
 	{"unlimited-hops", func(s *Scenario) { s.Policy.MaxHops = UnlimitedHops }},
-	{"direct-only", func(s *Scenario) { s.Policy.Planner = PlannerDirectOnly }},
+	{"chain-3", func(s *Scenario) { s.Policy.MaxChain = 3 }},
 	{"random-feasible", func(s *Scenario) { s.Policy.Selector = SelectorRandomFeasible }},
 	{"switch-delay", func(s *Scenario) { s.Policy.SwitchDelay = 5 }},
 	{"replication", func(s *Scenario) { s.Policy.Replicate = true }},
-	{"patch-window", func(s *Scenario) { s.Policy.PatchWindowSec = 600 }},
 	{"batch-patch", func(s *Scenario) {
 		s.Policy.BatchPolicy, s.Policy.BatchWindowSec = BatchPolicyPatch, 600
 	}},
@@ -69,14 +68,9 @@ func TestFeaturePairs(t *testing.T) {
 	wantRejected := []string{
 		"no-staging+intermittent",
 		"no-migration+unlimited-hops",
-		"no-migration+direct-only",
-		"intermittent+patch-window",
+		"no-migration+chain-3",
 		"intermittent+batch-patch",
 		"intermittent+batch-prefix",
-		"patch-window+batch-patch",
-		"patch-window+edge",
-		"patch-window+batch-prefix",
-		"patch-window+pauses",
 		"batch-patch+edge",
 		"batch-patch+pauses",
 		"batch-prefix+pauses",

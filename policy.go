@@ -125,11 +125,10 @@ type Policy struct {
 	// the Theorem's scheduling rule.
 	Spare SpareKind
 
-	// Allocator selects the engine's bandwidth-allocation policy by
-	// name (see AllocatorNames). Empty uses the policy the Intermittent
-	// and Spare fields imply. A name is another spelling of the fields
-	// it implies — e.g. AllocatorLFTF implies Spare: LFTFSpare — and
-	// contradictory explicit fields are validation errors.
+	// Allocator is obsolete: Intermittent and Spare select the
+	// scheduler. The field stays so existing callers compile; Validate
+	// accepts only "" and AllocatorEFTF, the latter while Intermittent
+	// and Spare hold their defaults.
 	Allocator string
 
 	// Selector names the admission controller's server-selection policy
@@ -138,18 +137,14 @@ type Policy struct {
 	// the scenario seed (random-feasible draws from a split seed stream).
 	Selector string
 
-	// Planner names the DRM move-planning policy by name (see
-	// PlannerNames). Empty means chain-dfs, the iterative-deepening
-	// chain search. Requires Migration: naming a planner that can never
-	// run is a validation error.
+	// Planner is obsolete: MaxChain bounds the DRM chain search (1 is
+	// a single move). The field stays so existing callers compile;
+	// Validate accepts only "".
 	Planner string
 
-	// PatchWindowSec enables multicast patching when positive: a new
-	// request for a video already streaming taps that transmission and
-	// receives only the missed prefix as a short unicast patch, if the
-	// prefix fits both this window (seconds of playback) and the
-	// client's staging buffer. Incompatible with Intermittent and
-	// PauseProb.
+	// PatchWindowSec is obsolete: BatchPolicyPatch with BatchWindowSec
+	// enables multicast patching. The field stays so existing callers
+	// compile; Validate accepts only 0.
 	PatchWindowSec float64
 
 	// EdgeNodes, when positive, puts an edge/proxy tier of that many
@@ -160,8 +155,7 @@ type Policy struct {
 	// covers the whole video). Arrivals probe nodes round-robin.
 	// EdgeNodes > 0 requires EdgePrefixSec > 0 and EdgeCacheMb > 0;
 	// setting any of the other edge fields while EdgeNodes is zero is a
-	// validation error, not a silent no-op. Incompatible with
-	// PatchWindowSec (express patching as BatchPolicy instead).
+	// validation error, not a silent no-op.
 	EdgeNodes     int
 	EdgePrefixSec float64
 	EdgeCacheMb   float64
@@ -173,10 +167,11 @@ type Policy struct {
 
 	// BatchPolicy names the multicast batching policy by name (see
 	// BatchPolicyNames): how concurrent requests for one title
-	// share a cluster stream. Empty resolves to "patch" when
-	// PatchWindowSec is set (the legacy spelling) and "unicast"
-	// otherwise. "patch" is classic multicast patching with
-	// BatchWindowSec as its window; "batch-prefix" joins an ongoing
+	// share a cluster stream. Empty means "unicast". "patch" is classic
+	// multicast patching: a new request for a video already streaming
+	// taps that transmission and receives only the missed prefix as a
+	// short unicast patch, if the prefix fits both BatchWindowSec and
+	// the client's staging buffer; "batch-prefix" joins an ongoing
 	// suffix stream while the edge prefix absorbs the catch-up, and
 	// requires EdgeNodes > 0 and BatchWindowSec > 0. Non-unicast
 	// policies are incompatible with Intermittent and PauseProb.
@@ -282,28 +277,12 @@ func (k SpareKind) String() string {
 	}
 }
 
-// Names of the engine's bandwidth-allocation policies, usable as
-// Policy.Allocator.
-const (
-	// AllocatorEFTF is minimum-flow plus Earliest-Finishing-Time-First
-	// workahead (the paper's Figure 2 algorithm).
-	AllocatorEFTF = core.AllocMinFlowEFTF
-	// AllocatorLFTF is minimum-flow plus latest-finisher-first workahead
-	// (the adversarial ablation).
-	AllocatorLFTF = core.AllocMinFlowLFTF
-	// AllocatorEvenSplit is minimum-flow plus water-filling workahead.
-	AllocatorEvenSplit = core.AllocMinFlowEvenSplit
-	// AllocatorIntermittent is the Section 3.3 intermittent-class
-	// heuristic (over-subscribing admission, pause-and-resume feeds).
-	AllocatorIntermittent = core.AllocIntermittent
-)
+// AllocatorEFTF names minimum-flow plus Earliest-Finishing-Time-First
+// workahead (the paper's Figure 2 algorithm), the one value the obsolete
+// Policy.Allocator still accepts.
+const AllocatorEFTF = core.AllocMinFlowEFTF
 
-// AllocatorNames returns the engine's bandwidth-allocation policies,
-// sorted by name.
-func AllocatorNames() []string { return core.AllocatorNames() }
-
-// Names of the engine's controller policies, usable as Policy.Selector
-// and Policy.Planner.
+// Names of the engine's admission selectors, usable as Policy.Selector.
 const (
 	// SelectorLeastLoaded admits on the feasible replica holder with
 	// the fewest streams (Section 3.2's rule; the default).
@@ -318,12 +297,6 @@ const (
 	// SelectorRandomFeasible admits uniformly at random among feasible
 	// holders, seeded from the scenario's split-RNG streams.
 	SelectorRandomFeasible = core.SelectorRandomFeasible
-
-	// PlannerChainDFS is the iterative-deepening DFS chain search (the
-	// default).
-	PlannerChainDFS = core.PlannerChainDFS
-	// PlannerDirectOnly plans single moves only, never chains.
-	PlannerDirectOnly = core.PlannerDirectOnly
 )
 
 // SelectorNames returns the engine's admission selectors, sorted by
@@ -363,39 +336,6 @@ const (
 // EdgeCachePolicyNames returns the edge prefix-cache policies, sorted
 // by name.
 func EdgeCachePolicyNames() []string { return edge.Names() }
-
-// PlannerNames returns the engine's DRM planners, sorted by name.
-func PlannerNames() []string { return core.PlannerNames() }
-
-// allocChoice resolves the effective scheduling fields from the
-// Allocator name and the legacy Intermittent/Spare fields, rejecting
-// contradictory combinations.
-func (p Policy) allocChoice() (intermittent bool, spare SpareKind, err error) {
-	var implied SpareKind
-	switch p.Allocator {
-	case "":
-		return p.Intermittent, p.Spare, nil
-	case AllocatorEFTF:
-		implied = EFTFSpare
-	case AllocatorLFTF:
-		implied = LFTFSpare
-	case AllocatorEvenSplit:
-		implied = EvenSplitSpare
-	case AllocatorIntermittent:
-		// The intermittent scheduler composes with any workahead
-		// discipline for its residual spare.
-		return true, p.Spare, nil
-	default:
-		return false, 0, fmt.Errorf("semicont: unknown allocator %q (have %v)", p.Allocator, AllocatorNames())
-	}
-	if p.Intermittent {
-		return false, 0, fmt.Errorf("semicont: Allocator %q conflicts with Intermittent", p.Allocator)
-	}
-	if p.Spare != EFTFSpare && p.Spare != implied {
-		return false, 0, fmt.Errorf("semicont: Allocator %q conflicts with Spare %v", p.Allocator, p.Spare)
-	}
-	return false, implied, nil
-}
 
 // ClientClass is one kind of client in a heterogeneous population
 // (e.g. set-top boxes with disks vs. thin clients without).
@@ -440,15 +380,18 @@ func (p Policy) receiveCap() float64 {
 
 // validate reports errors in the Policy's own spellings: the
 // conventions Run decodes before the engine sees a value (zero meaning
-// a default, a negative cap meaning unlimited, a feature's second
-// spelling). What the engine and the placement accept is theirs to
+// a default, a negative cap meaning unlimited, an obsolete field left at
+// its no-op value). What the engine and the placement accept is theirs to
 // check; Scenario.Validate applies their validators to what Run builds,
 // since receive caps, for one, are bounded by the System's view rate.
 func (p Policy) validate() error {
-	if _, _, err := p.allocChoice(); err != nil {
-		return err
-	}
 	switch {
+	case p.Allocator != "" && (p.Allocator != AllocatorEFTF || p.Intermittent || p.Spare != EFTFSpare):
+		return fmt.Errorf("semicont: Allocator %q is obsolete: select the scheduler with Intermittent and Spare, and leave Allocator empty", p.Allocator)
+	case p.Planner != "":
+		return fmt.Errorf("semicont: Planner %q is obsolete: bound the DRM chain with MaxChain (1 is a single move), and leave Planner empty", p.Planner)
+	case p.PatchWindowSec != 0:
+		return fmt.Errorf("semicont: PatchWindowSec is obsolete: set BatchPolicy=%q with BatchWindowSec, and leave PatchWindowSec 0", BatchPolicyPatch)
 	case p.Placement < EvenPlacement || p.Placement > PartialPredictivePlacement:
 		return fmt.Errorf("semicont: unknown placement %d", int(p.Placement))
 	case !finite(p.StagingFrac) || p.StagingFrac < 0:
@@ -461,12 +404,6 @@ func (p Policy) validate() error {
 		return fmt.Errorf("semicont: unknown spare discipline %d", int(p.Spare))
 	case !finite(p.ShedWatermark) || p.ShedWatermark < 0 || p.ShedWatermark > 1:
 		return fmt.Errorf("semicont: ShedWatermark %g outside [0, 1]", p.ShedWatermark)
-	case !finite(p.PatchWindowSec) || p.PatchWindowSec < 0:
-		return fmt.Errorf("semicont: negative PatchWindowSec %g", p.PatchWindowSec)
-	case p.PatchWindowSec > 0 && p.EdgeNodes > 0:
-		return fmt.Errorf("semicont: PatchWindowSec and EdgeNodes are mutually exclusive (express patching as BatchPolicy=%q)", BatchPolicyPatch)
-	case p.PatchWindowSec > 0 && (p.BatchPolicy != "" || p.BatchWindowSec != 0):
-		return fmt.Errorf("semicont: PatchWindowSec and BatchPolicy/BatchWindowSec are both set (use BatchPolicy=%q with BatchWindowSec)", BatchPolicyPatch)
 	}
 	for i, c := range p.ClientMix {
 		if !finite(c.StagingFrac) || c.StagingFrac < 0 {

@@ -2,6 +2,7 @@ package semicont
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -111,5 +112,45 @@ func TestSpareKind(t *testing.T) {
 	ok := Policy{StagingFrac: 0.2, Spare: LFTFSpare}
 	if err := validatePolicy(ok); err != nil {
 		t.Errorf("LFTF policy rejected: %v", err)
+	}
+}
+
+// TestRetiredSpellings pins the obsolete Policy fields to their no-op
+// values: each retired value is rejected with an error that names the
+// field replacing it, and Allocator: AllocatorEFTF, the one value still
+// accepted, runs bit-identical to leaving the field empty.
+func TestRetiredSpellings(t *testing.T) {
+	cases := []struct {
+		name        string
+		mutate      func(*Policy)
+		replacement string
+	}{
+		{"minflow-lftf", func(p *Policy) { p.Allocator = "minflow-lftf" }, "Spare"},
+		{"intermittent", func(p *Policy) { p.Allocator = "intermittent" }, "Intermittent"},
+		{"eftf-beside-lftf", func(p *Policy) { p.Allocator, p.Spare = AllocatorEFTF, LFTFSpare }, "Spare"},
+		{"eftf-beside-intermittent", func(p *Policy) { p.Allocator, p.Intermittent = AllocatorEFTF, true }, "Intermittent"},
+		{"direct-only", func(p *Policy) { p.Planner = "direct-only" }, "MaxChain"},
+		{"chain-dfs", func(p *Policy) { p.Planner = "chain-dfs" }, "MaxChain"},
+		{"patch-window", func(p *Policy) { p.PatchWindowSec = 300 }, "BatchPolicy"},
+	}
+	for _, tc := range cases {
+		sc := quickScenario()
+		tc.mutate(&sc.Policy)
+		if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), tc.replacement) {
+			t.Errorf("%s: Validate() = %v, want an error naming %s", tc.name, err, tc.replacement)
+		}
+	}
+	eftf := quickScenario()
+	eftf.Policy.Allocator = AllocatorEFTF
+	a, err := Run(eftf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(quickScenario())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *a != *b {
+		t.Errorf("Allocator %q diverged from the empty field:\n%+v\n%+v", AllocatorEFTF, a, b)
 	}
 }

@@ -497,7 +497,7 @@ func TestRunPatchingPolicy(t *testing.T) {
 	sc.Theta = -1 // hot titles overlap constantly
 	sc.Policy = Policy{
 		Name: "patch", Placement: EvenPlacement,
-		StagingFrac: 0.2, PatchWindowSec: 600,
+		StagingFrac: 0.2, BatchPolicy: BatchPolicyPatch, BatchWindowSec: 600,
 	}
 	sc.Audit = true
 	res, err := Run(sc)

@@ -26,7 +26,6 @@ func scaleCell(n int, horizonHours float64) Scenario {
 			Placement:        EvenPlacement,
 			StagingFrac:      0.2,
 			ReceiveCap:       DefaultReceiveCap,
-			Allocator:        AllocatorEFTF,
 			Migration:        true,
 			MaxHops:          UnlimitedHops,
 			MaxChain:         1,
