@@ -11,8 +11,6 @@
 //	vodsim -system small -policy P4 -trace events.csv -hours 2
 //	vodsim -system small -policy P4 -admission first-fit
 //	vodsim -system small -staging 0.2 -edge-nodes 2 -prefix-sec 900 -edge-cache-mb 96000 -batch-policy batch-prefix -batch-window 300
-//	vodsim -experiment fault-sweep-small -parallel 8 -hours 20
-//	vodsim -experiment all -trials 5 -hours 100
 //	vodsim -system small -policy P4 -trials 5 -cpuprofile cpu.out
 package main
 
@@ -23,12 +21,9 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"semicont"
-	"semicont/internal/experiments"
 	"semicont/internal/faults"
-	"semicont/internal/report"
 	"semicont/internal/sweep"
 	"semicont/internal/trace"
 	"semicont/internal/workload"
@@ -88,9 +83,7 @@ func main() {
 		auditOn   = flag.Bool("audit", false, "attach the invariant auditor: every event is checked against the model's conservation laws; a violation aborts the run with a structured error")
 		auditSamp = flag.Int("audit-sample", 0, "with -audit, snapshot-check only every k-th event (0 or 1 = every event); deterministic from the event sequence, keeps audited large runs feasible")
 		statsOn   = flag.Bool("stats", false, "record per-request distributions (wait, retry sojourn, glitch, migrations, degraded park) into O(1)-memory quantile sketches and print p50/p95/p99")
-		parallel  = flag.Int("parallel", 0, "max concurrent simulation jobs for -trials and -experiment (0 = GOMAXPROCS); results are identical at any setting")
-		expt      = flag.String("experiment", "", `run registered experiments: an id, a comma list, or "all" (see -list-experiments); all share one -parallel pool`)
-		listExp   = flag.Bool("list-experiments", false, "list registered experiments and exit")
+		parallel  = flag.Int("parallel", 0, "max concurrent simulation jobs for -trials (0 = GOMAXPROCS); results are identical at any setting")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file (see DESIGN.md for the profiling workflow)")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		benchHost = flag.Bool("bench-host", false, "print the benchmark host fingerprint (GOMAXPROCS, hardware threads, go version, platform) and exit; CI records it next to every uploaded BENCH_*.json")
@@ -121,12 +114,6 @@ func main() {
 		}
 		return
 	}
-	if *listExp {
-		for _, e := range experiments.Registry() {
-			fmt.Printf("%-14s %s\n", e.ID, e.Description)
-		}
-		return
-	}
 
 	// Profiles cover everything after flag handling. Error exits go
 	// through os.Exit and lose the profile — profile runs that work.
@@ -154,18 +141,6 @@ func main() {
 				fatal(err)
 			}
 		}()
-	}
-
-	pool := sweep.New(*parallel)
-	if *expt != "" {
-		runExperiments(*expt, experiments.Options{
-			HorizonHours: *hours,
-			Trials:       *trials,
-			Seed:         *seed,
-			Audit:        *auditOn,
-			Pool:         pool,
-		})
-		return
 	}
 
 	sys, err := parseSystem(*system)
@@ -351,7 +326,7 @@ func main() {
 		return
 	}
 
-	agg, err := semicont.RunTrialsOn(pool, sc, *trials)
+	agg, err := semicont.RunTrialsOn(sweep.New(*parallel), sc, *trials)
 	if err != nil {
 		fatal(err)
 	}
@@ -361,50 +336,6 @@ func main() {
 	fmt.Printf("rejection ratio  %s\n", agg.Rejection.String())
 	fmt.Printf("migrations       %s\n", agg.Migrations.String())
 	printDist(agg.Dist)
-}
-
-// runExperiments runs registered experiments by id ("all" runs the full
-// registry), all sharing one worker pool, and prints their tables and
-// figures as aligned text (cmd/paperfigs adds CSV output and the full
-// presentation layer).
-func runExperiments(spec string, opts experiments.Options) {
-	entries := experiments.Registry()
-	if spec != "all" {
-		var selected []experiments.Entry
-		for _, id := range strings.Split(spec, ",") {
-			e, err := experiments.Find(strings.TrimSpace(id))
-			if err != nil {
-				fatal(err)
-			}
-			selected = append(selected, e)
-		}
-		entries = selected
-	}
-	for _, e := range entries {
-		start := time.Now()
-		fmt.Printf("== %s: %s\n", e.ID, e.Description)
-		out, err := e.Run(opts)
-		if err != nil {
-			fatal(err)
-		}
-		for _, tbl := range out.Tables {
-			if err := tbl.Write(os.Stdout); err != nil {
-				fatal(err)
-			}
-			fmt.Println()
-		}
-		for _, fig := range out.Figures {
-			tbl, err := report.SeriesTable(fig.Title, fig.XLabel, fig.Series)
-			if err != nil {
-				fatal(err)
-			}
-			if err := tbl.Write(os.Stdout); err != nil {
-				fatal(err)
-			}
-			fmt.Println()
-		}
-		fmt.Printf("(%s done in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
-	}
 }
 
 func parseSystem(s string) (semicont.System, error) {

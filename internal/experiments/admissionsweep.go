@@ -19,10 +19,10 @@ func AdmissionSweep(sys semicont.System, opts Options) (*Output, error) {
 	loads := []float64{0.7, 0.85, 1.0, 1.15, 1.3}
 	names := semicont.SelectorNames()
 	w := newSweeper(opts)
-	cells := make(map[string][]cellRef, len(names))
-	for _, name := range names {
-		for _, load := range loads {
-			sc := semicont.Scenario{
+	refs := make([]seriesRef, len(names))
+	for i, name := range names {
+		refs[i] = w.series(name, loads, func(load float64) semicont.Scenario {
+			return semicont.Scenario{
 				System: sys,
 				Policy: semicont.Policy{
 					Name:        name,
@@ -31,37 +31,18 @@ func AdmissionSweep(sys semicont.System, opts Options) (*Output, error) {
 					ReceiveCap:  semicont.DefaultReceiveCap,
 					Selector:    name,
 				},
-				Theta:        PriorStudiesTheta,
-				HorizonHours: opts.HorizonHours,
-				LoadFactor:   load,
-				Seed:         opts.Seed,
-				Audit:        opts.Audit,
+				Theta:      PriorStudiesTheta,
+				LoadFactor: load,
 			}
-			label := fmt.Sprintf("admission-sweep %s at load=%g", name, load)
-			cells[name] = append(cells[name], w.cell(label, sc))
-		}
+		})
 	}
 	if err := w.wait(); err != nil {
 		return nil, err
 	}
 	var denial, util []stats.Series
-	for _, name := range names {
-		den := stats.Series{Name: name}
-		ut := stats.Series{Name: name}
-		for i, load := range loads {
-			var dSmp, uSmp stats.Sample
-			for _, r := range cells[name][i].results() {
-				if r.Arrivals > 0 {
-					dSmp.Add(float64(r.Rejected) / float64(r.Arrivals))
-				}
-				uSmp.Add(r.Utilization)
-			}
-			den.Points = append(den.Points, stats.FromSample(load, &dSmp))
-			ut.Points = append(ut.Points, stats.FromSample(load, &uSmp))
-			opts.Progress("  admission-sweep %s load=%g denial=%.4f util=%.4f",
-				name, load, dSmp.Mean(), uSmp.Mean())
-		}
-		denial, util = append(denial, den), append(util, ut)
+	for _, ref := range refs {
+		denial = append(denial, ref.ratio(func(r *semicont.Result) (int64, int64) { return r.Rejected, r.Arrivals }))
+		util = append(util, ref.utilization())
 	}
 	id := "admission-sweep-" + sys.Name
 	return &Output{

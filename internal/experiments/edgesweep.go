@@ -33,26 +33,26 @@ var (
 func EdgeSweep(sys semicont.System, opts Options) (*Output, error) {
 	opts = opts.withDefaults()
 	w := newSweeper(opts)
-	base := make(map[float64]cellRef, len(edgeThetas))
-	cells := make(map[[2]float64][]cellRef, len(edgeThetas)*len(edgeWindows))
+	var refs []seriesRef
 	for _, theta := range edgeThetas {
-		pol := semicont.Policy{
-			Name:        "edge",
-			Placement:   semicont.EvenPlacement,
-			StagingFrac: 0.2,
-			Migration:   true,
-		}
 		sc := semicont.Scenario{
-			System:       sys,
-			Policy:       pol,
-			Theta:        theta,
-			HorizonHours: opts.HorizonHours,
-			Seed:         opts.Seed,
-			Audit:        opts.Audit,
+			System: sys,
+			Policy: semicont.Policy{
+				Name:        "edge",
+				Placement:   semicont.EvenPlacement,
+				StagingFrac: 0.2,
+				Migration:   true,
+			},
+			Theta: theta,
 		}
-		base[theta] = w.cell(fmt.Sprintf("edge-sweep baseline at theta=%g", theta), sc)
+		base := w.series(fmt.Sprintf("theta=%g no-edge", theta), edgeCacheMbs[:1],
+			func(float64) semicont.Scenario { return sc })
 		for _, window := range edgeWindows {
-			for _, cacheMb := range edgeCacheMbs[1:] {
+			name := fmt.Sprintf("theta=%g unicast", theta)
+			if window > 0 {
+				name = fmt.Sprintf("theta=%g batch=%gs", theta, window)
+			}
+			edge := w.series(name, edgeCacheMbs[1:], func(cacheMb float64) semicont.Scenario {
 				esc := sc
 				esc.Policy.EdgeNodes = 2
 				esc.Policy.EdgePrefixSec = edgePrefixSec
@@ -61,52 +61,30 @@ func EdgeSweep(sys semicont.System, opts Options) (*Output, error) {
 					esc.Policy.BatchPolicy = semicont.BatchPolicyBatchPrefix
 					esc.Policy.BatchWindowSec = window
 				}
-				label := fmt.Sprintf("edge-sweep theta=%g window=%g cache=%g", theta, window, cacheMb)
-				key := [2]float64{theta, window}
-				cells[key] = append(cells[key], w.cell(label, esc))
-			}
+				return esc
+			})
+			refs = append(refs, edge.after(base))
 		}
 	}
 	if err := w.wait(); err != nil {
 		return nil, err
 	}
-
-	egress := func(r *semicont.Result) float64 {
-		if r.EdgeHits > 0 {
-			return r.ClusterEgressMb
-		}
-		return r.DeliveredMb // no-edge baseline: everything is cluster egress
-	}
-	denial := func(r *semicont.Result) float64 {
-		if r.Arrivals == 0 {
-			return 0
-		}
-		return float64(r.Rejected+r.Reneged) / float64(r.Arrivals)
-	}
 	var egressSeries, denialSeries []stats.Series
-	for _, theta := range edgeThetas {
-		for _, window := range edgeWindows {
-			name := fmt.Sprintf("theta=%g unicast", theta)
-			if window > 0 {
-				name = fmt.Sprintf("theta=%g batch=%gs", theta, window)
+	for _, ref := range refs {
+		egressSeries = append(egressSeries, ref.metric(func(r *semicont.Result) float64 {
+			if r.EdgeHits > 0 {
+				return r.ClusterEgressMb
 			}
-			eg := stats.Series{Name: name}
-			dn := stats.Series{Name: name}
-			refs := append([]cellRef{base[theta]}, cells[[2]float64{theta, window}]...)
-			for i, cacheMb := range edgeCacheMbs {
-				var eSmp, dSmp stats.Sample
-				for _, r := range refs[i].results() {
-					eSmp.Add(egress(r))
-					dSmp.Add(denial(r))
-				}
-				eg.Points = append(eg.Points, stats.FromSample(cacheMb, &eSmp))
-				dn.Points = append(dn.Points, stats.FromSample(cacheMb, &dSmp))
-				opts.Progress("  edge-sweep %s cache=%g egress=%.0f denial=%.4f",
-					name, cacheMb, eSmp.Mean(), dSmp.Mean())
+			return r.DeliveredMb // no-edge baseline: everything is cluster egress
+		}))
+		// A trial without arrivals counts as denial 0 here, not skipped
+		// as ratio would.
+		denialSeries = append(denialSeries, ref.metric(func(r *semicont.Result) float64 {
+			if r.Arrivals == 0 {
+				return 0
 			}
-			egressSeries = append(egressSeries, eg)
-			denialSeries = append(denialSeries, dn)
-		}
+			return float64(r.Rejected+r.Reneged) / float64(r.Arrivals)
+		}))
 	}
 	id := "edge-sweep-" + sys.Name
 	return &Output{

@@ -25,8 +25,9 @@ type Options struct {
 	Seed uint64
 	// Thetas overrides the default θ sweep where applicable.
 	Thetas []float64
-	// Progress, when non-nil, receives one line per completed data
-	// point — long sweeps report where they are.
+	// Progress, when non-nil, receives one line per materialized
+	// figure point (series, metric and x) — long sweeps report where
+	// they are.
 	Progress func(format string, args ...any)
 	// Audit attaches the invariant auditor to every scenario run (see
 	// Scenario.Audit). The registry test runs the whole suite with it
@@ -34,9 +35,9 @@ type Options struct {
 	Audit bool
 	// Pool, when non-nil, bounds the concurrency of the experiment's
 	// flattened (cell × trial) job matrix; nil gets a private
-	// GOMAXPROCS-sized pool per experiment. vodsim -experiment all
-	// shares one pool across every experiment it runs. Results are
-	// byte-identical at any worker count.
+	// GOMAXPROCS-sized pool per experiment. paperfigs shares one pool
+	// across every experiment it runs. Results are byte-identical at any
+	// worker count.
 	Pool *sweep.Pool
 }
 

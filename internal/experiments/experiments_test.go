@@ -1,10 +1,19 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"semicont"
+	"semicont/internal/report"
 )
 
 // tinyOpts makes every experiment cheap enough for the unit-test suite:
@@ -204,6 +213,49 @@ func TestHeterogeneityTiny(t *testing.T) {
 	}
 	if len(out.Figures[0].Series) != 3 {
 		t.Fatalf("het has %d series", len(out.Figures[0].Series))
+	}
+}
+
+func TestHomogeneousSpread(t *testing.T) {
+	for i, v := range spread(5, 100, 0) {
+		if v != 100 {
+			t.Errorf("server %d = %v, want 100", i, v)
+		}
+	}
+}
+
+func TestSpreadAlternates(t *testing.T) {
+	vals := spread(4, 100, 0.5)
+	want := []float64{150, 50, 150, 50}
+	for i, w := range want {
+		if math.Abs(vals[i]-w) > 1e-12 {
+			t.Errorf("server %d = %v, want %v", i, vals[i], w)
+		}
+	}
+}
+
+func TestSpreadOddMiddleKeepsMean(t *testing.T) {
+	if vals := spread(5, 100, 0.5); vals[4] != 100 {
+		t.Errorf("odd server = %v, want the mean", vals[4])
+	}
+}
+
+// Property: totals are preserved for any level and size.
+func TestSpreadPreservesTotal(t *testing.T) {
+	prop := func(nRaw, levelRaw uint8) bool {
+		n := int(nRaw%20) + 1
+		level := float64(levelRaw%100) / 101
+		total := 0.0
+		for _, v := range spread(n, 100, level) {
+			if v <= 0 {
+				return false
+			}
+			total += v
+		}
+		return math.Abs(total-float64(n)*100) < 1e-9*float64(n)
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -499,20 +551,60 @@ func TestInteractivityExperimentTiny(t *testing.T) {
 	}
 }
 
+// updateDigests rewrites the registry fixture. Regenerate it only for a
+// deliberate change to an experiment's output, and say why in the
+// commit. The package must come before the flag, which go test passes
+// to the test binary:
+//
+//	go test ./internal/experiments -run TestRegistryRunsEndToEnd -update-digests
+var updateDigests = flag.Bool("update-digests", false, "rewrite "+registryDigestsPath+" from the current experiments")
+
+const registryDigestsPath = "testdata/registry_digests.json"
+
+// renderDigest hashes the bytes paperfigs prints and writes for out:
+// every table, every figure's series table, and every figure's CSV.
+func renderDigest(out *Output) (string, error) {
+	h := sha256.New()
+	for _, tbl := range out.Tables {
+		if err := tbl.Write(h); err != nil {
+			return "", err
+		}
+	}
+	for _, fig := range out.Figures {
+		tbl, err := report.SeriesTable(fig.Title, fig.XLabel, fig.Series)
+		if err != nil {
+			return "", err
+		}
+		if err := tbl.Write(h); err != nil {
+			return "", err
+		}
+		if err := report.WriteSeriesCSV(h, fig.XLabel, fig.Series); err != nil {
+			return "", err
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
 // TestRegistryRunsEndToEnd executes every registered experiment at a
 // minimal scale — the whole harness, every figure and table, in one
-// sweep. Skipped under -short.
+// sweep — and pins each rendered Output to a committed SHA-256, so a
+// refactor of the harness must reproduce every simulated value. Two
+// trials per point exercise the cross-trial aggregation (a single
+// trial has no CI95). No trial here has a zero rate denominator;
+// TestRatioSkipsZeroDenominator covers that guard. Skipped under
+// -short.
 func TestRegistryRunsEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry sweep skipped in -short mode")
 	}
 	opts := Options{
 		HorizonHours: 1,
-		Trials:       1,
+		Trials:       2,
 		Seed:         1,
 		Thetas:       []float64{0},
 		Audit:        true, // every experiment must survive the invariant auditor
 	}
+	got := make(map[string]string)
 	for _, e := range Registry() {
 		out, err := e.Run(opts)
 		if err != nil {
@@ -527,6 +619,47 @@ func TestRegistryRunsEndToEnd(t *testing.T) {
 					t.Errorf("%s: series %q empty", e.ID, s.Name)
 				}
 			}
+		}
+		if got[e.ID], err = renderDigest(out); err != nil {
+			t.Fatalf("%s: render: %v", e.ID, err)
+		}
+	}
+
+	if *updateDigests {
+		data, err := json.MarshalIndent(got, "", "\t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(registryDigestsPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(registryDigestsPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d digests to %s", len(got), registryDigestsPath)
+		return
+	}
+	data, err := os.ReadFile(registryDigestsPath)
+	if err != nil {
+		t.Fatalf("read digests (run with -update-digests to create): %v", err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	for id, w := range want {
+		g, ok := got[id]
+		if !ok {
+			t.Errorf("%s: digest present but experiment missing from the registry", id)
+			continue
+		}
+		if g != w {
+			t.Errorf("%s: rendered output diverged from its digest\n got %s\nwant %s", id, g, w)
+		}
+	}
+	for id := range got {
+		if _, ok := want[id]; !ok {
+			t.Errorf("%s: experiment has no digest (run -update-digests)", id)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"semicont"
 	"semicont/internal/analytic"
-	"semicont/internal/hetero"
 	"semicont/internal/report"
 	"semicont/internal/stats"
 	"semicont/internal/units"
@@ -109,19 +108,23 @@ func Heterogeneity(opts Options) (*Output, error) {
 	opts = opts.withDefaults()
 	sizes := []float64{5, 10, 20}
 	const level = 0.5
+	profiles := []struct {
+		name               string
+		bandwidth, storage float64 // spread level of each resource
+	}{
+		{"homogeneous", 0, 0},
+		{"bandwidth-hetero", level, 0},
+		{"storage-hetero", 0, level},
+	}
 	w := newSweeper(opts)
 	var refs []seriesRef
-	for _, prof := range []hetero.Profile{hetero.Homogeneous, hetero.BandwidthHetero, hetero.StorageHetero} {
-		profile := prof
-		refs = append(refs, w.series(profile.String(), sizes, func(n float64) semicont.Scenario {
+	for _, prof := range profiles {
+		refs = append(refs, w.series(prof.name, sizes, func(n float64) semicont.Scenario {
 			sys := semicont.SmallSystem()
-			sys.Name = fmt.Sprintf("het-%s-%d", profile, int(n))
+			sys.Name = fmt.Sprintf("het-%s-%d", prof.name, int(n))
 			sys.NumServers = int(n)
-			bw, st, err := hetero.Cluster(profile, int(n), sys.ServerBandwidth, sys.DiskCapacity, level)
-			if err != nil {
-				panic(err) // parameters are internal constants; cannot fail
-			}
-			sys.Bandwidths, sys.Capacities = bw, st
+			sys.Bandwidths = spread(int(n), sys.ServerBandwidth, prof.bandwidth)
+			sys.Capacities = spread(int(n), sys.DiskCapacity, prof.storage)
 			return semicont.Scenario{System: sys, Policy: semicont.PolicyP4(), Theta: PriorStudiesTheta}
 		}))
 	}
@@ -144,6 +147,21 @@ func Heterogeneity(opts Options) (*Output, error) {
 			Notes:  "Expected shape: heterogeneity hurts the small cluster most; larger clusters absorb it. Storage heterogeneity is close to statistical noise, bandwidth heterogeneity is the visible effect.",
 		}},
 	}, nil
+}
+
+// spread returns n per-server values of a resource with the given mean,
+// so a heterogeneous cluster keeps the homogeneous cluster's total:
+// servers pair up (0,1), (2,3), … as mean·(1 ± level), high then low,
+// and an odd middle server keeps the mean. Level 0 is homogeneous.
+func spread(n int, mean, level float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = mean
+	}
+	for i := 0; i+1 < n; i += 2 {
+		out[i], out[i+1] = mean*(1+level), mean*(1-level)
+	}
+	return out
 }
 
 // PartialPredictive reproduces the Section 4.4 observation: a mildly

@@ -34,10 +34,10 @@ func FaultSweep(sys semicont.System, opts Options) (*Output, error) {
 		{"minflow-lftf", false, semicont.LFTFSpare},
 	}
 	w := newSweeper(opts)
-	cells := make(map[string][]cellRef, len(schedulers))
-	for _, sch := range schedulers {
-		for _, mtbf := range mtbfs {
-			sc := semicont.Scenario{
+	refs := make([]seriesRef, len(schedulers))
+	for i, sch := range schedulers {
+		refs[i] = w.series(sch.name, mtbfs, func(mtbf float64) semicont.Scenario {
+			return semicont.Scenario{
 				System: sys,
 				Policy: semicont.Policy{
 					Name:             sch.name,
@@ -52,44 +52,20 @@ func FaultSweep(sys semicont.System, opts Options) (*Output, error) {
 					RetryQueue:       true,
 					DegradedPlayback: true,
 				},
-				Theta:        PriorStudiesTheta,
-				HorizonHours: opts.HorizonHours,
-				LoadFactor:   0.85,
-				Seed:         opts.Seed,
-				Faults:       faults.Config{MTBFHours: mtbf, MTTRHours: 1},
-				Audit:        opts.Audit,
+				Theta:      PriorStudiesTheta,
+				LoadFactor: 0.85,
+				Faults:     faults.Config{MTBFHours: mtbf, MTTRHours: 1},
 			}
-			label := fmt.Sprintf("fault-sweep %s at mtbf=%g", sch.name, mtbf)
-			cells[sch.name] = append(cells[sch.name], w.cell(label, sc))
-		}
+		})
 	}
 	if err := w.wait(); err != nil {
 		return nil, err
 	}
 	var denial, drops, glitches []stats.Series
-	for _, sch := range schedulers {
-		name := sch.name
-		den := stats.Series{Name: name}
-		drp := stats.Series{Name: name}
-		gl := stats.Series{Name: name}
-		for i, mtbf := range mtbfs {
-			var dSmp, drSmp, gSmp stats.Sample
-			for _, r := range cells[name][i].results() {
-				if r.Arrivals > 0 {
-					dSmp.Add(float64(r.Rejected+r.Reneged) / float64(r.Arrivals))
-				}
-				if r.Accepted > 0 {
-					drSmp.Add(float64(r.DroppedStreams) / float64(r.Accepted))
-					gSmp.Add(float64(r.DegradedGlitches+r.GlitchedStreams) / float64(r.Accepted))
-				}
-			}
-			den.Points = append(den.Points, stats.FromSample(mtbf, &dSmp))
-			drp.Points = append(drp.Points, stats.FromSample(mtbf, &drSmp))
-			gl.Points = append(gl.Points, stats.FromSample(mtbf, &gSmp))
-			opts.Progress("  fault-sweep %s mtbf=%g denial=%.4f drop=%.4f glitch=%.4f",
-				name, mtbf, dSmp.Mean(), drSmp.Mean(), gSmp.Mean())
-		}
-		denial, drops, glitches = append(denial, den), append(drops, drp), append(glitches, gl)
+	for _, ref := range refs {
+		denial = append(denial, ref.ratio(func(r *semicont.Result) (int64, int64) { return r.Rejected + r.Reneged, r.Arrivals }))
+		drops = append(drops, ref.ratio(func(r *semicont.Result) (int64, int64) { return r.DroppedStreams, r.Accepted }))
+		glitches = append(glitches, ref.ratio(glitchRate))
 	}
 	id := "fault-sweep-" + sys.Name
 	return &Output{
@@ -122,4 +98,10 @@ func FaultSweep(sys semicont.System, opts Options) (*Output, error) {
 			},
 		},
 	}, nil
+}
+
+// glitchRate is playback interruptions per admission: degraded-mode
+// buffer dry-outs plus intermittent-scheduling glitches.
+func glitchRate(r *semicont.Result) (int64, int64) {
+	return r.DegradedGlitches + r.GlitchedStreams, r.Accepted
 }

@@ -37,9 +37,9 @@ func OverloadSweep(sys semicont.System, opts Options) (*Output, error) {
 	}
 	horizonSec := opts.HorizonHours * 3600
 	w := newSweeper(opts)
-	cells := make(map[string][]cellRef, len(sheds))
-	for _, sh := range sheds {
-		for _, burst := range bursts {
+	refs := make([]seriesRef, len(sheds))
+	for i, sh := range sheds {
+		refs[i] = w.series(sh.name, bursts, func(burst float64) semicont.Scenario {
 			var curve workload.Curve
 			if burst > 1 {
 				curve = workload.Curve{
@@ -49,7 +49,7 @@ func OverloadSweep(sys semicont.System, opts Options) (*Output, error) {
 					FlashVideo:    0,
 				}
 			}
-			sc := semicont.Scenario{
+			return semicont.Scenario{
 				System: sys,
 				Policy: semicont.Policy{
 					Name:             sh.name,
@@ -68,56 +68,29 @@ func OverloadSweep(sys semicont.System, opts Options) (*Output, error) {
 					},
 					ShedWatermark: sh.watermark,
 				},
-				Theta:        PriorStudiesTheta,
-				HorizonHours: opts.HorizonHours,
-				LoadFactor:   0.85,
-				Seed:         opts.Seed,
+				Theta:      PriorStudiesTheta,
+				LoadFactor: 0.85,
 				Faults: faults.Config{
 					MTBFHours: 40, MTTRHours: 1,
 					BrownoutMTBFHours: 30, BrownoutMTTRHours: 2, BrownoutFraction: 0.5,
 				},
 				Curve: curve,
-				Audit: opts.Audit,
 			}
-			label := fmt.Sprintf("overload-sweep %s at burst=%g", sh.name, burst)
-			cells[sh.name] = append(cells[sh.name], w.cell(label, sc))
-		}
+		})
 	}
 	if err := w.wait(); err != nil {
 		return nil, err
 	}
-	denialRate := func(r *semicont.Result, class int) (float64, bool) {
-		if r.ClassArrivals[class] == 0 {
-			return 0, false
+	denialRate := func(class int) func(*semicont.Result) (int64, int64) {
+		return func(r *semicont.Result) (int64, int64) {
+			return r.ClassRejected[class] + r.ClassReneged[class], r.ClassArrivals[class]
 		}
-		return float64(r.ClassRejected[class]+r.ClassReneged[class]) /
-			float64(r.ClassArrivals[class]), true
 	}
 	var premium, standard, glitches []stats.Series
-	for _, sh := range sheds {
-		prem := stats.Series{Name: sh.name}
-		std := stats.Series{Name: sh.name}
-		gl := stats.Series{Name: sh.name}
-		for i, burst := range bursts {
-			var pSmp, sSmp, gSmp stats.Sample
-			for _, r := range cells[sh.name][i].results() {
-				if d, ok := denialRate(r, 0); ok {
-					pSmp.Add(d)
-				}
-				if d, ok := denialRate(r, 1); ok {
-					sSmp.Add(d)
-				}
-				if r.Accepted > 0 {
-					gSmp.Add(float64(r.DegradedGlitches+r.GlitchedStreams) / float64(r.Accepted))
-				}
-			}
-			prem.Points = append(prem.Points, stats.FromSample(burst, &pSmp))
-			std.Points = append(std.Points, stats.FromSample(burst, &sSmp))
-			gl.Points = append(gl.Points, stats.FromSample(burst, &gSmp))
-			opts.Progress("  overload-sweep %s burst=%g premium=%.4f standard=%.4f glitch=%.4f",
-				sh.name, burst, pSmp.Mean(), sSmp.Mean(), gSmp.Mean())
-		}
-		premium, standard, glitches = append(premium, prem), append(standard, std), append(glitches, gl)
+	for _, ref := range refs {
+		premium = append(premium, ref.ratio(denialRate(0)))
+		standard = append(standard, ref.ratio(denialRate(1)))
+		glitches = append(glitches, ref.ratio(glitchRate))
 	}
 	id := "overload-sweep-" + sys.Name
 	return &Output{

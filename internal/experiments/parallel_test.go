@@ -28,8 +28,8 @@ func runAt(t *testing.T, w int, f func(semicont.System, Options) (*Output, error
 // contract: an experiment's Output must be byte-identical no matter how
 // many workers drain the cell×trial job list, because every trial's
 // seed derives from its (cell, trial) index and every result lands in a
-// pre-indexed slot. One allocator sweep, one fault sweep, and one
-// admission sweep each run at 1, 2, and GOMAXPROCS workers and must
+// pre-indexed slot. The spare-discipline, fault, admission, overload
+// and edge sweeps each run at 1, 2, and GOMAXPROCS workers and must
 // reproduce the single-worker output exactly — any ordering dependence
 // (a shared RNG, an append instead of an indexed store, aggregation in
 // completion order) diverges here.
@@ -41,6 +41,8 @@ func TestSweepsDeterministicAcrossWorkers(t *testing.T) {
 		{"allocators", SpareDisciplines},
 		{"fault-sweep", FaultSweep},
 		{"admission-sweep", AdmissionSweep},
+		{"overload-sweep", OverloadSweep},
+		{"edge-sweep", EdgeSweep},
 	}
 	workers := []int{2, runtime.GOMAXPROCS(0)}
 	for _, tc := range cases {
@@ -58,8 +60,8 @@ func TestSweepsDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestSweepsDeterministicWithSharedPool reruns an experiment on one
-// pool shared across invocations (the `-experiment all` shape, where
-// every experiment's cells contend for the same semaphore) and demands
+// pool shared across invocations (the paperfigs shape, where every
+// experiment's cells contend for the same semaphore) and demands
 // the same output as a private pool — the pool must carry no per-run
 // state.
 func TestSweepsDeterministicWithSharedPool(t *testing.T) {

@@ -30,36 +30,17 @@ const (
 	scaleAuditSample = 512
 )
 
-// scaleScenario applies the family's common settings.
-func scaleScenario(sc semicont.Scenario, opts Options) semicont.Scenario {
-	sc.HorizonHours = opts.HorizonHours
-	sc.Seed = opts.Seed
-	sc.Audit = opts.Audit
-	if sc.Audit {
-		sc.AuditSample = scaleAuditSample
-	}
-	sc.Stats = true
-	return sc
-}
-
-// distPoint condenses one cell's trials into a figure point at x: the
-// mean/CI95 of the per-trial p50s (trial-to-trial spread of the
-// median), with the trial-merged sketch's p50/p95/p99 attached as
-// quantile columns.
-func distPoint(x float64, trials []*semicont.Result, pick func(*semicont.DistStats) *stats.Sketch) stats.Point {
-	var med stats.Sample
-	merged := new(semicont.DistStats)
-	for _, r := range trials {
-		if r.Dist == nil {
-			continue
+// scaleSeries submits one curve of the family: series plus the
+// per-request distributions and, when audited, snapshot sampling.
+func (w *sweeper) scaleSeries(name string, xs []float64, mk func(x float64) semicont.Scenario) seriesRef {
+	return w.series(name, xs, func(x float64) semicont.Scenario {
+		sc := mk(x)
+		sc.Stats = true
+		if w.opts.Audit {
+			sc.AuditSample = scaleAuditSample
 		}
-		med.Add(pick(r.Dist).Quantile(0.5))
-		merged.Merge(r.Dist)
-	}
-	p := stats.FromSample(x, &med)
-	q := pick(merged).Summary()
-	p.Q = &q
-	return p
+		return sc
+	})
 }
 
 // ScaleDist measures admission-delay distributions at cluster scale:
@@ -71,9 +52,10 @@ func ScaleDist(opts Options) (*Output, error) {
 	sys := semicont.ScaleSystem(scaleServers)
 	loads := []float64{0.9, 1.0, 1.1}
 	w := newSweeper(opts)
-	cells := make([]cellRef, len(loads))
-	for i, load := range loads {
-		sc := scaleScenario(semicont.Scenario{
+	// The curve takes its rate figure's name; dist names the quantile
+	// series itself.
+	ref := w.scaleSeries("denial", loads, func(load float64) semicont.Scenario {
+		return semicont.Scenario{
 			System: sys,
 			Policy: semicont.Policy{
 				Name:        "scale-p4-retry",
@@ -87,31 +69,14 @@ func ScaleDist(opts Options) (*Output, error) {
 			},
 			Theta:      PriorStudiesTheta,
 			LoadFactor: load,
-		}, opts)
-		cells[i] = w.cell(fmt.Sprintf("scale-dist at load=%g", load), sc)
-	}
+		}
+	})
 	if err := w.wait(); err != nil {
 		return nil, err
 	}
-	wait := stats.Series{Name: "wait"}
-	sojourn := stats.Series{Name: "retry sojourn"}
-	denial := stats.Series{Name: "denial"}
-	for i, load := range loads {
-		trials := cells[i].results()
-		wait.Points = append(wait.Points, distPoint(load, trials,
-			func(d *semicont.DistStats) *stats.Sketch { return &d.Wait }))
-		sojourn.Points = append(sojourn.Points, distPoint(load, trials,
-			func(d *semicont.DistStats) *stats.Sketch { return &d.RetrySojourn }))
-		var den stats.Sample
-		for _, r := range trials {
-			if r.Arrivals > 0 {
-				den.Add(float64(r.Rejected+r.Reneged) / float64(r.Arrivals))
-			}
-		}
-		denial.Points = append(denial.Points, stats.FromSample(load, &den))
-		opts.Progress("  scale-dist load=%g wait_p99=%.4f sojourn_p99=%.4f denial=%.4f",
-			load, wait.Points[i].Q.P99, sojourn.Points[i].Q.P99, den.Mean())
-	}
+	wait := ref.dist("wait", func(d *semicont.DistStats) *stats.Sketch { return &d.Wait })
+	sojourn := ref.dist("retry sojourn", func(d *semicont.DistStats) *stats.Sketch { return &d.RetrySojourn })
+	denial := ref.ratio(func(r *semicont.Result) (int64, int64) { return r.Rejected + r.Reneged, r.Arrivals })
 	return &Output{
 		ID:    "scale-large",
 		Title: fmt.Sprintf("Scale: admission-delay quantiles vs offered load (%d-server cluster)", scaleServers),
@@ -145,9 +110,8 @@ func ScaleFaults(opts Options) (*Output, error) {
 	sys := semicont.ScaleSystem(scaleServers)
 	mtbfs := []float64{4, 8, 16}
 	w := newSweeper(opts)
-	cells := make([]cellRef, len(mtbfs))
-	for i, mtbf := range mtbfs {
-		sc := scaleScenario(semicont.Scenario{
+	ref := w.scaleSeries("scale-faults", mtbfs, func(mtbf float64) semicont.Scenario {
+		return semicont.Scenario{
 			System: sys,
 			Policy: semicont.Policy{
 				Name:             "scale-faulttol",
@@ -163,26 +127,14 @@ func ScaleFaults(opts Options) (*Output, error) {
 			Theta:      PriorStudiesTheta,
 			LoadFactor: 0.85,
 			Faults:     faults.Config{MTBFHours: mtbf, MTTRHours: 0.5},
-		}, opts)
-		cells[i] = w.cell(fmt.Sprintf("scale-faults at mtbf=%g", mtbf), sc)
-	}
+		}
+	})
 	if err := w.wait(); err != nil {
 		return nil, err
 	}
-	glitch := stats.Series{Name: "glitch"}
-	park := stats.Series{Name: "park"}
-	hops := stats.Series{Name: "migrations"}
-	for i, mtbf := range mtbfs {
-		trials := cells[i].results()
-		glitch.Points = append(glitch.Points, distPoint(mtbf, trials,
-			func(d *semicont.DistStats) *stats.Sketch { return &d.Glitch }))
-		park.Points = append(park.Points, distPoint(mtbf, trials,
-			func(d *semicont.DistStats) *stats.Sketch { return &d.Park }))
-		hops.Points = append(hops.Points, distPoint(mtbf, trials,
-			func(d *semicont.DistStats) *stats.Sketch { return &d.Migrations }))
-		opts.Progress("  scale-faults mtbf=%g glitch_p99=%.4f park_p99=%.4f hops_p99=%.4f",
-			mtbf, glitch.Points[i].Q.P99, park.Points[i].Q.P99, hops.Points[i].Q.P99)
-	}
+	glitch := ref.dist("glitch", func(d *semicont.DistStats) *stats.Sketch { return &d.Glitch })
+	park := ref.dist("park", func(d *semicont.DistStats) *stats.Sketch { return &d.Park })
+	hops := ref.dist("migrations", func(d *semicont.DistStats) *stats.Sketch { return &d.Migrations })
 	return &Output{
 		ID:    "faults-large",
 		Title: fmt.Sprintf("Scale: fault-behavior quantiles vs MTBF (%d-server cluster, MTTR 0.5 h, load 0.85)", scaleServers),

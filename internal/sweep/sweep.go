@@ -28,8 +28,8 @@ import (
 // Pool bounds the number of simulation jobs running at once. It is a
 // counting semaphore rather than a fixed set of worker goroutines:
 // there is no lifecycle to manage, an idle pool consumes nothing, and
-// any number of grids can share one pool (vodsim's -experiment all runs
-// every experiment through a single pool).
+// any number of grids can share one pool (paperfigs runs every
+// experiment through a single pool).
 type Pool struct {
 	sem chan struct{}
 }

@@ -110,7 +110,7 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 }
 
 // TestSharedPoolAcrossGrids runs two grids through one pool — the
-// vodsim -experiment all pattern.
+// paperfigs pattern, where every experiment shares one pool.
 func TestSharedPoolAcrossGrids(t *testing.T) {
 	p := New(2)
 	a, b := NewGrid[int](p), NewGrid[int](p)
