@@ -63,8 +63,8 @@ func main() {
 		load      = flag.Float64("load", 1.0, "offered load as a fraction of capacity")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		trials    = flag.Int("trials", 1, "independent trials (seeds derived)")
-		failAt    = flag.Float64("fail-at", 0, "hours after which a server fails (0 = never)")
-		failSrv   = flag.Int("fail-server", 0, "server to fail")
+		failAt    = flag.Float64("fail-at", 0, "hours after which -fail-server fails, appended to the fault trace as one fail event (0 = never)")
+		failSrv   = flag.Int("fail-server", 0, "server to fail at -fail-at")
 		mtbf      = flag.Float64("mtbf", 0, "per-server mean time between failures, hours (0 = no stochastic faults)")
 		mttr      = flag.Float64("mttr", 0, "per-server mean time to recovery, hours (required with -mtbf)")
 		coldRec   = flag.Bool("cold-recovery", false, "stochastic recoveries wipe the server's storage (rebuilt via -replicate)")
@@ -259,6 +259,9 @@ func main() {
 			fatal(err)
 		}
 	}
+	if *failAt != 0 {
+		fcfg.Trace = append(fcfg.Trace, faults.Event{AtHours: *failAt, Server: *failSrv, Kind: faults.KindFail})
+	}
 
 	var curve workload.Curve
 	if *diurnalF != "" {
@@ -283,8 +286,6 @@ func main() {
 		HorizonHours: *hours,
 		LoadFactor:   *load,
 		Seed:         *seed,
-		FailServer:   *failSrv,
-		FailAtHours:  *failAt,
 		Faults:       fcfg,
 		Curve:        curve,
 		Audit:        *auditOn,
@@ -452,10 +453,6 @@ func printResult(sc semicont.Scenario, r *semicont.Result) {
 	if sc.Policy.StagingFrac > 0 {
 		fmt.Printf("staging            %.0f Mb client buffer (%.0f%% of avg object)\n",
 			r.StagingBufferMb, 100*sc.Policy.StagingFrac)
-	}
-	if sc.FailAtHours > 0 {
-		fmt.Printf("failure            server %d at %g h: %d rescued, %d dropped\n",
-			sc.FailServer, sc.FailAtHours, r.RescuedStreams, r.DroppedStreams)
 	}
 	if sc.Faults.Enabled() {
 		fmt.Printf("faults             %d failures, %d recoveries (%d cold): %d rescued, %d dropped\n",

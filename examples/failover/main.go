@@ -16,32 +16,38 @@ import (
 	"log"
 
 	"semicont"
+	"semicont/internal/faults"
 	"semicont/internal/trace"
 )
 
-func main() {
-	system := semicont.SmallSystem()
+// drill is the failure drill: the small system at 80% offered load,
+// with server 2 failing at t = 30 h, scripted as a one-event fault
+// trace.
+func drill(pol semicont.Policy) semicont.Scenario {
+	return semicont.Scenario{
+		System:       semicont.SmallSystem(),
+		Policy:       pol,
+		Theta:        0.271,
+		HorizonHours: 60,
+		LoadFactor:   0.8,
+		Seed:         3,
+		Faults: faults.Config{Trace: []faults.Event{
+			{AtHours: 30, Server: 2, Kind: faults.KindFail},
+		}},
+	}
+}
 
+func main() {
 	fmt.Println("Failure drill: server 2 of the small system dies at t = 30 h")
 	fmt.Println("(offered load 80% of capacity so survivors have headroom)")
 	fmt.Println()
 
+	drm := semicont.Policy{Name: "DRM", Placement: semicont.EvenPlacement, Migration: true}
 	for _, pol := range []semicont.Policy{
 		{Name: "no-DRM", Placement: semicont.EvenPlacement},
-		{Name: "DRM", Placement: semicont.EvenPlacement, Migration: true},
+		drm,
 	} {
-		rec := &trace.Recorder{CountsOnly: true}
-		res, err := semicont.Run(semicont.Scenario{
-			System:       system,
-			Policy:       pol,
-			Theta:        0.271,
-			HorizonHours: 60,
-			LoadFactor:   0.8,
-			Seed:         3,
-			FailServer:   2,
-			FailAtHours:  30,
-			Observer:     rec,
-		})
+		res, err := semicont.Run(drill(pol))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -51,17 +57,9 @@ func main() {
 
 	// Re-run the DRM case with full tracing to show the rescue detail.
 	rec := &trace.Recorder{}
-	if _, err := semicont.Run(semicont.Scenario{
-		System:       system,
-		Policy:       semicont.Policy{Name: "DRM", Placement: semicont.EvenPlacement, Migration: true},
-		Theta:        0.271,
-		HorizonHours: 60,
-		LoadFactor:   0.8,
-		Seed:         3,
-		FailServer:   2,
-		FailAtHours:  30,
-		Observer:     rec,
-	}); err != nil {
+	sc := drill(drm)
+	sc.Observer = rec
+	if _, err := semicont.Run(sc); err != nil {
 		log.Fatal(err)
 	}
 

@@ -193,8 +193,6 @@ func FuzzScenarioValidate(f *testing.F) {
 			HorizonHours: 1,
 			LoadFactor:   load,
 			Seed:         seed,
-			FailServer:   failServer,
-			FailAtHours:  failAt,
 			Faults: faults.Config{
 				MTBFHours: mtbf, MTTRHours: mttr, Cold: cold,
 				BrownoutMTBFHours: bmtbf, BrownoutMTTRHours: bmttr, BrownoutFraction: bfrac,
@@ -240,10 +238,11 @@ func FuzzScenarioValidate(f *testing.F) {
 			sc.Curve.FlashDuration = 60
 			sc.Curve.FlashFactor = flashFactor
 		}
-		if sc.Faults.Enabled() {
-			// The stochastic process and the legacy single-failure knob are
-			// mutually exclusive by contract; exercise the fault path.
-			sc.FailAtHours = 0
+		// failAt scripts one failure of failServer, unclamped. A trace and
+		// the stochastic processes are mutually exclusive, so with those
+		// on the failure is left out and the processes are exercised.
+		if failAt != 0 && !sc.Faults.Enabled() {
+			sc.Faults.Trace = []faults.Event{{AtHours: failAt, Server: failServer, Kind: faults.KindFail}}
 		}
 		if err := sc.Validate(); err != nil {
 			return // rejection is fine; panicking is not
@@ -270,8 +269,8 @@ func FuzzScenarioValidate(f *testing.F) {
 			return
 		}
 		sc.HorizonHours = 0.05
-		if finite(sc.FailAtHours) && sc.FailAtHours > 0 {
-			sc.FailAtHours = 0.02 // keep the validated failure inside the run window
+		if len(sc.Faults.Trace) > 0 {
+			sc.Faults.Trace[0].AtHours = 0.02 // keep the validated failure inside the run window
 		}
 		sc.Audit = true
 		if _, err := Run(sc); err != nil {

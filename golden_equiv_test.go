@@ -101,9 +101,9 @@ func goldenMatrix() []struct {
 	add("admission-random", admRand)
 	add("planner-direct", base(drm(Policy{Name: "planner-direct", StagingFrac: 0.2}, UnlimitedHops, 1)))
 
-	// Failure rescue mid-run.
+	// Failure rescue mid-run: one scripted failure.
 	fail := base(drm(Policy{Name: "failover", StagingFrac: 0.2}, UnlimitedHops, 1))
-	fail.FailServer, fail.FailAtHours = 2, 1
+	fail.Faults = faults.Config{Trace: []faults.Event{{AtHours: 1, Server: 2, Kind: faults.KindFail}}}
 	add("failover", fail)
 
 	// Stochastic failure/recovery churn with the full fault-tolerance
@@ -168,7 +168,7 @@ func goldenMatrix() []struct {
 	add("overload-shed", shed)
 
 	// Diurnal modulation stacked on a flash window with no classes: the
-	// non-stationary generator alone, pinning the thinning RNG stream.
+	// modulated arrival curve alone, pinning the thinning RNG stream.
 	flash := base(Policy{Name: "flash-diurnal", StagingFrac: 0.2})
 	flash.Curve.DiurnalAmp = 0.5
 	flash.Curve.DiurnalPeriod = 3600

@@ -8,6 +8,7 @@ import (
 	"semicont/internal/audit"
 	"semicont/internal/catalog"
 	"semicont/internal/core"
+	"semicont/internal/faults"
 	"semicont/internal/placement"
 	"semicont/internal/rng"
 	"semicont/internal/workload"
@@ -200,8 +201,7 @@ func randomScenario(seed uint64) semicont.Scenario {
 		Audit:        true,
 	}
 	if (seed>>6)&1 != 0 && pol.BatchPolicy == "" {
-		sc.FailAtHours = 0.5
-		sc.FailServer = int(seed) % sys.NumServers
+		sc.Faults.Trace = []faults.Event{{AtHours: 0.5, Server: int(seed) % sys.NumServers, Kind: faults.KindFail}}
 	}
 	return sc
 }

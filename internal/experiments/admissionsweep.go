@@ -41,7 +41,7 @@ func AdmissionSweep(sys semicont.System, opts Options) (*Output, error) {
 	}
 	var denial, util []stats.Series
 	for _, ref := range refs {
-		denial = append(denial, ref.ratio(func(r *semicont.Result) (int64, int64) { return r.Rejected, r.Arrivals }))
+		denial = append(denial, ref.ratio("denial-rate", func(r *semicont.Result) (int64, int64) { return r.Rejected, r.Arrivals }))
 		util = append(util, ref.utilization())
 	}
 	id := "admission-sweep-" + sys.Name

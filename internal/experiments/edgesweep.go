@@ -71,19 +71,14 @@ func EdgeSweep(sys semicont.System, opts Options) (*Output, error) {
 	}
 	var egressSeries, denialSeries []stats.Series
 	for _, ref := range refs {
-		egressSeries = append(egressSeries, ref.metric(func(r *semicont.Result) float64 {
+		egressSeries = append(egressSeries, ref.metric("cluster-egress-mb", func(r *semicont.Result) float64 {
 			if r.EdgeHits > 0 {
 				return r.ClusterEgressMb
 			}
 			return r.DeliveredMb // no-edge baseline: everything is cluster egress
 		}))
-		// A trial without arrivals counts as denial 0 here, not skipped
-		// as ratio would.
-		denialSeries = append(denialSeries, ref.metric(func(r *semicont.Result) float64 {
-			if r.Arrivals == 0 {
-				return 0
-			}
-			return float64(r.Rejected+r.Reneged) / float64(r.Arrivals)
+		denialSeries = append(denialSeries, ref.ratio("denial-rate", func(r *semicont.Result) (int64, int64) {
+			return r.Rejected + r.Reneged, r.Arrivals
 		}))
 	}
 	id := "edge-sweep-" + sys.Name

@@ -82,3 +82,28 @@ func TestEdgeSweepEgressReduction(t *testing.T) {
 			bt.Points[len(bt.Points)-1].Mean, largest)
 	}
 }
+
+// TestEdgeSweepSkipsArrivalFreeTrials runs the sweep at a horizon of a
+// few seconds, where the small system's ≈0.14 arrivals/s leave some
+// trials without a single arrival. Such a trial has no denial rate: it
+// must add nothing to its point rather than count as denial 0, as it
+// adds nothing to every other denial figure.
+func TestEdgeSweepSkipsArrivalFreeTrials(t *testing.T) {
+	const trials = 4
+	out, err := EdgeSweep(semicont.SmallSystem(), Options{HorizonHours: 5.0 / 3600, Trials: trials, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	skipped := false
+	for _, s := range out.Figures[1].Series {
+		for _, p := range s.Points {
+			if p.N > trials {
+				t.Errorf("%s x=%g: %d samples from %d trials", s.Name, p.X, p.N, trials)
+			}
+			skipped = skipped || p.N < trials
+		}
+	}
+	if !skipped {
+		t.Error("every denial point counts all trials: no trial was arrival-free, or arrival-free trials count as denial 0")
+	}
+}

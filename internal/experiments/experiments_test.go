@@ -98,6 +98,25 @@ func TestTables(t *testing.T) {
 	}
 }
 
+// TestStringFormats pins the parameter table's unit formatting:
+// lengths in minutes below an hour and in hours from one up, storage in
+// decimal GB.
+func TestStringFormats(t *testing.T) {
+	for _, c := range []struct{ got, want string }{
+		{duration(90), "1.5 min"},
+		{duration(1800), "30.0 min"},
+		{duration(3599), "60.0 min"},
+		{duration(3600), "1.00 h"},
+		{duration(7200), "2.00 h"},
+		{gbString(16000), "2 GB"},
+		{gbString(1_200_000), "150 GB"},
+	} {
+		if c.got != c.want {
+			t.Errorf("got %q, want %q", c.got, c.want)
+		}
+	}
+}
+
 func TestFig4Tiny(t *testing.T) {
 	out, err := Fig4(semicont.SmallSystem(), tinyOpts())
 	if err != nil {

@@ -48,7 +48,7 @@ func Intermittent(sys semicont.System, opts Options) (*Output, error) {
 	var utils, glitches []stats.Series
 	for _, r := range refs {
 		utils = append(utils, r.utilization())
-		glitches = append(glitches, r.metric(func(r *semicont.Result) float64 {
+		glitches = append(glitches, r.metric("glitches-per-1000", func(r *semicont.Result) float64 {
 			if r.Accepted == 0 {
 				return 0
 			}
@@ -109,7 +109,7 @@ func Replication(sys semicont.System, opts Options) (*Output, error) {
 	for i, p := range variants {
 		utils = append(utils, refs[i].utilization())
 		if p.Replicate {
-			copies = append(copies, refs[i].metric(func(r *semicont.Result) float64 {
+			copies = append(copies, refs[i].metric("replicas", func(r *semicont.Result) float64 {
 				return float64(r.ReplicationsCompleted)
 			}))
 		}
@@ -372,14 +372,14 @@ func Patching(sys semicont.System, opts Options) (*Output, error) {
 	}
 	var accept, shared []stats.Series
 	for i, v := range variants {
-		accept = append(accept, refs[i].metric(func(r *semicont.Result) float64 {
+		accept = append(accept, refs[i].metric("acceptance-ratio", func(r *semicont.Result) float64 {
 			if r.Arrivals == 0 {
 				return 0
 			}
 			return float64(r.Accepted) / float64(r.Arrivals)
 		}))
 		if v.BatchPolicy == semicont.BatchPolicyPatch {
-			shared = append(shared, refs[i].metric(func(r *semicont.Result) float64 {
+			shared = append(shared, refs[i].metric("shared-fraction", func(r *semicont.Result) float64 {
 				total := r.AcceptedMb + r.SharedMb
 				if total == 0 {
 					return 0

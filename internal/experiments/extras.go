@@ -5,9 +5,9 @@ import (
 
 	"semicont"
 	"semicont/internal/analytic"
+	"semicont/internal/faults"
 	"semicont/internal/report"
 	"semicont/internal/stats"
-	"semicont/internal/units"
 )
 
 // PriorStudiesTheta is the Zipf skew used by earlier video-server
@@ -304,8 +304,9 @@ func SwitchDelay(sys semicont.System, opts Options) (*Output, error) {
 }
 
 // Failover demonstrates the fault-tolerance use of DRM (Section 3.1):
-// one server is killed mid-run; with migration most of its streams are
-// rescued onto other replica holders, without it every stream dies.
+// one server is killed mid-run, scripted as a one-event fault trace;
+// with migration most of its streams are rescued onto other replica
+// holders, without it every stream dies.
 func Failover(sys semicont.System, opts Options) (*Output, error) {
 	opts = opts.withDefaults()
 	type variant struct {
@@ -317,59 +318,49 @@ func Failover(sys semicont.System, opts Options) (*Output, error) {
 		{"DRM", semicont.Policy{Name: "DRM", Placement: semicont.EvenPlacement, Migration: true}},
 		{"DRM+staging", semicont.PolicyP4()},
 	}
+	failAt := opts.HorizonHours / 2
 	tbl := &report.Table{
-		Title:   fmt.Sprintf("Server failure at t = %g h (%s system, theta = %g, load 0.85)", opts.HorizonHours/2, sys.Name, PriorStudiesTheta),
+		Title:   fmt.Sprintf("Server failure at t = %g h (%s system, theta = %g, load 0.85)", failAt, sys.Name, PriorStudiesTheta),
 		Headers: []string{"policy", "utilization", "rescued", "dropped", "rescue-rate"},
 	}
 	w := newSweeper(opts)
-	refs := make([]cellRef, len(variants))
+	refs := make([]seriesRef, len(variants))
 	for i, v := range variants {
 		pol := v.pol
-		refs[i] = w.rawCell("failover "+v.name, opts.Trials, func(trial int) (*semicont.Result, error) {
-			return semicont.Run(semicont.Scenario{
-				System:       sys,
-				Policy:       pol,
-				Theta:        PriorStudiesTheta,
-				HorizonHours: opts.HorizonHours,
+		refs[i] = w.series(v.name, []float64{failAt}, func(at float64) semicont.Scenario {
+			return semicont.Scenario{
+				System: sys,
+				Policy: pol,
+				Theta:  PriorStudiesTheta,
 				// Leave headroom so rescues have somewhere to land; a
 				// saturated cluster cannot absorb a dead server's work.
-				LoadFactor:  0.85,
-				Seed:        opts.Seed + uint64(trial)*7919,
-				FailServer:  0,
-				FailAtHours: opts.HorizonHours / 2,
-				Audit:       opts.Audit,
-			})
+				LoadFactor: 0.85,
+				Faults: faults.Config{Trace: []faults.Event{
+					{AtHours: at, Server: 0, Kind: faults.KindFail},
+				}},
+			}
 		})
 	}
 	if err := w.wait(); err != nil {
 		return nil, err
 	}
 	for i, v := range variants {
-		util, rescued, dropped := stats.Sample{}, stats.Sample{}, stats.Sample{}
-		for _, res := range refs[i].results() {
-			util.Add(res.Utilization)
-			rescued.Add(float64(res.RescuedStreams))
-			dropped.Add(float64(res.DroppedStreams))
-		}
+		util := refs[i].utilization().Points[0]
+		rescued := refs[i].metric("rescued", func(r *semicont.Result) float64 { return float64(r.RescuedStreams) }).Points[0].Mean
+		dropped := refs[i].metric("dropped", func(r *semicont.Result) float64 { return float64(r.DroppedStreams) }).Points[0].Mean
 		rate := 0.0
-		if tot := rescued.Mean() + dropped.Mean(); tot > 0 {
-			rate = rescued.Mean() / tot
+		if tot := rescued + dropped; tot > 0 {
+			rate = rescued / tot
 		}
 		tbl.AddRow(v.name,
-			fmt.Sprintf("%.4f ±%.4f", util.Mean(), util.CI95()),
-			fmt.Sprintf("%.1f", rescued.Mean()),
-			fmt.Sprintf("%.1f", dropped.Mean()),
+			fmt.Sprintf("%.4f ±%.4f", util.Mean, util.CI95),
+			fmt.Sprintf("%.1f", rescued),
+			fmt.Sprintf("%.1f", dropped),
 			fmt.Sprintf("%.2f", rate))
-		opts.Progress("  failover %s: util=%.4f rescued=%.1f dropped=%.1f", v.name, util.Mean(), rescued.Mean(), dropped.Mean())
 	}
 	return &Output{
 		ID:     "fail-" + sys.Name,
 		Title:  fmt.Sprintf("Failure rescue via DRM (%s system)", sys.Name),
 		Tables: []*report.Table{tbl},
 	}, nil
-}
-
-// gbString formats Mb as GB for the parameter table.
-func gbString(mb float64) string {
-	return fmt.Sprintf("%.0f GB", mb/units.MbPerGB)
 }

@@ -63,9 +63,9 @@ func FaultSweep(sys semicont.System, opts Options) (*Output, error) {
 	}
 	var denial, drops, glitches []stats.Series
 	for _, ref := range refs {
-		denial = append(denial, ref.ratio(func(r *semicont.Result) (int64, int64) { return r.Rejected + r.Reneged, r.Arrivals }))
-		drops = append(drops, ref.ratio(func(r *semicont.Result) (int64, int64) { return r.DroppedStreams, r.Accepted }))
-		glitches = append(glitches, ref.ratio(glitchRate))
+		denial = append(denial, ref.ratio("denial-rate", func(r *semicont.Result) (int64, int64) { return r.Rejected + r.Reneged, r.Arrivals }))
+		drops = append(drops, ref.ratio("drop-rate", func(r *semicont.Result) (int64, int64) { return r.DroppedStreams, r.Accepted }))
+		glitches = append(glitches, ref.ratio("glitch-rate", glitchRate))
 	}
 	id := "fault-sweep-" + sys.Name
 	return &Output{

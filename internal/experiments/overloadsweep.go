@@ -88,9 +88,9 @@ func OverloadSweep(sys semicont.System, opts Options) (*Output, error) {
 	}
 	var premium, standard, glitches []stats.Series
 	for _, ref := range refs {
-		premium = append(premium, ref.ratio(denialRate(0)))
-		standard = append(standard, ref.ratio(denialRate(1)))
-		glitches = append(glitches, ref.ratio(glitchRate))
+		premium = append(premium, ref.ratio("premium-denial-rate", denialRate(0)))
+		standard = append(standard, ref.ratio("standard-denial-rate", denialRate(1)))
+		glitches = append(glitches, ref.ratio("glitch-rate", glitchRate))
 	}
 	id := "overload-sweep-" + sys.Name
 	return &Output{

@@ -76,7 +76,7 @@ func ScaleDist(opts Options) (*Output, error) {
 	}
 	wait := ref.dist("wait", func(d *semicont.DistStats) *stats.Sketch { return &d.Wait })
 	sojourn := ref.dist("retry sojourn", func(d *semicont.DistStats) *stats.Sketch { return &d.RetrySojourn })
-	denial := ref.ratio(func(r *semicont.Result) (int64, int64) { return r.Rejected + r.Reneged, r.Arrivals })
+	denial := ref.ratio("denial-rate", func(r *semicont.Result) (int64, int64) { return r.Rejected + r.Reneged, r.Arrivals })
 	return &Output{
 		ID:    "scale-large",
 		Title: fmt.Sprintf("Scale: admission-delay quantiles vs offered load (%d-server cluster)", scaleServers),

@@ -41,17 +41,6 @@ type cellRef struct {
 
 func (c cellRef) results() []*semicont.Result { return c.w.cells[c.idx] }
 
-// rawCell submits a cell whose trials need custom seeding (Failover
-// perturbs seeds its own way rather than via TrialScenario).
-func (w *sweeper) rawCell(label string, trials int, run func(trial int) (*semicont.Result, error)) cellRef {
-	if w.subErr != nil {
-		return cellRef{}
-	}
-	idx := w.grid.Cell(trials, run)
-	w.labels = append(w.labels, label)
-	return cellRef{w: w, idx: idx}
-}
-
 // wait drains the grid. The first failure in (cell, trial) submission
 // order comes back wrapped with its cell's label — the same error a
 // serial loop would have stopped at.
@@ -115,21 +104,24 @@ func (s seriesRef) after(head seriesRef) seriesRef {
 }
 
 // points materializes one point per x under name and reports each on
-// the progress line. Every simulated figure point is built here.
-func (s seriesRef) points(name string, point func(x float64, trials []*semicont.Result) stats.Point) stats.Series {
+// the progress line as "<curve> <measure> x=… value=…", so a curve read
+// under several measures prints lines that say which is which. Every
+// simulated figure point is built here.
+func (s seriesRef) points(name, measure string, point func(x float64, trials []*semicont.Result) stats.Point) stats.Series {
 	out := stats.Series{Name: name}
 	for i, x := range s.xs {
 		p := point(x, s.cells[i].results())
 		out.Points = append(out.Points, p)
-		s.w.opts.Progress("  %s x=%g value=%.4f ±%.4f", name, x, p.Mean, p.CI95)
+		s.w.opts.Progress("  %s %s x=%g value=%.4f ±%.4f", s.name, measure, x, p.Mean, p.CI95)
 	}
 	return out
 }
 
-// sample materializes the series from one value per trial; a trial for
-// which value reports false adds nothing to its point.
-func (s seriesRef) sample(value func(*semicont.Result) (float64, bool)) stats.Series {
-	return s.points(s.name, func(x float64, trials []*semicont.Result) stats.Point {
+// sample materializes the series under measure from one value per
+// trial; a trial for which value reports false adds nothing to its
+// point.
+func (s seriesRef) sample(measure string, value func(*semicont.Result) (float64, bool)) stats.Series {
+	return s.points(s.name, measure, func(x float64, trials []*semicont.Result) stats.Point {
 		var smp stats.Sample
 		for _, r := range trials {
 			if v, ok := value(r); ok {
@@ -141,15 +133,15 @@ func (s seriesRef) sample(value func(*semicont.Result) (float64, bool)) stats.Se
 }
 
 // metric materializes the series under a per-trial measure.
-func (s seriesRef) metric(f func(*semicont.Result) float64) stats.Series {
-	return s.sample(func(r *semicont.Result) (float64, bool) { return f(r), true })
+func (s seriesRef) metric(measure string, f func(*semicont.Result) float64) stats.Series {
+	return s.sample(measure, func(r *semicont.Result) (float64, bool) { return f(r), true })
 }
 
 // ratio materializes a per-trial rate num/den. A trial whose
 // denominator is 0 (no arrivals, no admissions) has no rate and is
 // skipped rather than counted as 0.
-func (s seriesRef) ratio(f func(*semicont.Result) (num, den int64)) stats.Series {
-	return s.sample(func(r *semicont.Result) (float64, bool) {
+func (s seriesRef) ratio(measure string, f func(*semicont.Result) (num, den int64)) stats.Series {
+	return s.sample(measure, func(r *semicont.Result) (float64, bool) {
 		num, den := f(r)
 		return float64(num) / float64(den), den != 0
 	})
@@ -157,7 +149,7 @@ func (s seriesRef) ratio(f func(*semicont.Result) (num, den int64)) stats.Series
 
 // utilization materializes the paper's headline metric.
 func (s seriesRef) utilization() stats.Series {
-	return s.metric(func(r *semicont.Result) float64 { return r.Utilization })
+	return s.metric("utilization", func(r *semicont.Result) float64 { return r.Utilization })
 }
 
 // dist materializes one distribution channel under name: each point is
@@ -166,7 +158,7 @@ func (s seriesRef) utilization() stats.Series {
 // quantile columns. Trials run without Stats carry no distributions
 // and add nothing.
 func (s seriesRef) dist(name string, pick func(*semicont.DistStats) *stats.Sketch) stats.Series {
-	return s.points(name, func(x float64, trials []*semicont.Result) stats.Point {
+	return s.points(name, name, func(x float64, trials []*semicont.Result) stats.Point {
 		var med stats.Sample
 		merged := new(semicont.DistStats)
 		for _, r := range trials {

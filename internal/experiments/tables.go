@@ -5,7 +5,6 @@ import (
 
 	"semicont"
 	"semicont/internal/report"
-	"semicont/internal/units"
 )
 
 // TableFig3 renders the paper's Figure 3, the parameters of the two
@@ -35,9 +34,25 @@ func TableFig3() *Output {
 	return &Output{ID: "t3", Title: "Figure 3 (parameter table)", Tables: []*report.Table{t}}
 }
 
+// lengthRange formats a system's video-length range for the parameter
+// table.
 func lengthRange(s semicont.System) string {
-	return fmt.Sprintf("%s - %s",
-		units.Seconds(s.MinVideoLength), units.Seconds(s.MaxVideoLength))
+	return duration(s.MinVideoLength) + " - " + duration(s.MaxVideoLength)
+}
+
+// duration formats a span of seconds in hours from one hour up and in
+// minutes below, as the paper's Figure 3 quotes video lengths.
+func duration(sec float64) string {
+	if sec >= 3600 {
+		return fmt.Sprintf("%.2f h", sec/3600)
+	}
+	return fmt.Sprintf("%.1f min", sec/60)
+}
+
+// gbString formats Mb as decimal GB (1 GB = 8000 Mb) for the parameter
+// table.
+func gbString(mb float64) string {
+	return fmt.Sprintf("%.0f GB", mb/8000)
 }
 
 // TableFig6 renders the paper's Figure 6, the policy matrix P1–P8.

@@ -1,10 +1,8 @@
 // Package trace records engine lifecycle events for debugging,
 // validation, and post-hoc analysis. A Recorder implements
 // core.Observer; events can be inspected programmatically or dumped as
-// CSV.
-//
-// Tracing every event of a long run is memory-hungry, so the Recorder
-// supports both full recording and a counting-only mode.
+// CSV. Tracing every event of a long run is memory-hungry; the run's
+// Result already counts admissions, rejections, migrations and faults.
 package trace
 
 import (
@@ -64,76 +62,44 @@ type Event struct {
 	Cold bool
 }
 
-// Recorder implements core.Observer.
+// Recorder implements core.Observer, recording every event in order.
 type Recorder struct {
-	// CountsOnly suppresses event storage; only the tallies are kept.
-	CountsOnly bool
-
 	Events []Event
-
-	Admits       int64
-	Rejects      int64
-	Migrations   int64
-	Finishes     int64
-	Failures     int64
-	Recoveries   int64
-	Replications int64
 }
 
 // OnAdmit implements core.Observer.
 func (r *Recorder) OnAdmit(t float64, reqID int64, video, server int, viaMigration bool) {
-	r.Admits++
-	if !r.CountsOnly {
-		r.Events = append(r.Events, Event{Time: t, Kind: Admit, Request: reqID, Video: video, From: server, ViaDRM: viaMigration})
-	}
+	r.Events = append(r.Events, Event{Time: t, Kind: Admit, Request: reqID, Video: video, From: server, ViaDRM: viaMigration})
 }
 
 // OnReject implements core.Observer.
 func (r *Recorder) OnReject(t float64, video int) {
-	r.Rejects++
-	if !r.CountsOnly {
-		r.Events = append(r.Events, Event{Time: t, Kind: Reject, Video: video})
-	}
+	r.Events = append(r.Events, Event{Time: t, Kind: Reject, Video: video})
 }
 
 // OnMigrate implements core.Observer.
 func (r *Recorder) OnMigrate(t float64, reqID int64, video, from, to int, rescue bool) {
-	r.Migrations++
-	if !r.CountsOnly {
-		r.Events = append(r.Events, Event{Time: t, Kind: Migrate, Request: reqID, Video: video, From: from, To: to, Rescue: rescue})
-	}
+	r.Events = append(r.Events, Event{Time: t, Kind: Migrate, Request: reqID, Video: video, From: from, To: to, Rescue: rescue})
 }
 
 // OnFinish implements core.Observer.
 func (r *Recorder) OnFinish(t float64, reqID int64, video, server int) {
-	r.Finishes++
-	if !r.CountsOnly {
-		r.Events = append(r.Events, Event{Time: t, Kind: Finish, Request: reqID, Video: video, From: server})
-	}
+	r.Events = append(r.Events, Event{Time: t, Kind: Finish, Request: reqID, Video: video, From: server})
 }
 
 // OnFailure implements core.Observer.
 func (r *Recorder) OnFailure(t float64, server int, rescued, dropped, parked int) {
-	r.Failures++
-	if !r.CountsOnly {
-		r.Events = append(r.Events, Event{Time: t, Kind: Failure, From: server})
-	}
+	r.Events = append(r.Events, Event{Time: t, Kind: Failure, From: server})
 }
 
 // OnRecovery implements core.Observer.
 func (r *Recorder) OnRecovery(t float64, server int, cold bool) {
-	r.Recoveries++
-	if !r.CountsOnly {
-		r.Events = append(r.Events, Event{Time: t, Kind: Recovery, From: server, Cold: cold})
-	}
+	r.Events = append(r.Events, Event{Time: t, Kind: Recovery, From: server, Cold: cold})
 }
 
 // OnReplicate implements core.Observer.
 func (r *Recorder) OnReplicate(t float64, video, from, to int) {
-	r.Replications++
-	if !r.CountsOnly {
-		r.Events = append(r.Events, Event{Time: t, Kind: Replicate, Video: video, From: from, To: to})
-	}
+	r.Events = append(r.Events, Event{Time: t, Kind: Replicate, Video: video, From: from, To: to})
 }
 
 // WriteCSV dumps the recorded events as CSV with a header row.

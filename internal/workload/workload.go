@@ -23,21 +23,19 @@ type Request struct {
 	Video   int
 }
 
-// Generator produces a Poisson stream of video requests, stationary
-// (New) or rate-modulated by a deterministic curve via thinning
-// (NewNonStationary; see curve.go).
+// Generator produces a Poisson stream of video requests whose rate is
+// modulated by a deterministic curve through thinning (see curve.go).
+// The zero curve is the stationary process of the paper's evaluation.
 type Generator struct {
 	cat  *catalog.Catalog
 	p    *rng.PCG
-	rate float64 // arrivals per second
+	rate float64 // arrivals per second at curve shape 1
 	next float64
 
-	// Thinning state, used only by non-stationary generators
-	// (maxShape > 0). The stationary path draws videos lazily in Next;
-	// the thinning path must look ahead to the next surviving candidate
-	// so Peek stays exact, staging its video in pendingVideo.
+	// Thinning state. The generator looks ahead to the next surviving
+	// candidate so Peek stays exact, staging its video in pendingVideo.
 	curve        Curve
-	maxShape     float64 // thinning envelope; 0 = stationary generator
+	maxShape     float64 // thinning envelope
 	candidate    float64 // candidate-process clock, ≥ next
 	pendingVideo int
 }
@@ -61,17 +59,13 @@ func CalibratedRate(cat *catalog.Catalog, totalBandwidth, loadFactor float64) (f
 	return loadFactor * totalBandwidth / es, nil
 }
 
-// New returns a generator with the given arrival rate, drawing videos
-// from the catalog's popularity distribution and inter-arrival gaps
-// from p. The first arrival occurs after one exponential gap, matching
-// a Poisson process started at time zero.
+// New returns a stationary generator with the given arrival rate,
+// drawing videos from the catalog's popularity distribution and
+// inter-arrival gaps from p: NewNonStationary at the zero curve. The
+// first arrival occurs after one exponential gap, matching a Poisson
+// process started at time zero.
 func New(cat *catalog.Catalog, rate float64, p *rng.PCG) (*Generator, error) {
-	if rate <= 0 {
-		return nil, fmt.Errorf("workload: rate must be positive, got %g", rate)
-	}
-	g := &Generator{cat: cat, p: p, rate: rate}
-	g.next = g.p.ExpFloat64() / g.rate
-	return g, nil
+	return NewNonStationary(cat, rate, p, Curve{})
 }
 
 // Rate returns the arrival rate in requests per second.
@@ -80,13 +74,8 @@ func (g *Generator) Rate() float64 { return g.rate }
 // Next returns the next request and advances the stream. The horizon is
 // the caller's concern: keep calling until Arrival exceeds it.
 func (g *Generator) Next() Request {
-	if g.maxShape > 0 {
-		r := Request{Arrival: g.next, Video: g.pendingVideo}
-		g.advanceThinned()
-		return r
-	}
-	r := Request{Arrival: g.next, Video: g.cat.Sample(g.p)}
-	g.next += g.p.ExpFloat64() / g.rate
+	r := Request{Arrival: g.next, Video: g.pendingVideo}
+	g.advance()
 	return r
 }
 

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"semicont/internal/faults"
 	"semicont/internal/workload"
 )
 
@@ -57,7 +58,9 @@ var pairFeatures = []struct {
 	{"flash-crowd", func(s *Scenario) {
 		s.Curve = workload.Curve{FlashAt: 300, FlashDuration: 600, FlashFactor: 3}
 	}},
-	{"fail-at", func(s *Scenario) { s.FailAtHours, s.FailServer = 0.1, 1 }},
+	{"fail-at", func(s *Scenario) {
+		s.Faults.Trace = []faults.Event{{AtHours: 0.1, Server: 1, Kind: faults.KindFail}}
+	}},
 	{"partial-placement", func(s *Scenario) { s.Policy.Placement = PartialPredictivePlacement }},
 }
 

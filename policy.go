@@ -39,8 +39,8 @@ func (k PlacementKind) String() string {
 }
 
 // UnlimitedHops configures migration without a per-request lifetime
-// bound (mirrors core.UnlimitedHops).
-const UnlimitedHops = -1
+// bound.
+const UnlimitedHops = core.UnlimitedHops
 
 // DefaultReceiveCap is the client receive bandwidth limit applied in
 // the paper's staging experiments (Section 4.3), in Mb/s.
@@ -249,33 +249,19 @@ type TrafficClass struct {
 	RetryPatienceSec float64
 }
 
-// SpareKind mirrors the engine's spare-bandwidth disciplines.
-type SpareKind int
+// SpareKind is the engine's spare-bandwidth discipline.
+type SpareKind = core.SpareDiscipline
 
 // Workahead disciplines for Policy.Spare.
 const (
 	// EFTFSpare is Earliest Finishing Time First (the paper's Fig. 2).
-	EFTFSpare SpareKind = iota
+	EFTFSpare = core.EFTF
 	// LFTFSpare is Latest Finishing Time First, the adversarial
 	// opposite used by the A-EFTF ablation.
-	LFTFSpare
+	LFTFSpare = core.LFTF
 	// EvenSplitSpare divides spare bandwidth equally (water-filling).
-	EvenSplitSpare
+	EvenSplitSpare = core.EvenSplit
 )
-
-// String implements fmt.Stringer.
-func (k SpareKind) String() string {
-	switch k {
-	case EFTFSpare:
-		return "eftf"
-	case LFTFSpare:
-		return "lftf"
-	case EvenSplitSpare:
-		return "even-split"
-	default:
-		return fmt.Sprintf("SpareKind(%d)", int(k))
-	}
-}
 
 // AllocatorEFTF names minimum-flow plus Earliest-Finishing-Time-First
 // workahead (the paper's Figure 2 algorithm), the one value the obsolete
@@ -400,8 +386,6 @@ func (p Policy) validate() error {
 		return fmt.Errorf("semicont: MaxHops=%d/MaxChain=%d set while Migration is disabled (enable Migration or leave them zero)", p.MaxHops, p.MaxChain)
 	case !finite(p.ReceiveCap):
 		return fmt.Errorf("semicont: ReceiveCap %g must be finite", p.ReceiveCap)
-	case p.Spare < EFTFSpare || p.Spare > EvenSplitSpare:
-		return fmt.Errorf("semicont: unknown spare discipline %d", int(p.Spare))
 	case !finite(p.ShedWatermark) || p.ShedWatermark < 0 || p.ShedWatermark > 1:
 		return fmt.Errorf("semicont: ShedWatermark %g outside [0, 1]", p.ShedWatermark)
 	}

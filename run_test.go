@@ -5,8 +5,14 @@ import (
 	"strings"
 	"testing"
 
+	"semicont/internal/faults"
 	"semicont/internal/trace"
 )
+
+// failAt returns a fault configuration that fails server at hours.
+func failAt(hours float64, server int) faults.Config {
+	return faults.Config{Trace: []faults.Event{{AtHours: hours, Server: server, Kind: faults.KindFail}}}
+}
 
 func quickScenario() Scenario {
 	return Scenario{
@@ -30,12 +36,12 @@ func TestScenarioValidate(t *testing.T) {
 		{"bad policy", func(s *Scenario) { s.Policy.StagingFrac = -1 }},
 		{"zero horizon", func(s *Scenario) { s.HorizonHours = 0 }},
 		{"negative load", func(s *Scenario) { s.LoadFactor = -1 }},
-		{"bad fail server", func(s *Scenario) { s.FailAtHours = 1; s.FailServer = 99 }},
+		{"bad fail server", func(s *Scenario) { s.Faults = failAt(1, 99) }},
 		{"negative shards", func(s *Scenario) { s.Shards = -1 }},
 		{"shards 2", func(s *Scenario) { s.Shards = 2 }},
 		{"shards 8", func(s *Scenario) { s.Shards = 8 }},
 		// Shapes that once validated and then failed to build in Run.
-		{"failure at +Inf", func(s *Scenario) { s.FailAtHours, s.FailServer = math.Inf(1), 0 }},
+		{"failure at +Inf", func(s *Scenario) { s.Faults = failAt(math.Inf(1), 0) }},
 		{"theta overflows the Zipf weights", func(s *Scenario) { s.Theta = 1000 }},
 		{"partial extras exceed the budget", func(s *Scenario) {
 			s.Policy.Placement = PartialPredictivePlacement
@@ -60,12 +66,13 @@ func TestScenarioValidate(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	// NaN and -Inf failure times mean no failure, as zero does.
-	for _, at := range []float64{math.NaN(), math.Inf(-1)} {
+	// The obsolete FailAtHours points at its replacement for every
+	// value but 0, NaN and -Inf included.
+	for _, at := range []float64{1, math.NaN(), math.Inf(-1)} {
 		sc := quickScenario()
-		sc.FailAtHours, sc.FailServer = at, 99
-		if err := sc.Validate(); err != nil {
-			t.Errorf("FailAtHours %g rejected: %v", at, err)
+		sc.FailAtHours = at
+		if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "Faults") {
+			t.Errorf("FailAtHours %g: got %v, want an error naming Faults", at, err)
 		}
 	}
 	for _, shards := range []int{0, 1} {
@@ -165,8 +172,7 @@ func TestRunConservation(t *testing.T) {
 
 func TestRunWithFailure(t *testing.T) {
 	sc := quickScenario()
-	sc.FailServer = 2
-	sc.FailAtHours = 2
+	sc.Faults = failAt(2, 2)
 	sc.LoadFactor = 0.8
 	res, err := Run(sc)
 	if err != nil {
@@ -183,20 +189,28 @@ func TestRunWithFailure(t *testing.T) {
 func TestRunObserver(t *testing.T) {
 	sc := quickScenario()
 	sc.HorizonHours = 1
-	rec := &trace.Recorder{CountsOnly: true}
+	rec := &trace.Recorder{}
 	sc.Observer = rec
 	res, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Admits != res.Accepted {
-		t.Errorf("observer admits %d != accepted %d", rec.Admits, res.Accepted)
+	n := map[trace.Kind]int64{}
+	for _, ev := range rec.Events {
+		n[ev.Kind]++
 	}
-	if rec.Rejects != res.Rejected {
-		t.Errorf("observer rejects %d != rejected %d", rec.Rejects, res.Rejected)
-	}
-	if rec.Finishes != res.Completions {
-		t.Errorf("observer finishes %d != completions %d", rec.Finishes, res.Completions)
+	for _, c := range []struct {
+		kind trace.Kind
+		want int64
+	}{
+		{trace.Admit, res.Accepted},
+		{trace.Reject, res.Rejected},
+		{trace.Migrate, res.Migrations},
+		{trace.Finish, res.Completions},
+	} {
+		if n[c.kind] != c.want {
+			t.Errorf("observer recorded %d %s events, Result counts %d", n[c.kind], c.kind, c.want)
+		}
 	}
 }
 
@@ -470,8 +484,7 @@ func TestObserverAdapterFullSurface(t *testing.T) {
 		Theta:        -1, // rejections → replications
 		HorizonHours: 10,
 		Seed:         2,
-		FailServer:   1,
-		FailAtHours:  5,
+		Faults:       failAt(5, 1),
 		Observer:     obs,
 	}
 	res, err := Run(sc)

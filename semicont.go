@@ -34,8 +34,6 @@ package semicont
 import (
 	"fmt"
 	"math"
-
-	"semicont/internal/units"
 )
 
 // finite reports whether v is an ordinary number. NaN and ±Inf slip
@@ -60,8 +58,9 @@ type System struct {
 	ServerBandwidth float64
 	Bandwidths      []float64
 
-	// DiskCapacity is each server's storage in Mb. Capacities, when
-	// non-nil, overrides it per server.
+	// DiskCapacity is each server's storage in Mb (decimal units:
+	// 1 GB = 8000 Mb). Capacities, when non-nil, overrides it per
+	// server.
 	DiskCapacity float64
 	Capacities   []float64
 
@@ -89,10 +88,10 @@ func SmallSystem() System {
 		Name:            "small",
 		NumServers:      5,
 		ServerBandwidth: 100,
-		DiskCapacity:    float64(units.GB(100)),
+		DiskCapacity:    800_000, // 100 GB
 		NumVideos:       100,
-		MinVideoLength:  float64(units.Minutes(10)),
-		MaxVideoLength:  float64(units.Minutes(30)),
+		MinVideoLength:  600,  // 10 min
+		MaxVideoLength:  1800, // 30 min
 		AvgCopies:       2.2,
 		ViewRate:        3,
 	}
@@ -106,10 +105,10 @@ func LargeSystem() System {
 		Name:            "large",
 		NumServers:      20,
 		ServerBandwidth: 300,
-		DiskCapacity:    float64(units.GB(150)),
+		DiskCapacity:    1_200_000, // 150 GB
 		NumVideos:       100,
-		MinVideoLength:  float64(units.Hours(1)),
-		MaxVideoLength:  float64(units.Hours(2)),
+		MinVideoLength:  3600, // 1 h
+		MaxVideoLength:  7200, // 2 h
 		AvgCopies:       2.2,
 		ViewRate:        3,
 	}
@@ -126,10 +125,10 @@ func ScaleSystem(n int) System {
 		Name:            fmt.Sprintf("scale-%d", n),
 		NumServers:      n,
 		ServerBandwidth: 300,
-		DiskCapacity:    float64(units.GB(500)),
+		DiskCapacity:    4_000_000, // 500 GB
 		NumVideos:       500,
-		MinVideoLength:  float64(units.Minutes(10)),
-		MaxVideoLength:  float64(units.Minutes(30)),
+		MinVideoLength:  600,  // 10 min
+		MaxVideoLength:  1800, // 30 min
 		AvgCopies:       2.2,
 		ViewRate:        3,
 	}
@@ -143,10 +142,10 @@ func SingleServer(svbr int) System {
 		Name:            fmt.Sprintf("svbr-%d", svbr),
 		NumServers:      1,
 		ServerBandwidth: float64(svbr) * 3,
-		DiskCapacity:    float64(units.GB(1000)),
+		DiskCapacity:    8_000_000, // 1000 GB
 		NumVideos:       50,
-		MinVideoLength:  float64(units.Minutes(10)),
-		MaxVideoLength:  float64(units.Minutes(30)),
+		MinVideoLength:  600,  // 10 min
+		MaxVideoLength:  1800, // 30 min
 		AvgCopies:       1,
 		ViewRate:        3,
 	}
