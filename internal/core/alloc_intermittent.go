@@ -46,20 +46,19 @@ func (e *Engine) allocateIntermittent(s *server, t float64) float64 {
 			ln.setWake(int32(i), ln.susp[i])
 			continue
 		}
-		r := s.active[i]
 		// A negative raw buffer means playback outpaced delivery at some
 		// point since the last allocation: the client stalled. Record
 		// the glitch on first sight (the raw buffer stays negative until
 		// the stream receives more than b_view again, so the first
 		// allocation after the underflow always observes it).
-		if !r.glitched && ln.sent[i]-r.viewedAt(t, bview) < -dataEps {
-			r.glitched = true
+		if ln.flags[i]&slotGlitched == 0 && ln.sent[i]-ln.viewedAt(i, t, bview) < -dataEps {
+			ln.flags[i] |= slotGlitched
 			e.metrics.GlitchedStreams++
 			// The catch-up deficit at detection: how far playback ran
 			// ahead of delivery, in seconds of viewing.
-			e.observe(ObsGlitch, (r.viewedAt(t, bview)-ln.sent[i])/bview)
+			e.observe(ObsGlitch, (ln.viewedAt(i, t, bview)-ln.sent[i])/bview)
 		}
-		e.cand.Add(s.bufferOf(i, t, bview), r.id, int32(i))
+		e.cand.Add(s.bufferOf(i, t, bview), ln.meta[i].id, int32(i))
 	}
 	// Ascending-buffer feed via heap selection. Once the bandwidth no
 	// longer covers a full b_view slot, nothing downstream can consume
@@ -81,7 +80,7 @@ func (e *Engine) allocateIntermittent(s *server, t float64) float64 {
 		}
 		ln.rate[i] = bview
 		avail -= bview
-		ln.setWake(i, e.wakeKeyServing(s, s.active[i], int(i), t))
+		ln.setWake(i, e.wakeKeyServing(s, int(i), t))
 	}
 	for _, rest := range e.cand.Rest() {
 		if e.pausedFullAt(s, int(rest.Pos), t) {
@@ -102,11 +101,11 @@ func (e *Engine) allocateIntermittent(s *server, t float64) float64 {
 // paused with a dry buffer cannot keep playing: the heuristic has
 // over-admitted, so the glitch is recorded once.
 func (e *Engine) pauseIntermittent(s *server, i int32, buf, t float64) {
-	s.ln.rate[i] = 0
-	s.ln.setWake(i, e.wakeKeyPaused(buf, t))
-	r := s.active[i]
-	if !r.glitched && buf <= dataEps && !s.finishedAt(int(i)) {
-		r.glitched = true
+	ln := &s.ln
+	ln.rate[i] = 0
+	ln.setWake(i, e.wakeKeyPaused(buf, t))
+	if ln.flags[i]&slotGlitched == 0 && buf <= dataEps && !s.finishedAt(int(i)) {
+		ln.flags[i] |= slotGlitched
 		e.metrics.GlitchedStreams++
 		// The pause itself is the detection point: the buffer just hit
 		// empty, so the deficit observed here is zero.
@@ -162,8 +161,8 @@ func (e *Engine) canAccept(s *server, t float64) bool {
 func (e *Engine) urgentCount(s *server, t float64) int {
 	guard := e.resumeGuard() * e.cfg.ViewRate
 	n := 0
-	for i, r := range s.active {
-		if s.suspendedAt(i, t) || s.finishedAt(i) || r.pausedView {
+	for i, f := range s.ln.flags {
+		if s.suspendedAt(i, t) || s.finishedAt(i) || f&slotPaused != 0 {
 			// Paused viewers consume nothing until they resume.
 			continue
 		}

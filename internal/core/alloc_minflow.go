@@ -30,13 +30,15 @@ func (e *Engine) minFlowRates(s *server, t float64) float64 {
 	wakeA := ln.wake[:len(rateA)]
 	sentA := ln.sent[:len(rateA)]
 	sizeA := ln.size[:len(rateA)]
+	flagsA := ln.flags[:len(rateA)]
 	for i := range rateA {
 		var k float64
+		paused := flagsA[i]&slotPaused != 0
 		if suspA[i] > t+timeEps {
 			// Mid-switch streams receive nothing until the blackout ends.
 			rateA[i] = 0
 			k = suspA[i]
-		} else if r := s.active[i]; r.pausedView && s.bufferOf(i, t, bview) >= r.bufCap-dataEps {
+		} else if paused && s.bufferOf(i, t, bview) >= ln.meta[i].bufCap-dataEps {
 			// A paused viewer with a full buffer has nowhere to put
 			// data, so the minimum-flow guarantee is moot until it
 			// resumes (an evResume event triggers reallocation).
@@ -60,12 +62,18 @@ func (e *Engine) minFlowRates(s *server, t float64) float64 {
 				rem = 0
 			}
 			k = t + rem/bview
-			if fill := bview - r.drainRate(bview); fill > dataEps && r.bufCap >= 0 {
-				buf := sent - r.viewedAt(t, bview)
+			drain := bview
+			if paused {
+				drain = 0
+			}
+			// Only a paused viewer's buffer fills at b_view, so only
+			// its record is read.
+			if fill := bview - drain; fill > dataEps && ln.meta[i].bufCap >= 0 {
+				buf := sent - ln.viewedAt(i, t, bview)
 				if buf < 0 {
 					buf = 0
 				}
-				room := r.bufCap - buf
+				room := ln.meta[i].bufCap - buf
 				if room < 0 {
 					room = 0
 				}

@@ -309,9 +309,13 @@ func auditKind(ev event) (kind AuditEventKind, server int32, req int64) {
 // auditRecord fills the reusable snapshot buffers with the full cluster
 // state. Fluid quantities are reported as of each request's own sync
 // time; building the record never syncs, so it cannot move the run.
+// Every row comes from the lane: a *request is loaded only for the tap
+// count of a tapped slot. The rows are scratch kept across events and
+// across Reset, so a row slice regrows only past the largest load its
+// server has carried.
 func (e *Engine) auditRecord(kind AuditEventKind, server int32, req int64) AuditEventRecord {
-	if e.auditServers == nil {
-		e.auditServers = make([]AuditServerState, len(e.servers))
+	if n := len(e.servers); len(e.auditServers) != n {
+		e.auditServers = slices.Grow(e.auditServers[:0], n)[:n]
 	}
 	bview := e.cfg.ViewRate
 	for i, s := range e.servers {
@@ -321,27 +325,35 @@ func (e *Engine) auditRecord(kind AuditEventKind, server int32, req int64) Audit
 		st.Slots = s.slots
 		st.Failed = s.failed
 		st.NextWake = s.currentWake()
+		ln := &s.ln
+		n := len(ln.rate)
 		// Rows are written in place: a struct literal per row would be
 		// built and then copied into the slice.
-		st.Requests = slices.Grow(st.Requests[:0], len(s.active))[:len(s.active)]
-		for j, r := range s.active {
+		st.Requests = slices.Grow(st.Requests[:0], n)[:n]
+		for j := range st.Requests {
 			q := &st.Requests[j]
-			q.ID = r.id
-			q.Video = r.video
-			q.Rate = s.ln.rate[j]
-			q.Sent = s.ln.sent[j]
-			q.Size = r.size
-			q.Buffer = s.ln.sent[j] - r.viewedAt(s.ln.last[j], bview)
-			q.BufCap = r.bufCap
-			q.RecvCap = r.recvCap
-			q.Hops = r.hops
-			q.Taps = r.taps
-			q.SyncedAt = s.ln.last[j]
-			q.WakeKey = s.ln.wake[j]
-			q.Suspended = s.suspendedAt(j, s.ln.last[j])
-			q.PausedView = r.pausedView
-			q.IsPatch = r.isPatch
-			q.Glitched = r.glitched
+			f := ln.flags[j]
+			last := ln.last[j]
+			m := &ln.meta[j]
+			q.ID = m.id
+			q.Video = m.video
+			q.Rate = ln.rate[j]
+			q.Sent = ln.sent[j]
+			q.Size = ln.size[j]
+			q.Buffer = ln.sent[j] - ln.viewedAt(j, last, bview)
+			q.BufCap = m.bufCap
+			q.RecvCap = m.recvCap
+			q.Hops = m.hops
+			q.Taps = 0
+			if f&slotTapped != 0 {
+				q.Taps = s.active[j].taps
+			}
+			q.SyncedAt = last
+			q.WakeKey = ln.wake[j]
+			q.Suspended = s.suspendedAt(j, last)
+			q.PausedView = f&slotPaused != 0
+			q.IsPatch = f&slotPatch != 0
+			q.Glitched = f&slotGlitched != 0
 		}
 		st.Copies = st.Copies[:0]
 		for _, c := range s.copies {

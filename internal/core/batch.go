@@ -76,7 +76,7 @@ func (e *Engine) tryBatchPrefixJoin(v int, t, bufCap, prefix float64) bool {
 		return false
 	}
 	s := e.servers[primary.server]
-	primary.taps++
+	s.tap(primary)
 
 	// The joiner's delivery is exactly: prefix (edge cache) + catch-up
 	// (edge relay) + the rest of the suffix (shared stream).
@@ -109,9 +109,14 @@ func (e *Engine) cheapestPrimary(v int, t, startOff, maxSent float64, slot bool)
 		if s.failed {
 			continue
 		}
+		ln := &s.ln
 		synced := false
-		for i, r := range s.active {
-			if int(r.video) != v || r.startOff != startOff || r.isPatch || s.suspendedAt(i, t) {
+		for i := range ln.meta {
+			if int(ln.meta[i].video) != v || ln.flags[i]&slotPatch != 0 || s.suspendedAt(i, t) {
+				continue
+			}
+			r := s.active[i]
+			if r.startOff != startOff {
 				continue
 			}
 			if !synced {

@@ -11,10 +11,13 @@ import (
 
 // Admission micro-benchmarks: one Select call per iteration over a
 // cluster where every server holds the probed video, parameterized over
-// the holder count k. BENCH_admission.json at the repo root holds the
-// baseline recorded when the controller seam landed; the bar is zero
+// the holder count k, and one DRM planning call from a full server
+// (BenchmarkAdmissionDRM, below). BENCH_admission.json at the repo root
+// holds the selector baseline recorded when the controller seam landed
+// and the DRM planner's rows in its drm_plan section; the bar is zero
 // allocations per operation in steady state for every selector (the
-// random selector's candidate scratch is warmed before timing).
+// random selector's candidate scratch is warmed before timing) and for
+// the planner.
 
 // benchAdmissionKs are the replica-holder counts the admission benches
 // sweep — real layouts replicate a video on a handful of servers, not
@@ -102,5 +105,105 @@ func BenchmarkAdmissionSelectSaturated(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// DRM planning micro-benchmark: the scan the controller runs when every
+// holder of an arrival's video is full, at the scale-faulttol cell's
+// size — 200 servers of 100 slots, every slot taken, each video on two
+// servers, unlimited hops and one-move chains.
+const (
+	benchDRMServers = 200
+	benchDRMVideos  = 2000 // 20 titles per server: 10 first copies, 10 second
+)
+
+// benchDRMHolders places video v on server v mod 200 and on a second
+// server 1 + 17⌊v/200⌋ further along, so a server's streams have ten
+// distinct second holders and each server is the second holder of ten
+// others' videos.
+func benchDRMHolders(v int) []int {
+	first := v % benchDRMServers
+	return []int{first, (first + 1 + 17*(v/benchDRMServers)) % benchDRMServers}
+}
+
+// benchDRMEngine builds the saturated cluster. With spare set, server
+// 199 — the second holder of video 199, which server 0 carries — keeps
+// one slot free, so planning from server 0 succeeds; without it every
+// server is full and planning fails after scanning all of server 0's
+// streams and both holders of each.
+func benchDRMEngine(b *testing.B, spare bool) *Engine {
+	b.Helper()
+	bview := 3.0
+	cat, err := catalog.Generate(catalog.Config{
+		NumVideos: benchDRMVideos, MinLength: 1200, MaxLength: 1200, ViewRate: bview, Theta: 1,
+	}, rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	holders := make([][]int, benchDRMVideos)
+	held := make([][]int32, benchDRMServers)
+	for v := range holders {
+		holders[v] = benchDRMHolders(v)
+		for _, h := range holders[v] {
+			held[h] = append(held[h], int32(v))
+		}
+	}
+	lay, err := placement.Manual(cat, holders, benchDRMServers)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bw := make([]float64, benchDRMServers)
+	for i := range bw {
+		bw[i] = 100 * bview
+	}
+	cfg := Config{
+		ServerBandwidth: bw, ViewRate: bview,
+		Migration: MigrationConfig{Enabled: true, MaxHops: UnlimitedHops, MaxChain: 1},
+	}
+	e, err := NewEngine(cfg, cat, lay, &scriptSource{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	id := int64(1)
+	for _, s := range e.servers {
+		n := s.slots
+		if spare && s.id == benchDRMServers-1 {
+			n--
+		}
+		for j := 0; j < n; j++ {
+			v := held[s.id][j%len(held[s.id])]
+			s.attach(&request{id: id, video: v, size: cat.Video(int(v)).Size})
+			id++
+		}
+	}
+	return e
+}
+
+// benchDRMFound keeps the planner's result live so the timed call
+// cannot be dropped.
+var benchDRMFound bool
+
+// BenchmarkAdmissionDRM times one DRM planning call from a full server
+// of 100 streams: "fails" when no holder has room, the 95% case on the
+// scale-faulttol cell, and "succeeds" when one target has a free slot.
+// The scan visits every stream either way (the planner keeps the best
+// move over all of them); neither case allocates.
+func BenchmarkAdmissionDRM(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		spare bool
+	}{{"fails", false}, {"succeeds", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			e := benchDRMEngine(b, c.spare)
+			s := e.servers[0]
+			if benchPlanDRM(e, s, 0) != c.spare {
+				b.Fatalf("planning from server 0 found a move: %v, want %v", !c.spare, c.spare)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchDRMFound = benchPlanDRM(e, s, 0)
+			}
+		})
 	}
 }

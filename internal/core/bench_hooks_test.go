@@ -29,3 +29,12 @@ func benchSelect(e *Engine, v int, t float64) *server {
 func benchEdgeProbe(e *Engine, v int) float64 {
 	return e.edgeProbe(v)
 }
+
+// benchPlanDRM runs the DRM planner for an arrival whose holder s is
+// full, as admitViaMigration does for each holder at chain depth 1,
+// without executing the plan. It reports whether a move was found.
+func benchPlanDRM(e *Engine, s *server, t float64) bool {
+	clear(e.visited)
+	e.visited[s.id] = true
+	return e.planChain(s, t, 1, e.visited) != nil
+}

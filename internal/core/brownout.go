@@ -59,14 +59,14 @@ func (e *Engine) evictSlot0(s *server, t float64) evictOutcome {
 	// switch servers mid-stream). The target is the least-loaded holder
 	// whatever Config.Selector names; s itself never qualifies, since
 	// it is failed or browned out above its slot count.
-	if e.cfg.Migration.Enabled && e.migratable(r, t, true) {
+	if e.cfg.Migration.Enabled && e.migratable(s, 0, t, true) {
 		target = leastLoadedSelector{}.Select(e, int(r.video), t)
 	}
 	if target == nil {
 		// No rescue target. A stream with buffered data can play on
 		// in degraded mode and try to reconnect later; patch trees
 		// are pinned and mid-switch streams have no data flowing.
-		if e.cfg.Degraded.Enabled && !r.isPatch && r.taps == 0 &&
+		if e.cfg.Degraded.Enabled && s.ln.flags[0]&slotPinned == 0 &&
 			!s.suspendedAt(0, t) && !s.finishedAt(0) &&
 			s.bufferOf(0, t, e.cfg.ViewRate) > dataEps {
 			e.park(r, s, t)
@@ -80,8 +80,8 @@ func (e *Engine) evictSlot0(s *server, t float64) evictOutcome {
 	}
 	target.syncAll(t)
 	s.detach(r)
+	r.hops++ // detached: attach mirrors the new count into the lane
 	target.attach(r)
-	r.hops++
 	if d := e.cfg.Migration.SwitchDelay; d > 0 {
 		target.setSuspend(r, t+d)
 	}

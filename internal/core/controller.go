@@ -175,6 +175,7 @@ func (e *Engine) admitViaMigration(v int32, now float64) (*server, bool) {
 				continue
 			}
 			e.executeMoves(plan, now, false)
+			e.planBuf = plan[:0] // keep what a longer chain grew
 			if e.audit != nil {
 				e.auditFail(e.audit.Chain(now, len(plan)))
 			}

@@ -136,6 +136,7 @@ type Engine struct {
 	prefix     alloc.Prefix
 	evenBuf    []alloc.Entry
 	touchedBuf []*server
+	planBuf    []move
 	visited    []bool
 	freeList   []*request
 }
@@ -254,12 +255,12 @@ func (e *Engine) Reset(cfg Config, cat *catalog.Catalog, lay *placement.Layout, 
 	e.auditErr = nil
 	e.auditSeq = 0
 	e.auditEvery = 0
-	e.auditServers = nil
 	e.discardObs()
 	e.spareGrantBuf = e.spareGrantBuf[:0]
 	e.intermitGrantBuf = e.intermitGrantBuf[:0]
-	// cand/prefix/evenBuf/touchedBuf are reset at each use; freeList is kept —
-	// recycled requests are the cross-trial reuse this enables.
+	// cand/prefix/evenBuf/touchedBuf/planBuf are reset at each use;
+	// freeList is kept — recycled requests are the cross-trial reuse
+	// this enables.
 	return nil
 }
 
@@ -629,10 +630,10 @@ func (e *Engine) handleInteraction(id int64, t float64, pause bool) {
 	s := e.servers[r.server]
 	s.syncAll(t)
 	if pause {
-		r.pauseViewing(t, e.cfg.ViewRate)
+		s.pauseView(int(r.slot), t, e.cfg.ViewRate)
 		e.metrics.ViewerPauses++
 	} else {
-		r.resumeViewing(t)
+		s.resumeView(int(r.slot), t)
 	}
 	e.reschedule(s, t)
 }

@@ -91,22 +91,45 @@ func (c laneCheckTap) Event(rec AuditEventRecord) error {
 	return c.AuditTap.Event(rec)
 }
 
-// checkLanes checks the lane structure no audit snapshot can see: the
-// lane arrays are as long as the active list, each request holds its
-// own slot index, and the lane's size mirror matches the request.
+// checkLanes checks the lane structure no audit snapshot can see:
+// every lane column is as long as the active list, each request holds
+// its own slot index, and the mirrored columns — size, id, video,
+// client caps, hops, and the patch and tapped flags — match the
+// request. (The lane-owned columns, viewer state and the paused and
+// glitched flags, are authoritative while attached: the request's
+// copies are stale by design.)
 func checkLanes(e *Engine) error {
 	for _, s := range e.servers {
 		n, ln := len(s.active), &s.ln
-		if len(ln.rate) != n || len(ln.sent) != n || len(ln.last) != n ||
-			len(ln.susp) != n || len(ln.size) != n || len(ln.wake) != n {
-			return fmt.Errorf("server %d: lane arrays out of step with %d active streams", s.id, n)
+		for _, l := range []int{
+			len(ln.rate), len(ln.sent), len(ln.last), len(ln.susp), len(ln.size), len(ln.wake),
+			len(ln.flags), len(ln.meta),
+		} {
+			if l != n {
+				return fmt.Errorf("server %d: a lane column has %d entries for %d active streams", s.id, l, n)
+			}
 		}
 		for i, r := range s.active {
 			if int(r.slot) != i {
 				return fmt.Errorf("server %d: request %d in slot %d holds slot index %d", s.id, r.id, i, r.slot)
 			}
-			if ln.size[i] != r.size {
+			f, m := ln.flags[i], &ln.meta[i]
+			switch {
+			case ln.size[i] != r.size:
 				return fmt.Errorf("server %d: request %d lane size %g != %g", s.id, r.id, ln.size[i], r.size)
+			case m.id != r.id:
+				return fmt.Errorf("server %d slot %d: lane id %d != request %d", s.id, i, m.id, r.id)
+			case m.video != r.video:
+				return fmt.Errorf("server %d: request %d lane video %d != %d", s.id, r.id, m.video, r.video)
+			case m.bufCap != r.bufCap || m.recvCap != r.recvCap:
+				return fmt.Errorf("server %d: request %d lane caps %g/%g != %g/%g",
+					s.id, r.id, m.bufCap, m.recvCap, r.bufCap, r.recvCap)
+			case m.hops != r.hops:
+				return fmt.Errorf("server %d: request %d lane hops %d != %d", s.id, r.id, m.hops, r.hops)
+			case f&slotPatch != 0 != r.isPatch:
+				return fmt.Errorf("server %d: request %d lane patch flag %v != %v", s.id, r.id, f&slotPatch != 0, r.isPatch)
+			case f&slotTapped != 0 != (r.taps > 0):
+				return fmt.Errorf("server %d: request %d lane tapped flag %v with %d taps", s.id, r.id, f&slotTapped != 0, r.taps)
 			}
 		}
 	}

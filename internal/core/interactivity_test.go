@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"semicont/internal/workload"
@@ -181,27 +182,44 @@ func TestPausedViewerNotUrgent(t *testing.T) {
 	if got := e.urgentCount(s, 0); got != 1 {
 		t.Fatalf("urgentCount = %d, want 1", got)
 	}
-	r.pausedView = true // ...unless the viewer has paused
+	s.pauseView(int(r.slot), 0, 3) // ...unless the viewer has paused
 	if got := e.urgentCount(s, 0); got != 0 {
 		t.Errorf("urgentCount = %d, want 0 for a paused viewer", got)
 	}
 }
 
+// TestViewedAtWhilePaused plays one pause/resume script on a detached
+// request's carried viewer state and on an attached slot's lane
+// columns: both must follow the playback formula and agree bit for
+// bit, and detach must hand the lane's state back to the request.
 func TestViewedAtWhilePaused(t *testing.T) {
-	r := &request{size: 3600, start: 0, viewSyncT: 0}
 	const bview = 3.0
-	if got := r.viewedAt(100, bview); !approx(got, 300, 1e-9) {
-		t.Fatalf("viewedAt(100) = %v", got)
+	r := &request{size: 3600, start: 0, viewSyncT: 0}
+	s := mkServer(30, bview)
+	s.attach(&request{id: 1, size: 3600})
+	ln := &s.ln
+	check := func(at, want float64, what string) {
+		t.Helper()
+		got := r.viewedAt(at, bview)
+		if !approx(got, want, 1e-9) {
+			t.Errorf("%s: viewedAt(%v) = %v, want %v", what, at, got, want)
+		}
+		if lg := ln.viewedAt(0, at, bview); math.Float64bits(lg) != math.Float64bits(got) {
+			t.Errorf("%s: lane viewedAt(%v) = %v, carried %v", what, at, lg, got)
+		}
 	}
+	check(100, 300, "playing")
 	r.pauseViewing(100, bview)
-	if got := r.viewedAt(500, bview); !approx(got, 300, 1e-9) {
-		t.Errorf("viewedAt while paused = %v, want frozen 300", got)
-	}
+	s.pauseView(0, 100, bview)
+	check(500, 300, "paused")
 	r.resumeViewing(500)
-	if got := r.viewedAt(600, bview); !approx(got, 600, 1e-9) {
-		t.Errorf("viewedAt after resume = %v, want 600", got)
-	}
-	if r.drainRate(bview) != bview {
-		t.Errorf("drainRate after resume = %v", r.drainRate(bview))
+	s.resumeView(0, 500)
+	check(600, 600, "resumed")
+	s.pauseView(0, 700, bview)
+	back := s.active[0]
+	s.detach(back)
+	if !back.pausedView || back.viewSyncT != 700 || !approx(back.viewOffset, 900, 1e-9) {
+		t.Errorf("detach stored paused=%v viewSyncT=%v viewOffset=%v, want true 700 900",
+			back.pausedView, back.viewSyncT, back.viewOffset)
 	}
 }

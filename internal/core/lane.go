@@ -2,22 +2,48 @@ package core
 
 import "math"
 
-// lane is a server's structure-of-arrays data plane: the per-request
-// hot fields (rate, sent, last-sync, suspension deadline, object size)
-// and the stored wake keys, held in parallel float64 slices indexed by
-// request slot. The pointer slice server.active carries everything
-// cold (identity, viewer state, client caps, patching/park flags); the
-// lane carries everything the per-event passes — syncAll, the
-// allocation feeds, the wake query — actually touch, so those passes
-// stream contiguous arrays instead of chasing pointers across a
-// 100+-byte struct.
+// lane is a server's structure-of-arrays data plane: every per-stream
+// field a per-slot scan reads, and the stored wake keys, held in
+// parallel slices indexed by request slot. The pointer slice
+// server.active carries the rest: what the scans never read (admission
+// time, class, park state) and what they read only for a slot that
+// passed the lane's tests (a join's edge start offset, a tapped slot's
+// tap count). The per-event passes — syncAll, the allocation feeds,
+// the wake query, the DRM planner, the audit snapshot — stream
+// contiguous arrays and load a *request only for the slot they act on.
 //
-// Ownership contract: while a request is attached the lane is the only
-// authoritative copy of its hot fields; the request struct's carry*
-// fields are a marshaling area valid only while detached (parked
-// streams, the freelist). attach loads carry → lane; detach stores
-// lane → carry and swap-removes the slot. size never changes while
-// attached, so its lane mirror cannot go stale.
+// What every allocation round reads of every slot has a column of its
+// own: the fluid state and the flag bits. The rest, which only the
+// rarer scans read (the spare gather past its prefix shortcut, the DRM
+// planner, the audit snapshot), is one slotMeta record per slot, so
+// attach and detach move it as one value. The columns and records, and
+// who writes them:
+//
+//	rate, sent, last, susp   fluid state: syncStreams, the allocation
+//	                         rounds, setSuspend
+//	size                     mirrored: never changes while attached
+//	wake                     the allocation rounds (see below)
+//	flags                    slotPaused (pauseView, resumeView),
+//	                         slotGlitched (the intermittent feed),
+//	                         slotPatch (mirrored), slotTapped
+//	                         (server.tap, beside request.taps++)
+//	meta.id, video           mirrored: never change while attached
+//	meta.bufCap, recvCap     mirrored: client caps, fixed at admission
+//	meta.hops                mirrored: a migration counts the hop
+//	                         between detach and attach, so attach
+//	                         loads the new count
+//	meta.viewOff, viewT      viewer position: server.pauseView and
+//	                         resumeView
+//
+// Ownership contract: mirrored fields are copies of request fields that
+// cannot change while the request is attached, so they cannot go stale.
+// Every other field is the only authoritative copy while the request is
+// attached; the request's carry* fields, its viewer state (viewOffset,
+// viewSyncT, pausedView) and glitched are a marshaling area valid only
+// while detached (parked streams, the freelist). attach loads request →
+// lane; detach stores the lane-owned fields back and swap-removes the
+// slot. Columns grow by append, so a server reserves only what it has
+// held.
 //
 // Wake-index contract (see wake.go for the scheduling semantics): each
 // slot stores the request's wake key — the earliest of its finish,
@@ -31,17 +57,45 @@ import "math"
 // which is what keeps the incremental answer bit-identical to a
 // from-scratch min over the same keys).
 type lane struct {
-	rate []float64 // current allocation, Mb/s
-	sent []float64 // Mb transmitted, valid as of last
-	last []float64 // time sent was last synced
-	susp []float64 // suspension deadline (mid-switch blackout)
-	size []float64 // object size mirror, immutable while attached
-	wake []float64 // stored wake key (+Inf = no wake needed)
+	rate  []float64  // current allocation, Mb/s
+	sent  []float64  // Mb transmitted, valid as of last
+	last  []float64  // time sent was last synced
+	susp  []float64  // suspension deadline (mid-switch blackout)
+	size  []float64  // object size, Mb
+	wake  []float64  // stored wake key (+Inf = no wake needed)
+	flags []uint8    // slotPaused | slotPatch | slotTapped | slotGlitched
+	meta  []slotMeta // the rest of the stream state
 
 	wakeMin   float64 // min over wake ∪ copy keys, valid unless dirty
 	wakeArg   int32   // slot of the min; wakeArgCopy for a copy job
 	wakeDirty bool    // a key was removed or raised since the last fold
 }
+
+// slotMeta is a slot's stream state beyond the fluid columns and flags:
+// the fields the spare gather, the DRM planner and the audit snapshot
+// read. Its fields are ordered widest first, so it packs in 48 bytes.
+type slotMeta struct {
+	id      int64   // request id
+	bufCap  float64 // client staging buffer, Mb (0 = no staging)
+	recvCap float64 // client receive cap, Mb/s (0 = unlimited)
+	viewOff float64 // data consumed by playback as of viewT, Mb
+	viewT   float64 // time the viewer position was last synced
+	video   int32   // video index
+	hops    int32   // lifetime migrations
+}
+
+// Slot flag bits.
+const (
+	slotPaused   uint8 = 1 << iota // the viewer has paused playback
+	slotPatch                      // a unicast patch stream
+	slotTapped                     // feeds multicast taps (request.taps > 0)
+	slotGlitched                   // the buffer ran dry under the intermittent scheduler
+
+	// slotPinned marks a stream that must stay on its server at b_view:
+	// the multicast tree of a patch or a tapped primary cannot move,
+	// and cannot run ahead of its receivers' buffers.
+	slotPinned = slotPatch | slotTapped
+)
 
 // wakeArg sentinel values. Slots are ≥ 0.
 const (
@@ -49,10 +103,10 @@ const (
 	wakeArgCopy = int32(-2) // the min is a copy job's key
 )
 
-// attach appends r's carried hot fields as a new lane slot. The wake
-// key starts at +Inf; the reschedule that follows every attach writes
-// the real key (+Inf cannot lower the maintained min, so no
-// invalidation is needed).
+// attach appends r's carried state as a new lane slot. The wake key
+// starts at +Inf; the reschedule that follows every attach writes the
+// real key (+Inf cannot lower the maintained min, so no invalidation is
+// needed).
 func (ln *lane) attach(r *request) {
 	ln.rate = append(ln.rate, r.carryRate)
 	ln.sent = append(ln.sent, r.carrySent)
@@ -60,27 +114,59 @@ func (ln *lane) attach(r *request) {
 	ln.susp = append(ln.susp, r.carrySusp)
 	ln.size = append(ln.size, r.size)
 	ln.wake = append(ln.wake, math.Inf(1))
+	var f uint8
+	if r.pausedView {
+		f |= slotPaused
+	}
+	if r.isPatch {
+		f |= slotPatch
+	}
+	if r.taps > 0 {
+		f |= slotTapped
+	}
+	if r.glitched {
+		f |= slotGlitched
+	}
+	ln.flags = append(ln.flags, f)
+	ln.meta = append(ln.meta, slotMeta{
+		id: r.id, bufCap: r.bufCap, recvCap: r.recvCap,
+		viewOff: r.viewOffset, viewT: r.viewSyncT,
+		video: r.video, hops: r.hops,
+	})
 }
 
-// detach stores slot i back into r's carry fields and swap-removes the
-// slot, mirroring server.detach's swap of the active slice. Removing a
-// key can orphan the maintained min, so the index goes dirty.
+// detach stores slot i's lane-owned state back into r and swap-removes
+// the slot, mirroring server.detach's swap of the active slice.
+// Removing a key can orphan the maintained min, so the index goes
+// dirty.
 func (ln *lane) detach(r *request, i, last int) {
 	r.carryRate, r.carrySent, r.carryLast, r.carrySusp =
 		ln.rate[i], ln.sent[i], ln.last[i], ln.susp[i]
-	ln.rate[i] = ln.rate[last]
-	ln.rate = ln.rate[:last]
-	ln.sent[i] = ln.sent[last]
-	ln.sent = ln.sent[:last]
-	ln.last[i] = ln.last[last]
-	ln.last = ln.last[:last]
-	ln.susp[i] = ln.susp[last]
-	ln.susp = ln.susp[:last]
-	ln.size[i] = ln.size[last]
-	ln.size = ln.size[:last]
-	ln.wake[i] = ln.wake[last]
-	ln.wake = ln.wake[:last]
+	r.viewOffset, r.viewSyncT = ln.meta[i].viewOff, ln.meta[i].viewT
+	r.pausedView = ln.flags[i]&slotPaused != 0
+	r.glitched = ln.flags[i]&slotGlitched != 0
+	ln.rate = swapRemove(ln.rate, i, last)
+	ln.sent = swapRemove(ln.sent, i, last)
+	ln.last = swapRemove(ln.last, i, last)
+	ln.susp = swapRemove(ln.susp, i, last)
+	ln.size = swapRemove(ln.size, i, last)
+	ln.wake = swapRemove(ln.wake, i, last)
+	ln.flags = swapRemove(ln.flags, i, last)
+	ln.meta = swapRemove(ln.meta, i, last)
 	ln.wakeDirty = true
+}
+
+// swapRemove moves a[last] into a[i] and drops the last element.
+func swapRemove[T any](a []T, i, last int) []T {
+	a[i] = a[last]
+	return a[:last]
+}
+
+// viewedAt returns the data slot i's viewer has consumed by time t:
+// request.viewedAt on the lane's viewer state.
+func (ln *lane) viewedAt(i int, t, bview float64) float64 {
+	m := &ln.meta[i]
+	return viewedFrom(m.viewOff, m.viewT, ln.size[i], t, bview, ln.flags[i]&slotPaused != 0)
 }
 
 // beginRound opens an allocation round: every slot's key is about to be
@@ -122,5 +208,7 @@ func (ln *lane) reset() {
 	ln.susp = ln.susp[:0]
 	ln.size = ln.size[:0]
 	ln.wake = ln.wake[:0]
+	ln.flags = ln.flags[:0]
+	ln.meta = ln.meta[:0]
 	ln.beginRound()
 }

@@ -19,42 +19,30 @@ type move struct {
 	to *server
 }
 
-// eligibleTarget reports whether request r may be migrated to server t
-// at time now. r must be synced to now.
-func (e *Engine) eligibleTarget(r *request, t *server, now float64) bool {
-	if t.failed || int(r.server) == int(t.id) {
+// migratable reports whether slot i of s may move at all (not pinned
+// by patching, hops budget, not mid-switch, and — when switching takes
+// time — enough buffered data to mask the blackout). rescue bypasses
+// the hops budget: a stream on a failing server is moved if at all
+// possible. It reads only the lane; s must be synced to now.
+func (e *Engine) migratable(s *server, i int, now float64, rescue bool) bool {
+	ln := &s.ln
+	if s.suspendedAt(i, now) {
 		return false
 	}
-	if !e.holds(int(r.video), int(t.id)) {
-		return false
-	}
-	return true
-}
-
-// migratable reports whether the attached request r may move at all
-// (hops budget, not mid-switch, and — when switching takes time —
-// enough buffered data to mask the blackout). rescue bypasses the hops
-// budget: a stream on a failing server is moved if at all possible.
-// r's server must be synced to now.
-func (e *Engine) migratable(r *request, now float64, rescue bool) bool {
-	s := e.servers[r.server]
-	if s.suspendedAt(int(r.slot), now) {
-		return false
-	}
-	if r.isPatch || r.taps > 0 {
+	if ln.flags[i]&slotPinned != 0 {
 		// Patching pins streams to their server: the multicast tree
 		// feeding the taps cannot move.
 		return false
 	}
 	if !rescue {
 		mh := e.cfg.Migration.MaxHops
-		if mh != UnlimitedHops && int(r.hops) >= mh {
+		if mh != UnlimitedHops && int(ln.meta[i].hops) >= mh {
 			return false
 		}
 	}
 	if d := e.cfg.Migration.SwitchDelay; d > 0 {
 		need := d * e.cfg.ViewRate
-		if s.bufferOf(int(r.slot), now, e.cfg.ViewRate) < need-dataEps {
+		if s.bufferOf(i, now, e.cfg.ViewRate) < need-dataEps {
 			e.metrics.MigrationsRefusedByBuffer++
 			return false
 		}
@@ -84,8 +72,8 @@ func (e *Engine) executeMoves(plan []move, now float64, rescue bool) {
 	for _, m := range plan {
 		from := e.servers[m.r.server]
 		from.detach(m.r)
+		m.r.hops++ // detached: attach mirrors the new count into the lane
 		m.to.attach(m.r)
-		m.r.hops++
 		if d := e.cfg.Migration.SwitchDelay; d > 0 {
 			m.to.setSuspend(m.r, now+d)
 		}
@@ -106,33 +94,42 @@ func (e *Engine) executeMoves(plan []move, now float64, rescue bool) {
 // planDirect finds the best single migration that frees a slot on s:
 // among s's migratable requests with a free-slot target, it picks the
 // pair whose target has the lowest load (ties: lowest request id, then
-// lowest target id), mirroring the least-loaded assignment rule.
+// lowest target id), mirroring the least-loaded assignment rule. The
+// scan reads the lane; only the chosen slot's request is loaded.
 func (e *Engine) planDirect(s *server, now float64) (move, bool) {
-	var best move
-	bestLoad := -1
-	for _, r := range s.active {
-		if !e.migratable(r, now, false) {
+	ln := &s.ln
+	var bestTo *server
+	var bestID int64
+	best, bestLoad := -1, -1
+	for i := range ln.meta {
+		if !e.migratable(s, i, now, false) {
 			continue
 		}
-		for _, h := range e.holders(int(r.video)) {
+		m := &ln.meta[i]
+		id := m.id
+		// Every holder of the video but s itself is a target; a dead
+		// one cannot accept.
+		for _, h := range e.holders(int(m.video)) {
 			t := e.servers[h]
-			if !e.canAccept(t, now) || !e.eligibleTarget(r, t, now) {
+			if t == s || !e.canAccept(t, now) {
 				continue
 			}
 			if bestLoad == -1 || t.load() < bestLoad ||
-				(t.load() == bestLoad && (r.id < best.r.id || (r.id == best.r.id && t.id < best.to.id))) {
-				best = move{r: r, to: t}
-				bestLoad = t.load()
+				(t.load() == bestLoad && (id < bestID || (id == bestID && t.id < bestTo.id))) {
+				best, bestID, bestTo, bestLoad = i, id, t, t.load()
 			}
 		}
 	}
-	return best, bestLoad >= 0
+	if best < 0 {
+		return move{}, false
+	}
+	return move{r: s.active[best], to: bestTo}, true
 }
 
 // planChain tries to free one slot on s using at most depthLeft
 // migrations. It returns the moves in execution order (deepest first).
 // visited marks servers already being freed higher up the chain, to
-// prevent cycles.
+// prevent cycles; s itself is marked before the call.
 func (e *Engine) planChain(s *server, now float64, depthLeft int, visited []bool) []move {
 	if depthLeft <= 0 {
 		return nil
@@ -141,25 +138,30 @@ func (e *Engine) planChain(s *server, now float64, depthLeft int, visited []bool
 	// switch-delay check depends on each request's current buffer level.
 	s.syncAll(now)
 	if m, ok := e.planDirect(s, now); ok {
-		return []move{m}
+		// The deepest move starts the plan in the engine's scratch and
+		// each level up appends its own, so planning allocates nothing
+		// once the scratch has held the longest chain.
+		e.planBuf = append(e.planBuf[:0], m)
+		return e.planBuf
 	}
 	if depthLeft == 1 {
 		return nil
 	}
 	// No direct target has room: try to free a slot on some candidate
 	// target first, then move one of s's requests onto it.
-	for _, r := range s.active {
-		if !e.migratable(r, now, false) {
+	ln := &s.ln
+	for i := range ln.meta {
+		if !e.migratable(s, i, now, false) {
 			continue
 		}
-		for _, h := range e.holders(int(r.video)) {
+		for _, h := range e.holders(int(ln.meta[i].video)) {
 			t := e.servers[h]
-			if visited[t.id] || !e.eligibleTarget(r, t, now) {
+			if visited[t.id] || t.failed {
 				continue
 			}
 			visited[t.id] = true
 			if sub := e.planChain(t, now, depthLeft-1, visited); sub != nil {
-				return append(sub, move{r: r, to: t})
+				return append(sub, move{r: s.active[i], to: t})
 			}
 			// Leave visited set: freeing t failed and cannot succeed
 			// via another path within this chain either.

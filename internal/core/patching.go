@@ -66,7 +66,7 @@ func (e *Engine) tryPatchJoin(v int, t float64, bufCap, recvCap float64) bool {
 	joiner.isPatch = true
 	joiner.bufCap, joiner.recvCap = bufCap, recvCap
 	s.attach(joiner)
-	primary.taps++
+	s.tap(primary)
 
 	full := e.cat.Video(v).Size
 	e.metrics.Accepted++

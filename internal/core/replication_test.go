@@ -194,7 +194,8 @@ func TestCopyConsumesOnlySpareBandwidth(t *testing.T) {
 
 func TestMigrationSeesDynamicReplicas(t *testing.T) {
 	// After video 0 is replicated onto server 1, DRM may migrate a
-	// video-0 stream there: the overlay must feed eligibleTarget.
+	// video-0 stream there: the planner must take its targets from
+	// the overlay (e.holders), not the static layout.
 	cat := fixedCatalog(t, 2, 1200)
 	cfg := Config{
 		ServerBandwidth: []float64{7, 7},

@@ -23,39 +23,62 @@ const (
 // bandwidth the moment transmission completes, even though the client
 // keeps playing from its buffer afterwards.
 //
-// Hot-field ownership: while the request is attached to a server, its
-// fluid hot fields (rate, sent, last, suspension deadline) live in the
-// server's lane at index slot — read and write them there. The carry*
-// fields below are the detached representation only: server.detach
+// Ownership: while the request is attached to a server, the server's
+// lane holds, at index slot, every field a per-slot scan reads (see
+// lane.go). Its mutable state — the fluid fields (rate, sent, last,
+// suspension deadline), the viewer state (viewOffset, viewSyncT,
+// pausedView) and glitched — lives there: read and write it there. The
+// request's copies are the detached representation only: server.detach
 // stores the lane slot into them, attach loads them back, and the
-// fluid methods on request (syncTo, bufferAt) operate on them — legal
-// only for detached requests (parked streams playing from their
-// buffers, freelist entries, and requests not yet attached).
+// methods on request (syncTo, viewedAt, bufferAt, pauseViewing,
+// resumeViewing) operate on them — legal only for detached requests
+// (parked streams playing from their buffers, freelist entries, and
+// requests not yet attached). The lane mirrors the rest (id, video,
+// size, client caps, hops, isPatch, taps > 0), which cannot change
+// while attached, except that taps grows through server.tap.
 type request struct {
+	// Fields are grouped by size, widest first, so the struct packs
+	// without padding.
+
 	id    int64
-	video int32
 	size  float64 // Mb
 	start float64 // admission == playback start time
-
-	server int32 // current data source
 
 	// Carried hot fields, valid only while detached (see above).
 	carrySent float64 // Mb transmitted, valid as of carryLast
 	carryRate float64 // current allocation, Mb/s
 	carryLast float64 // time carrySent was last synced
+	// carrySusp > carryLast marks a stream mid-switch: it holds a slot
+	// on the target server but receives no data until this time.
+	carrySusp float64
 
-	// Viewer playback state. viewOffset is the data consumed as of
-	// viewSyncT; while pausedView is set the offset is frozen.
+	// Viewer playback state, valid only while detached (see above).
+	// viewOffset is the data consumed as of viewSyncT; while pausedView
+	// is set the offset is frozen.
 	viewOffset float64
 	viewSyncT  float64
-	pausedView bool
 
 	// Per-client capabilities, set at admission from the engine config
 	// or the request's drawn client class.
 	bufCap  float64 // staging buffer, Mb (0 = no staging)
 	recvCap float64 // receive bandwidth cap, Mb/s (0 = unlimited)
 
-	hops int32 // lifetime migrations so far
+	// startOff > 0 marks a cluster suffix stream behind the edge tier:
+	// the first startOff Mb of the object were served from an edge
+	// cache and size covers only the remainder. Cold bookkeeping for
+	// accounting and batch-join eligibility; the fluid model treats
+	// the stream as an ordinary object of its (suffix) size.
+	startOff float64
+
+	// Degraded-mode playback (see parked): parkVer lazily invalidates
+	// scheduled park ticks the same way server.version invalidates
+	// wakes.
+	parkVer   uint64
+	parkStart float64 // park instant, for the degraded-park observation
+
+	video  int32
+	server int32 // current data source
+	hops   int32 // lifetime migrations so far
 
 	// class is the request's traffic class index (Config.Classes), -1
 	// on classless runs. It rides the request so retry re-attempts and
@@ -67,37 +90,22 @@ type request struct {
 	// remainder arrives via a multicast tap; taps counts dependents
 	// fed from this stream's transmission. Either pins the stream to
 	// its server (the multicast tree must not move).
-	isPatch bool
-	taps    int32
-
-	// startOff > 0 marks a cluster suffix stream behind the edge tier:
-	// the first startOff Mb of the object were served from an edge
-	// cache and size covers only the remainder. Cold bookkeeping for
-	// accounting and batch-join eligibility; the fluid model treats
-	// the stream as an ordinary object of its (suffix) size.
-	startOff float64
-
-	// glitched marks a stream whose buffer ran dry while paused by the
-	// intermittent scheduler — a playback interruption the client saw.
-	glitched bool
-
-	// carrySusp > carryLast marks a stream mid-switch: it holds a slot
-	// on the target server but receives no data until this time. Like
-	// the other carry fields it is the detached copy; attached streams
-	// keep the deadline in lane.susp.
-	carrySusp float64
-
-	// parked marks a stream in degraded-mode playback: detached from
-	// every server after a failure, draining its client buffer while it
-	// retries reconnection. parkVer lazily invalidates scheduled park
-	// ticks the same way server.version invalidates wakes.
-	parked    bool
-	parkVer   uint64
-	parkStart float64 // park instant, for the degraded-park observation
+	taps int32
 
 	// slot is the request's index within its server's active slice,
 	// maintained for O(1) removal.
 	slot int32
+
+	pausedView bool // see viewOffset
+	isPatch    bool // see taps
+	// glitched marks a stream whose buffer ran dry while paused by the
+	// intermittent scheduler — a playback interruption the client saw.
+	// Valid only while detached; attached streams keep it in the lane.
+	glitched bool
+	// parked marks a stream in degraded-mode playback: detached from
+	// every server after a failure, draining its client buffer while it
+	// retries reconnection.
+	parked bool
 }
 
 // syncTo advances the carried fluid state to time t. Detached requests
@@ -115,41 +123,43 @@ func (r *request) syncTo(t float64) {
 	r.carryLast = t
 }
 
-// viewedAt returns the data consumed by playback at time t.
+// viewedAt returns the data consumed by playback at time t. Detached
+// requests only (attached streams: lane.viewedAt).
 func (r *request) viewedAt(t float64, bview float64) float64 {
-	v := r.viewOffset
-	if !r.pausedView {
-		v += (t - r.viewSyncT) * bview
+	return viewedFrom(r.viewOffset, r.viewSyncT, r.size, t, bview, r.pausedView)
+}
+
+// viewedFrom is the playback position at time t of a viewer that had
+// consumed off Mb of a size-Mb object at syncT and has since played at
+// bview unless paused. request.viewedAt and lane.viewedAt share it, so
+// the carried and the lane viewer state give bit-identical positions.
+func viewedFrom(off, syncT, size, t, bview float64, paused bool) float64 {
+	v := off
+	if !paused {
+		v += (t - syncT) * bview
 	}
 	if v < 0 {
 		return 0
 	}
-	if v > r.size {
-		return r.size
+	if v > size {
+		return size
 	}
 	return v
 }
 
-// pauseViewing freezes playback at time t.
+// pauseViewing freezes playback at time t. Detached requests only
+// (attached streams: server.pauseView).
 func (r *request) pauseViewing(t float64, bview float64) {
 	r.viewOffset = r.viewedAt(t, bview)
 	r.viewSyncT = t
 	r.pausedView = true
 }
 
-// resumeViewing restarts playback at time t.
+// resumeViewing restarts playback at time t. Detached requests only
+// (attached streams: server.resumeView).
 func (r *request) resumeViewing(t float64) {
 	r.viewSyncT = t
 	r.pausedView = false
-}
-
-// drainRate returns the rate at which the client consumes buffered
-// data: b_view while playing, 0 while the viewer has paused.
-func (r *request) drainRate(bview float64) float64 {
-	if r.pausedView {
-		return 0
-	}
-	return bview
 }
 
 // bufferAt returns the client buffer occupancy at time t from the

@@ -65,12 +65,13 @@ func TestResetEquivalence(t *testing.T) {
 }
 
 // TestResetClearsLanes walks the lane struct by reflection so the check
-// cannot silently rot: every slice field must be truncated to length
-// zero by Reset (capacity may be retained — that is the point of engine
-// reuse), the wake-index scalars must be back at their empty-server
+// cannot silently rot: every slice column must be truncated to length
+// zero by Reset and keep the capacity the run grew on some server (that
+// is the point of engine reuse, and a column no run ever fills is
+// dead), the wake-index scalars must be back at their empty-server
 // values, and any field of a kind this test does not recognize fails it
-// outright — adding a hot-field array to lane without teaching
-// lane.reset (and this test) about it is a bug.
+// outright — adding a column to lane without teaching lane.attach,
+// lane.detach, lane.reset (and this test) about it is a bug.
 func TestResetClearsLanes(t *testing.T) {
 	cfg, cat, lay, mkSrc := kitchenSinkParts(t, 7)
 	e, err := NewEngine(cfg, cat, lay, mkSrc())
@@ -83,6 +84,7 @@ func TestResetClearsLanes(t *testing.T) {
 	if err := e.Reset(cfg, cat, lay, mkSrc()); err != nil {
 		t.Fatal(err)
 	}
+	kept := map[string]bool{}
 	for si := range e.servers {
 		ln := reflect.ValueOf(&e.servers[si].ln).Elem()
 		tp := ln.Type()
@@ -94,6 +96,7 @@ func TestResetClearsLanes(t *testing.T) {
 				if v.Len() != 0 {
 					t.Errorf("server %d: lane.%s has %d entries after Reset", si, f.Name, v.Len())
 				}
+				kept[f.Name] = kept[f.Name] || v.Cap() > 0
 			case f.Name == "wakeMin":
 				if got := v.Float(); !math.IsInf(got, 1) {
 					t.Errorf("server %d: lane.wakeMin = %v after Reset, want +Inf", si, got)
@@ -109,6 +112,11 @@ func TestResetClearsLanes(t *testing.T) {
 			default:
 				t.Errorf("lane.%s: kind %s not covered by this test — extend lane.reset and the cases above", f.Name, f.Type.Kind())
 			}
+		}
+	}
+	for name, ok := range kept {
+		if !ok {
+			t.Errorf("lane.%s kept no capacity on any server: the run never filled it", name)
 		}
 	}
 }

@@ -12,8 +12,9 @@ type server struct {
 	copies []*copyJob // replica transfers sourced from this server
 
 	// ln is the server's structure-of-arrays data plane: the active
-	// requests' hot fields and the stored wake keys, parallel to the
-	// active slice (see lane.go for the ownership contract).
+	// requests' per-slot stream state and the stored wake keys,
+	// parallel to the active slice (see lane.go for the ownership
+	// contract).
 	ln lane
 
 	// version lazily invalidates scheduled wake events: an event whose
@@ -43,8 +44,8 @@ func (s *server) hasSlot() bool {
 // smallest load (Section 3.2's request assignment rule).
 func (s *server) load() int { return len(s.active) }
 
-// attach adds r to the active set, loading its carried hot fields into
-// the lane.
+// attach adds r to the active set, loading its carried state into the
+// lane.
 func (s *server) attach(r *request) {
 	r.server = s.id
 	r.slot = int32(len(s.active))
@@ -53,8 +54,8 @@ func (s *server) attach(r *request) {
 }
 
 // detach removes r from the active set in O(1) by swapping the last
-// element into its slot, storing the lane slot back into r's carry
-// fields.
+// element into its slot, storing the lane slot's mutable state back
+// into r.
 func (s *server) detach(r *request) {
 	i := int(r.slot)
 	last := len(s.active) - 1
@@ -121,14 +122,38 @@ func (s *server) suspendedAt(i int, t float64) bool { return s.ln.susp[i] > t+ti
 // bufferOf returns slot i's client buffer occupancy at time t. The
 // slot must be synced to t.
 func (s *server) bufferOf(i int, t, bview float64) float64 {
-	b := s.ln.sent[i] - s.active[i].viewedAt(t, bview)
+	b := s.ln.sent[i] - s.ln.viewedAt(i, t, bview)
 	if b < 0 {
 		return 0 // float noise only; the model guarantees buffer ≥ 0
 	}
 	return b
 }
 
+// Per-slot writes of the lane-owned stream state.
+
 // setSuspend sets the attached request r's suspension deadline (a
 // mid-switch blackout, written after attach by migration and park
 // reconnection).
 func (s *server) setSuspend(r *request, until float64) { s.ln.susp[r.slot] = until }
+
+// pauseView freezes slot i's playback at time t: request.pauseViewing
+// on the lane's viewer state.
+func (s *server) pauseView(i int, t, bview float64) {
+	ln := &s.ln
+	ln.meta[i].viewOff = ln.viewedAt(i, t, bview)
+	ln.meta[i].viewT = t
+	ln.flags[i] |= slotPaused
+}
+
+// resumeView restarts slot i's playback at time t.
+func (s *server) resumeView(i int, t float64) {
+	s.ln.meta[i].viewT = t
+	s.ln.flags[i] &^= slotPaused
+}
+
+// tap records one more multicast receiver fed from the attached
+// request r's transmission, which pins its slot.
+func (s *server) tap(r *request) {
+	r.taps++
+	s.ln.flags[r.slot] |= slotTapped
+}

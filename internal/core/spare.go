@@ -17,8 +17,9 @@ import (
 // the EFTF/LFTF feed gathers into an alloc.Prefix bounded by the spare:
 // it keeps only candidates with receive headroom whose predecessors'
 // headroom does not yet cover the spare, rejects a slot whose remaining
-// volume is behind a covered prefix before loading its request, and
-// costs O(k + I log m) for k slots, I insertions and m kept candidates.
+// volume is behind a covered prefix before its buffer test, and costs
+// O(k + I log m) for k slots, I insertions and m kept candidates. The
+// gather reads only the lane, never a *request.
 // Audited runs feed from the same prefix. They give up only the early
 // rejection (Beyond never changes what the prefix keeps): the gather
 // also lists every eligible candidate, unsorted, and the SpareOrder tap
@@ -59,7 +60,7 @@ import (
 // position indexes s.active. Every candidate goes to each sink given,
 // which the caller has Reset: to prefix along with its receive
 // headroom, and to all. Only when all is nil does the gather skip a
-// slot behind the covered prefix, before loading its request.
+// slot behind the covered prefix, before its buffer test.
 func (e *Engine) gatherSpareCandidates(s *server, t float64, prefix *alloc.Prefix, all *alloc.Index) {
 	bview := e.cfg.ViewRate
 	shortcut := all == nil
@@ -68,14 +69,13 @@ func (e *Engine) gatherSpareCandidates(s *server, t float64, prefix *alloc.Prefi
 	suspA := ln.susp[:len(rateA)]
 	sentA := ln.sent[:len(rateA)]
 	sizeA := ln.size[:len(rateA)]
+	flagsA := ln.flags[:len(rateA)]
 	for i := range rateA {
 		if suspA[i] > t+timeEps || rateA[i] <= 0 {
 			continue
 		}
 		// remainingOf and bufferOf unrolled onto one sent load; same
-		// operations, same clamps. The key comes from the lane alone, so
-		// a slot behind the covered prefix is skipped before its request
-		// is loaded.
+		// operations, same clamps.
 		sent := sentA[i]
 		rem := sizeA[i] - sent
 		if rem < 0 {
@@ -84,26 +84,29 @@ func (e *Engine) gatherSpareCandidates(s *server, t float64, prefix *alloc.Prefi
 		if shortcut && prefix.Beyond(rem) {
 			continue
 		}
-		r := s.active[i]
 		// Streams feeding multicast taps cannot run ahead (the shared
 		// receivers' buffers bound the sender), and patch streams share
 		// their client's buffer with the tapped remainder, so both stay
 		// at exactly b_view.
-		if r.taps > 0 || r.isPatch || r.bufCap <= 0 {
+		if flagsA[i]&slotPinned != 0 {
 			continue
 		}
-		buf := sent - r.viewedAt(t, bview)
+		m := &ln.meta[i]
+		if m.bufCap <= 0 {
+			continue
+		}
+		buf := sent - ln.viewedAt(i, t, bview)
 		if buf < 0 {
 			buf = 0
 		}
-		if buf >= r.bufCap-dataEps {
+		if buf >= m.bufCap-dataEps {
 			continue
 		}
 		if prefix != nil {
-			prefix.Add(rem, r.id, int32(i), receiveHeadroom(rateA[i], r.recvCap))
+			prefix.Add(rem, m.id, int32(i), receiveHeadroom(rateA[i], m.recvCap))
 		}
 		if all != nil {
-			all.Add(rem, r.id, int32(i))
+			all.Add(rem, m.id, int32(i))
 		}
 	}
 }
@@ -186,19 +189,19 @@ func (e *Engine) feedSpareOrdered(s *server, t float64, avail float64, descendin
 			break
 		}
 		i := ent.Pos
-		r := s.active[i]
 		// Kept candidates have headroom and avail > 0, so the grant is
 		// positive.
-		extra := spareGrantTo(ln.rate[i], r.recvCap, avail)
+		recvCap := ln.meta[i].recvCap
+		extra := spareGrantTo(ln.rate[i], recvCap, avail)
 		if audited {
 			grants = append(grants, SpareGrant{
-				Request: r.id, Remaining: ent.Key,
-				RateBefore: ln.rate[i], Extra: extra, RecvCap: r.recvCap,
+				Request: ent.ID, Remaining: ent.Key,
+				RateBefore: ln.rate[i], Extra: extra, RecvCap: recvCap,
 			})
 		}
 		ln.rate[i] += extra
 		avail -= extra
-		ln.setWake(i, e.wakeKeyServing(s, r, int(i), t))
+		ln.setWake(i, e.wakeKeyServing(s, int(i), t))
 	}
 	if audited {
 		e.reportSpareOrder(s, t, kept[:len(grants)], grants)
@@ -228,7 +231,7 @@ func (e *Engine) reportSpareOrder(s *server, t float64, fed []alloc.Weighted, gr
 		}
 		grants = append(grants, SpareGrant{
 			Request: ent.ID, Remaining: ent.Key,
-			RateBefore: s.ln.rate[i], RecvCap: s.active[i].recvCap, Skipped: true,
+			RateBefore: s.ln.rate[i], RecvCap: s.ln.meta[i].recvCap, Skipped: true,
 		})
 	}
 	e.spareGrantBuf = grants
@@ -259,7 +262,7 @@ func (e *Engine) feedSpareEven(s *server, t float64, avail float64) {
 		for _, ent := range remaining {
 			i := ent.Pos
 			headroom := math.Inf(1)
-			if recvCap := s.active[i].recvCap; recvCap > 0 {
+			if recvCap := ln.meta[i].recvCap; recvCap > 0 {
 				headroom = recvCap - ln.rate[i]
 			}
 			extra := share
@@ -279,7 +282,7 @@ func (e *Engine) feedSpareEven(s *server, t float64, avail float64) {
 		remaining = next
 	}
 	for _, ent := range e.cand.All() {
-		ln.setWake(ent.Pos, e.wakeKeyServing(s, s.active[ent.Pos], int(ent.Pos), t))
+		ln.setWake(ent.Pos, e.wakeKeyServing(s, int(ent.Pos), t))
 	}
 }
 
@@ -321,6 +324,5 @@ func (e *Engine) allocateCopies(s *server, t float64, avail float64) float64 {
 // buffer room left: transmission must stop or the client buffer would
 // overflow (with no staging buffer at all, any pause stops the flow).
 func (e *Engine) pausedFullAt(s *server, i int, t float64) bool {
-	r := s.active[i]
-	return r.pausedView && s.bufferOf(i, t, e.cfg.ViewRate) >= r.bufCap-dataEps
+	return s.ln.flags[i]&slotPaused != 0 && s.bufferOf(i, t, e.cfg.ViewRate) >= s.ln.meta[i].bufCap-dataEps
 }

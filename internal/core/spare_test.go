@@ -49,7 +49,7 @@ func sortedSpareFeed(e *Engine, s *server, t, avail float64, descending bool) []
 		if extra > 0 {
 			ln.rate[i] += extra
 			avail -= extra
-			ln.setWake(i, e.wakeKeyServing(s, r, int(i), t))
+			ln.setWake(i, e.wakeKeyServing(s, int(i), t))
 		}
 	}
 	return grants

@@ -49,27 +49,30 @@ import "math"
 // allocation round just assigned a positive rate at time t: the
 // earlier of its projected finish and its buffer filling (the buffer
 // fills at rate − drain; drain is zero while the viewer has paused).
-// The slot must be synced to t. r is s.active[i], passed in so callers
-// iterating the lane pay the pointer chase once per slot.
-func (e *Engine) wakeKeyServing(s *server, r *request, i int, t float64) float64 {
+// The slot must be synced to t.
+func (e *Engine) wakeKeyServing(s *server, i int, t float64) float64 {
 	bview := e.cfg.ViewRate
 	ln := &s.ln
 	rate := ln.rate[i]
 	sent := ln.sent[i]
-	// remainingOf and bufferOf, unrolled onto the already-loaded sent so
-	// the hot loops pay one lane read and one request chase per slot.
+	// remainingOf and bufferOf, unrolled onto the already-loaded sent.
 	// Same operations in the same order, so the keys are bit-identical.
 	rem := ln.size[i] - sent
 	if rem < 0 {
 		rem = 0
 	}
 	key := t + rem/rate
-	if fill := rate - r.drainRate(bview); fill > dataEps && r.bufCap >= 0 {
-		buf := sent - r.viewedAt(t, bview)
+	drain := bview
+	if ln.flags[i]&slotPaused != 0 {
+		drain = 0
+	}
+	bufCap := ln.meta[i].bufCap
+	if fill := rate - drain; fill > dataEps && bufCap >= 0 {
+		buf := sent - ln.viewedAt(i, t, bview)
 		if buf < 0 {
 			buf = 0
 		}
-		room := r.bufCap - buf
+		room := bufCap - buf
 		if room < 0 {
 			room = 0
 		}
@@ -154,7 +157,7 @@ func (e *Engine) nextWake(s *server, t float64) float64 {
 			}
 			k = e.wakeKeyPaused(s.bufferOf(i, t, e.cfg.ViewRate), t)
 		default:
-			k = e.wakeKeyServing(s, s.active[i], i, t)
+			k = e.wakeKeyServing(s, i, t)
 		}
 		if k < next {
 			next = k

@@ -348,15 +348,17 @@ func Failover(sys semicont.System, opts Options) (*Output, error) {
 		util := refs[i].utilization().Points[0]
 		rescued := refs[i].metric("rescued", func(r *semicont.Result) float64 { return float64(r.RescuedStreams) }).Points[0].Mean
 		dropped := refs[i].metric("dropped", func(r *semicont.Result) float64 { return float64(r.DroppedStreams) }).Points[0].Mean
-		rate := 0.0
-		if tot := rescued + dropped; tot > 0 {
-			rate = rescued / tot
-		}
+		// The rescue rate is each trial's own rescued share of the
+		// streams the failure hit; a trial whose failed server carried
+		// none has no rate and is skipped.
+		rate := refs[i].ratio("rescue-rate", func(r *semicont.Result) (num, den int64) {
+			return r.RescuedStreams, r.RescuedStreams + r.DroppedStreams
+		}).Points[0]
 		tbl.AddRow(v.name,
 			fmt.Sprintf("%.4f ±%.4f", util.Mean, util.CI95),
 			fmt.Sprintf("%.1f", rescued),
 			fmt.Sprintf("%.1f", dropped),
-			fmt.Sprintf("%.2f", rate))
+			fmt.Sprintf("%.2f ±%.2f", rate.Mean, rate.CI95))
 	}
 	return &Output{
 		ID:     "fail-" + sys.Name,
