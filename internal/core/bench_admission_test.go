@@ -130,7 +130,7 @@ func benchDRMHolders(v int) []int {
 // 199 — the second holder of video 199, which server 0 carries — keeps
 // one slot free, so planning from server 0 succeeds; without it every
 // server is full and planning fails after scanning all of server 0's
-// streams and both holders of each.
+// streams, five of each of its 20 titles.
 func benchDRMEngine(b *testing.B, spare bool) *Engine {
 	b.Helper()
 	bview := 3.0
@@ -187,7 +187,11 @@ var benchDRMFound bool
 // of 100 streams: "fails" when no holder has room, the 95% case on the
 // scale-faulttol cell, and "succeeds" when one target has a free slot.
 // The scan visits every stream either way (the planner keeps the best
-// move over all of them); neither case allocates.
+// move over all of them), but tests a title's other holder only for
+// its first migratable stream: 20 canAccept calls for server 0's 20
+// titles, not one per stream, and once a title is known to have no
+// target its other streams are skipped before their migratable test.
+// Neither case allocates.
 func BenchmarkAdmissionDRM(b *testing.B) {
 	for _, c := range []struct {
 		name  string

@@ -137,6 +137,8 @@ type Engine struct {
 	evenBuf    []alloc.Entry
 	touchedBuf []*server
 	planBuf    []move
+	drmTgt     []drmTarget // planDirect's per-title targets, by video
+	drmGen     uint64      // the stamp of drmTgt's current entries
 	visited    []bool
 	freeList   []*request
 }
@@ -195,6 +197,7 @@ func (e *Engine) Reset(cfg Config, cat *catalog.Catalog, lay *placement.Layout, 
 		}
 	}
 	e.visited = resize(e.visited, n)
+	e.drmTgt, e.drmGen = resize(e.drmTgt, cat.Len()), 0
 	e.extraUsed = resize(e.extraUsed, n)
 
 	e.now, e.horizon = 0, 0
@@ -258,9 +261,9 @@ func (e *Engine) Reset(cfg Config, cat *catalog.Catalog, lay *placement.Layout, 
 	e.discardObs()
 	e.spareGrantBuf = e.spareGrantBuf[:0]
 	e.intermitGrantBuf = e.intermitGrantBuf[:0]
-	// cand/prefix/evenBuf/touchedBuf/planBuf are reset at each use;
-	// freeList is kept — recycled requests are the cross-trial reuse
-	// this enables.
+	// cand/prefix/evenBuf/touchedBuf/planBuf are reset at each use, and
+	// drmTgt by planDirect's stamp; freeList is kept — recycled requests
+	// are the cross-trial reuse this enables.
 	return nil
 }
 

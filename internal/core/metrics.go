@@ -21,11 +21,16 @@ type Metrics struct {
 	Completions int64 // transmissions fully delivered
 
 	// Migration accounting.
-	Migrations                int64 // individual request moves (incl. rescues)
-	AdmissionsViaDRM          int64 // arrivals admitted only thanks to migration
-	ChainLengthTotal          int64 // Σ chain lengths over DRM admissions
-	MaxChainUsed              int   // longest chain actually executed
-	MigrationsRefusedByBuffer int64 // candidate moves vetoed by SwitchDelay buffer check
+	Migrations       int64 // individual request moves (incl. rescues)
+	AdmissionsViaDRM int64 // arrivals admitted only thanks to migration
+	ChainLengthTotal int64 // Σ chain lengths over DRM admissions
+	MaxChainUsed     int   // longest chain actually executed
+
+	// MigrationsRefusedByBuffer counts the SwitchDelay buffer vetoes of
+	// the slots the planner examines. planDirect skips a slot whose
+	// title it already knows has no target before its buffer test, so
+	// such a slot is never counted. Core-only: Result does not carry it.
+	MigrationsRefusedByBuffer int64
 
 	// GlitchedStreams counts streams whose playback buffer ran dry
 	// while paused by the intermittent scheduler (always zero under

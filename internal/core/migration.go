@@ -94,36 +94,72 @@ func (e *Engine) executeMoves(plan []move, now float64, rescue bool) {
 // planDirect finds the best single migration that frees a slot on s:
 // among s's migratable requests with a free-slot target, it picks the
 // pair whose target has the lowest load (ties: lowest request id, then
-// lowest target id), mirroring the least-loaded assignment rule. The
-// scan reads the lane; only the chosen slot's request is loaded.
+// lowest target id), mirroring the least-loaded assignment rule. Every
+// stream of one title has the same candidate targets, so each title's
+// best target is found once per call (directTarget, stamped into
+// Engine.drmTgt) and the pair minimum is the slot with the lowest
+// (target load, request id). A slot whose title has no target is
+// skipped before migratable, but a title's holders are tested only
+// once one of its slots is migratable: under intermittent admission
+// canAccept syncs the server it tests, so which servers it sees is
+// part of the result. The scan reads the lane; only the chosen slot's
+// request is loaded.
 func (e *Engine) planDirect(s *server, now float64) (move, bool) {
+	e.drmGen++
 	ln := &s.ln
 	var bestTo *server
 	var bestID int64
 	best, bestLoad := -1, -1
 	for i := range ln.meta {
+		m := &ln.meta[i]
+		tg := &e.drmTgt[m.video]
+		if tg.gen == e.drmGen && tg.to == nil {
+			continue
+		}
 		if !e.migratable(s, i, now, false) {
 			continue
 		}
-		m := &ln.meta[i]
-		id := m.id
-		// Every holder of the video but s itself is a target; a dead
-		// one cannot accept.
-		for _, h := range e.holders(int(m.video)) {
-			t := e.servers[h]
-			if t == s || !e.canAccept(t, now) {
+		if tg.gen != e.drmGen {
+			*tg = drmTarget{gen: e.drmGen, to: e.directTarget(s, m.video, now)}
+			if tg.to == nil {
 				continue
 			}
-			if bestLoad == -1 || t.load() < bestLoad ||
-				(t.load() == bestLoad && (id < bestID || (id == bestID && t.id < bestTo.id))) {
-				best, bestID, bestTo, bestLoad = i, id, t, t.load()
-			}
+		}
+		t := tg.to
+		if bestLoad == -1 || t.load() < bestLoad || (t.load() == bestLoad && m.id < bestID) {
+			best, bestID, bestTo, bestLoad = i, m.id, t, t.load()
 		}
 	}
 	if best < 0 {
 		return move{}, false
 	}
 	return move{r: s.active[best], to: bestTo}, true
+}
+
+// drmTarget is one title's entry in planDirect's per-call scratch: the
+// server a stream of the title would move to, nil when no holder can
+// accept one, valid while gen equals Engine.drmGen.
+type drmTarget struct {
+	gen uint64
+	to  *server
+}
+
+// directTarget returns the holder of video v other than s that can
+// accept one more stream, lowest load first and ties to the lower
+// server id, or nil when none can. Every holder but s is a target; a
+// dead one cannot accept.
+func (e *Engine) directTarget(s *server, v int32, now float64) *server {
+	var to *server
+	for _, h := range e.holders(int(v)) {
+		t := e.servers[h]
+		if t == s || !e.canAccept(t, now) {
+			continue
+		}
+		if to == nil || t.load() < to.load() || (t.load() == to.load() && t.id < to.id) {
+			to = t
+		}
+	}
+	return to
 }
 
 // planChain tries to free one slot on s using at most depthLeft

@@ -3,6 +3,7 @@ package semicont
 import (
 	"slices"
 	"testing"
+	"time"
 
 	"semicont/internal/faults"
 	"semicont/internal/workload"
@@ -64,9 +65,34 @@ var pairFeatures = []struct {
 	{"partial-placement", func(s *Scenario) { s.Policy.Placement = PartialPredictivePlacement }},
 }
 
+// pairBudget bounds the wall time of each audited pair in
+// TestFeaturePairs, where a pair takes tens of milliseconds, so an
+// engine that never drains fails the test by the pair's name instead
+// of running into the test binary's timeout.
+const pairBudget = 30 * time.Second
+
+// runWithin runs sc and returns its error, with finished false when
+// budget passes first. The abandoned run's goroutine is left to the
+// test binary's exit.
+func runWithin(sc Scenario, budget time.Duration) (finished bool, err error) {
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(sc)
+		done <- err
+	}()
+	timer := time.NewTimer(budget)
+	defer timer.Stop()
+	select {
+	case err := <-done:
+		return true, err
+	case <-timer.C:
+		return false, nil
+	}
+}
+
 // TestFeaturePairs checks the composition space pairwise: every pair of
-// pairFeatures that validates must run audit-clean, and the pairs that
-// Validate rejects are exactly the pinned ones.
+// pairFeatures that validates must run audit-clean within pairBudget,
+// and the pairs that Validate rejects are exactly the pinned ones.
 func TestFeaturePairs(t *testing.T) {
 	wantRejected := []string{
 		"no-staging+intermittent",
@@ -102,7 +128,12 @@ func TestFeaturePairs(t *testing.T) {
 				rejected = append(rejected, name)
 				continue
 			}
-			if _, err := Run(sc); err != nil {
+			finished, err := runWithin(sc, pairBudget)
+			if !finished {
+				// The abandoned run still holds a CPU: stop here.
+				t.Fatalf("%s: no result within %v: the run does not drain", name, pairBudget)
+			}
+			if err != nil {
 				t.Errorf("%s: validated but Run failed: %v", name, err)
 			}
 		}
