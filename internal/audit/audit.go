@@ -247,107 +247,115 @@ func (a *Auditor) BeginEvent(seq uint64, t float64, kind core.AuditEventKind, se
 	return nil
 }
 
-// Event implements core.AuditTap: the per-event conservation checks.
+// Event implements core.AuditTap: the per-event conservation checks,
+// run on each server as the record streams it, in server order. Every
+// server is streamed even past a violation, so lastActive always holds
+// each server's post-event stream count: the next failure event's
+// dispositions are checked against it (valid only when that event
+// immediately follows this one — see lastEventSeq). The first
+// violation is the one returned.
 func (a *Auditor) Event(rec core.AuditEventRecord) error {
 	a.events++
+	n := rec.Servers.ServerCount()
 	if a.lastActive == nil {
-		a.lastActive = make([]int, len(rec.Servers))
+		a.lastActive = make([]int, n)
 	}
-	defer func() {
-		// Remember the post-event state: the next failure event's
-		// dispositions are checked against these counts (valid only
-		// when that event immediately follows this one — see
-		// lastEventSeq).
-		for si := range rec.Servers {
-			a.lastActive[si] = len(rec.Servers[si].Requests)
+	var err error
+	for i := 0; i < n; i++ {
+		s := rec.Servers.Server(i)
+		a.lastActive[i] = len(s.Requests)
+		if err == nil {
+			err = a.checkServer(s)
 		}
-		a.lastEventSeq = rec.Seq
-	}()
+	}
+	a.lastEventSeq = rec.Seq
+	return err
+}
+
+// checkServer audits one server's post-event state.
+func (a *Auditor) checkServer(s *core.AuditServerState) error {
+	sid := int(s.ID)
+	if s.Failed {
+		if len(s.Requests) != 0 {
+			return a.fail("failed-active", sid, s.Requests[0].ID,
+				"failed server still carries %d streams", len(s.Requests))
+		}
+		if len(s.Copies) != 0 {
+			return a.fail("failed-active", sid, 0,
+				"failed server still sources %d copy jobs", len(s.Copies))
+		}
+		return nil
+	}
+	if !a.cfg.Intermittent && len(s.Requests) > s.Slots {
+		return a.fail("slots", sid, 0,
+			"%d streams on a server with %d minimum-flow slots", len(s.Requests), s.Slots)
+	}
+	// Effective capacity: the snapshot's bandwidth and slot count
+	// must equal the configured capacity scaled by the audited
+	// brownout fraction — computed with the engine's own float
+	// expressions, so == is exact, not rounded.
+	if sid < len(a.frac) && sid < len(a.cfg.ServerBandwidth) {
+		wantBW := a.cfg.ServerBandwidth[sid] * a.frac[sid]
+		if s.Bandwidth != wantBW {
+			return a.fail("fault-state", sid, 0,
+				"effective bandwidth %g != %g (configured %g × audited fraction %g)",
+				s.Bandwidth, wantBW, a.cfg.ServerBandwidth[sid], a.frac[sid])
+		}
+		if want := int(wantBW/a.cfg.ViewRate + timeEps); s.Slots != want {
+			return a.fail("fault-state", sid, 0,
+				"%d slots != %d derived from effective bandwidth %g", s.Slots, want, wantBW)
+		}
+	}
 	bview := a.cfg.ViewRate
-	for si := range rec.Servers {
-		s := &rec.Servers[si]
-		sid := int(s.ID)
-		if s.Failed {
-			if len(s.Requests) != 0 {
-				return a.fail("failed-active", sid, s.Requests[0].ID,
-					"failed server still carries %d streams", len(s.Requests))
-			}
-			if len(s.Copies) != 0 {
-				return a.fail("failed-active", sid, 0,
-					"failed server still sources %d copy jobs", len(s.Copies))
-			}
-			continue
+	total := 0.0
+	for ri := range s.Requests {
+		r := &s.Requests[ri]
+		total += r.Rate
+		if err := a.checkRequest(sid, r, bview); err != nil {
+			return err
 		}
-		if !a.cfg.Intermittent && len(s.Requests) > s.Slots {
-			return a.fail("slots", sid, 0,
-				"%d streams on a server with %d minimum-flow slots", len(s.Requests), s.Slots)
+	}
+	for ci := range s.Copies {
+		c := &s.Copies[ci]
+		total += c.Rate
+		if c.Sent > c.Size+dataEps {
+			return a.fail("overrun", sid, 0,
+				"copy of video %d sent %g of %g Mb", c.Video, c.Sent, c.Size)
 		}
-		// Effective capacity: the snapshot's bandwidth and slot count
-		// must equal the configured capacity scaled by the audited
-		// brownout fraction — computed with the engine's own float
-		// expressions, so == is exact, not rounded.
-		if sid < len(a.frac) && sid < len(a.cfg.ServerBandwidth) {
-			wantBW := a.cfg.ServerBandwidth[sid] * a.frac[sid]
-			if s.Bandwidth != wantBW {
-				return a.fail("fault-state", sid, 0,
-					"effective bandwidth %g != %g (configured %g × audited fraction %g)",
-					s.Bandwidth, wantBW, a.cfg.ServerBandwidth[sid], a.frac[sid])
-			}
-			if want := int(wantBW/a.cfg.ViewRate + timeEps); s.Slots != want {
-				return a.fail("fault-state", sid, 0,
-					"%d slots != %d derived from effective bandwidth %g", s.Slots, want, wantBW)
-			}
+		if c.Rate > a.effCopyRateCap+dataEps {
+			return a.fail("copy-rate", sid, 0,
+				"copy of video %d at %g Mb/s exceeds cap %g", c.Video, c.Rate, a.effCopyRateCap)
 		}
-		total := 0.0
-		for ri := range s.Requests {
-			r := &s.Requests[ri]
-			total += r.Rate
-			if err := a.checkRequest(sid, r, bview); err != nil {
-				return err
-			}
+	}
+	if total > s.Bandwidth+dataEps {
+		return a.fail("bandwidth", sid, 0,
+			"allocated %g of %g Mb/s", total, s.Bandwidth)
+	}
+	// Wake-exact: the engine's incremental wake index must answer
+	// exactly the from-scratch minimum over the stored keys. The
+	// comparison is deliberately == (no epsilon): both sides read the
+	// same stored float64 keys, so any difference is a maintenance
+	// bug, not rounding.
+	scan := math.Inf(1)
+	for ri := range s.Requests {
+		if k := s.Requests[ri].WakeKey; k < scan {
+			scan = k
 		}
-		for ci := range s.Copies {
-			c := &s.Copies[ci]
-			total += c.Rate
-			if c.Sent > c.Size+dataEps {
-				return a.fail("overrun", sid, 0,
-					"copy of video %d sent %g of %g Mb", c.Video, c.Sent, c.Size)
-			}
-			if c.Rate > a.effCopyRateCap+dataEps {
-				return a.fail("copy-rate", sid, 0,
-					"copy of video %d at %g Mb/s exceeds cap %g", c.Video, c.Rate, a.effCopyRateCap)
-			}
+	}
+	for ci := range s.Copies {
+		if k := s.Copies[ci].WakeKey; k < scan {
+			scan = k
 		}
-		if total > s.Bandwidth+dataEps {
-			return a.fail("bandwidth", sid, 0,
-				"allocated %g of %g Mb/s", total, s.Bandwidth)
-		}
-		// Wake-exact: the engine's incremental wake index must answer
-		// exactly the from-scratch minimum over the stored keys. The
-		// comparison is deliberately == (no epsilon): both sides read the
-		// same stored float64 keys, so any difference is a maintenance
-		// bug, not rounding.
-		scan := math.Inf(1)
-		for ri := range s.Requests {
-			if k := s.Requests[ri].WakeKey; k < scan {
-				scan = k
-			}
-		}
-		for ci := range s.Copies {
-			if k := s.Copies[ci].WakeKey; k < scan {
-				scan = k
-			}
-		}
-		if s.NextWake != scan {
-			return a.fail("wake-exact", sid, 0,
-				"incremental next-wake %g != %g from-scratch min over %d stored keys",
-				s.NextWake, scan, len(s.Requests)+len(s.Copies))
-		}
-		if a.storageCapEnabled {
-			if cap := a.cfg.ServerStorage[sid]; cap > 0 && a.storageUsed[sid] > cap+dataEps {
-				return a.fail("storage", sid, 0,
-					"storage %g Mb exceeds capacity %g Mb", a.storageUsed[sid], cap)
-			}
+	}
+	if s.NextWake != scan {
+		return a.fail("wake-exact", sid, 0,
+			"incremental next-wake %g != %g from-scratch min over %d stored keys",
+			s.NextWake, scan, len(s.Requests)+len(s.Copies))
+	}
+	if a.storageCapEnabled {
+		if cap := a.cfg.ServerStorage[sid]; cap > 0 && a.storageUsed[sid] > cap+dataEps {
+			return a.fail("storage", sid, 0,
+				"storage %g Mb exceeds capacity %g Mb", a.storageUsed[sid], cap)
 		}
 	}
 	return nil

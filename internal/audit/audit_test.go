@@ -51,8 +51,15 @@ func okRequest(id int64, video int32) core.AuditRequestState {
 
 // record wraps per-server request/copy lists into a full event record.
 func record(servers ...core.AuditServerState) core.AuditEventRecord {
-	return core.AuditEventRecord{Seq: 1, Time: 10, Kind: core.AuditWake, Server: 0, Servers: servers}
+	return core.AuditEventRecord{Seq: 1, Time: 10, Kind: core.AuditWake, Server: 0, Servers: serverList(servers)}
 }
+
+// serverList streams a hand-built snapshot: the auditor reads it
+// through the same accessor as the engine's.
+type serverList []core.AuditServerState
+
+func (l serverList) ServerCount() int                    { return len(l) }
+func (l serverList) Server(i int) *core.AuditServerState { return &l[i] }
 
 func server(id int32, reqs []core.AuditRequestState, copies []core.AuditCopyState) core.AuditServerState {
 	return core.AuditServerState{ID: id, Bandwidth: 30, Slots: 10, Requests: reqs, Copies: copies}
@@ -88,6 +95,39 @@ func TestEventCleanStatePasses(t *testing.T) {
 	}
 	if a.Err() != nil {
 		t.Errorf("Err() = %v", a.Err())
+	}
+}
+
+// TestEventCountsEveryServerPastAViolation: a violation on server 0
+// stops the checks, not the stream, so server 1's post-event stream
+// count is still recorded, and a failure of server 1 at the next event
+// is held to it.
+func TestEventCountsEveryServerPastAViolation(t *testing.T) {
+	bad := okRequest(1, 0)
+	bad.Rate = 2 // < b_view = 3
+	rec := record(
+		server(0, []core.AuditRequestState{bad}, nil),
+		server(1, []core.AuditRequestState{okRequest(2, 1), okRequest(3, 1)}, nil),
+	)
+	for _, c := range []struct {
+		name     string
+		disposed int
+		ok       bool
+	}{{"every stream disposed", 2, true}, {"a stream lost", 1, false}} {
+		t.Run(c.name, func(t *testing.T) {
+			a := testAuditor(t)
+			wantRule(t, a.Event(rec), "min-flow")
+			if err := a.BeginEvent(2, 11, core.AuditFailure, 1, 0); err != nil {
+				t.Fatal(err)
+			}
+			err := a.Failure(11, 1, c.disposed, 0, 0)
+			if c.ok && err != nil {
+				t.Fatalf("failure disposing of both streams flagged: %v", err)
+			}
+			if !c.ok {
+				wantRule(t, err, "failure-accounting")
+			}
+		})
 	}
 }
 

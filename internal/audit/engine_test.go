@@ -97,12 +97,20 @@ func TestAuditorCatchesBrokenEFTF(t *testing.T) {
 type wakeSkew struct{ *audit.Auditor }
 
 func (w wakeSkew) Event(rec core.AuditEventRecord) error {
-	for i := range rec.Servers {
-		if len(rec.Servers[i].Requests) > 0 {
-			rec.Servers[i].NextWake--
-		}
-	}
+	rec.Servers = skewedWake{rec.Servers}
 	return w.Auditor.Event(rec)
+}
+
+// skewedWake streams the engine's snapshot with each loaded server's
+// NextWake one second early.
+type skewedWake struct{ core.AuditServerStream }
+
+func (s skewedWake) Server(i int) *core.AuditServerState {
+	st := s.AuditServerStream.Server(i)
+	if len(st.Requests) > 0 {
+		st.NextWake--
+	}
+	return st
 }
 
 // TestAuditorCatchesSkewedWakeIndex is the acceptance check for the

@@ -109,15 +109,29 @@ type AuditServerState struct {
 	Copies   []AuditCopyState
 }
 
-// AuditEventRecord is the cluster state snapshot delivered after every
-// processed engine event.
+// AuditServerStream hands an auditor the post-event cluster state one
+// server at a time.
+type AuditServerStream interface {
+	// ServerCount returns the cluster's server count.
+	ServerCount() int
+	// Server returns the state of server i, 0 ≤ i < ServerCount(). The
+	// state may be scratch the next Server call overwrites, and it is
+	// valid only during the Event call that received the stream.
+	Server(i int) *AuditServerState
+}
+
+// AuditEventRecord is the cluster state after one processed engine
+// event, delivered to AuditTap.Event. Servers streams it one server at
+// a time: the engine builds a server's rows from its lane only when
+// asked, into one reused AuditServerState, so a snapshot holds rows
+// for the largest server load, not for every stream of the cluster.
 type AuditEventRecord struct {
 	Seq     uint64  // 1-based event sequence number
 	Time    float64 // simulation time of the event
 	Kind    AuditEventKind
 	Server  int32 // event's target server, −1 when not applicable
 	Request int64 // event's target request, 0 when not applicable
-	Servers []AuditServerState
+	Servers AuditServerStream
 }
 
 // SpareGrant records one candidate of an ordered workahead feed: a
@@ -163,7 +177,10 @@ type AuditTap interface {
 	// the context (seq, time, kind, target) for the in-event taps below.
 	BeginEvent(seq uint64, t float64, kind AuditEventKind, server int32, req int64) error
 	// Event is called after the event is fully processed, with the
-	// complete cluster state.
+	// complete cluster state streamed server by server (the engine
+	// builds each server's rows as the tap asks for them, inside this
+	// call). With sampling (SetAuditSampling) only every k-th event
+	// calls it.
 	Event(rec AuditEventRecord) error
 	// SpareOrder reports every sequential workahead feed pass (EFTF and
 	// LFTF; the even-split water-filling pass has no feed order): the
@@ -236,8 +253,9 @@ func (e *Engine) SetAuditTap(tap AuditTap) { e.audit = tap }
 // cheap stateful taps — BeginEvent, Admission, Migration, Failure,
 // Recovery, Chain, Replication, and the feed-order taps — always fire,
 // keeping the auditor's replica/storage/fault mirrors exact; only the
-// full cluster snapshot (the expensive part, linear in cluster size) is
-// sampled. Reset clears the rate.
+// cluster snapshot is sampled: its time is linear in the cluster's
+// stream count, though its memory is only the largest server's rows,
+// as it is streamed one server at a time. Reset clears the rate.
 func (e *Engine) SetAuditSampling(every int) {
 	if every < 0 {
 		every = 0
@@ -306,63 +324,22 @@ func auditKind(ev event) (kind AuditEventKind, server int32, req int64) {
 	}
 }
 
-// auditRecord fills the reusable snapshot buffers with the full cluster
-// state. Fluid quantities are reported as of each request's own sync
-// time; building the record never syncs, so it cannot move the run.
-// Every row comes from the lane: a *request is loaded only for the tap
-// count of a tapped slot. The rows are scratch kept across events and
-// across Reset, so a row slice regrows only past the largest load its
-// server has carried.
+// auditStream is the engine's AuditServerStream. Server(i) builds
+// server i's state from its lane into row, the one AuditServerState
+// the engine keeps for snapshots; its slices are kept across events and
+// across Reset, so they regrow only past the largest load a server has
+// carried.
+type auditStream struct {
+	e   *Engine
+	row AuditServerState
+}
+
+// auditRecord returns the post-event snapshot record. Its stream reads
+// the engine's live state when the tap asks for a server, so it is
+// valid only until the engine moves on.
 func (e *Engine) auditRecord(kind AuditEventKind, server int32, req int64) AuditEventRecord {
-	if n := len(e.servers); len(e.auditServers) != n {
-		e.auditServers = slices.Grow(e.auditServers[:0], n)[:n]
-	}
-	bview := e.cfg.ViewRate
-	for i, s := range e.servers {
-		st := &e.auditServers[i]
-		st.ID = s.id
-		st.Bandwidth = s.bandwidth
-		st.Slots = s.slots
-		st.Failed = s.failed
-		st.NextWake = s.currentWake()
-		ln := &s.ln
-		n := len(ln.rate)
-		// Rows are written in place: a struct literal per row would be
-		// built and then copied into the slice.
-		st.Requests = slices.Grow(st.Requests[:0], n)[:n]
-		for j := range st.Requests {
-			q := &st.Requests[j]
-			f := ln.flags[j]
-			last := ln.last[j]
-			m := &ln.meta[j]
-			q.ID = m.id
-			q.Video = m.video
-			q.Rate = ln.rate[j]
-			q.Sent = ln.sent[j]
-			q.Size = ln.size[j]
-			q.Buffer = ln.sent[j] - ln.viewedAt(j, last, bview)
-			q.BufCap = m.bufCap
-			q.RecvCap = m.recvCap
-			q.Hops = m.hops
-			q.Taps = 0
-			if f&slotTapped != 0 {
-				q.Taps = s.active[j].taps
-			}
-			q.SyncedAt = last
-			q.WakeKey = ln.wake[j]
-			q.Suspended = s.suspendedAt(j, last)
-			q.PausedView = f&slotPaused != 0
-			q.IsPatch = f&slotPatch != 0
-			q.Glitched = f&slotGlitched != 0
-		}
-		st.Copies = st.Copies[:0]
-		for _, c := range s.copies {
-			st.Copies = append(st.Copies, AuditCopyState{
-				Video: c.video, Target: c.target,
-				Rate: c.rate, Sent: c.sent, Size: c.size,
-				WakeKey: c.wakeKey,
-			})
-		}
+	if e.auditSnap == nil {
+		e.auditSnap = &auditStream{e: e}
 	}
 	return AuditEventRecord{
 		Seq:     e.auditSeq,
@@ -370,6 +347,73 @@ func (e *Engine) auditRecord(kind AuditEventKind, server int32, req int64) Audit
 		Kind:    kind,
 		Server:  server,
 		Request: req,
-		Servers: e.auditServers,
+		Servers: e.auditSnap,
 	}
+}
+
+// ServerCount implements AuditServerStream.
+func (a *auditStream) ServerCount() int { return len(a.e.servers) }
+
+// Server implements AuditServerStream: it fills the reused row with
+// server i's state. Fluid quantities are reported as of each request's
+// own sync time; building the row never syncs, so it cannot move the
+// run. Every row comes from the lane: a *request is loaded only for
+// the tap count of a tapped slot.
+func (a *auditStream) Server(i int) *AuditServerState {
+	s := a.e.servers[i]
+	bview := a.e.cfg.ViewRate
+	st := &a.row
+	st.ID = s.id
+	st.Bandwidth = s.bandwidth
+	st.Slots = s.slots
+	st.Failed = s.failed
+	st.NextWake = s.currentWake()
+	ln := &s.ln
+	n := len(ln.rate)
+	// Rows are written in place: a struct literal per row would be
+	// built and then copied into the slice.
+	st.Requests = slices.Grow(st.Requests[:0], n)[:n]
+	for j := range st.Requests {
+		q := &st.Requests[j]
+		f := ln.flags[j]
+		last := ln.last[j]
+		susp := ln.susp[j]
+		m := &ln.meta[j]
+		q.ID = m.id
+		q.Video = m.video
+		q.Rate = ln.rate[j]
+		q.Sent = ln.sent[j]
+		q.Size = ln.size[j]
+		q.Buffer = ln.sent[j] - ln.viewedAt(j, last, bview)
+		q.BufCap = m.bufCap
+		q.RecvCap = m.recvCap
+		q.Hops = m.hops
+		q.Taps = 0
+		if f&slotTapped != 0 {
+			q.Taps = s.active[j].taps
+		}
+		q.SyncedAt = last
+		q.WakeKey = ln.wake[j]
+		// Suspended through the switch deadline itself: a slot synced
+		// exactly at its deadline, with no round since, still waits
+		// for the wake queued for that instant to end the blackout.
+		// The lane cannot tell that slot from one a round at the
+		// deadline left at rate 0, which the engine no longer counts
+		// as suspended there (minFlowRates: susp > t+timeEps), so
+		// min-flow does not cover the deadline instant. Past the
+		// deadline the slot is not suspended.
+		q.Suspended = susp > 0 && last <= susp
+		q.PausedView = f&slotPaused != 0
+		q.IsPatch = f&slotPatch != 0
+		q.Glitched = f&slotGlitched != 0
+	}
+	st.Copies = st.Copies[:0]
+	for _, c := range s.copies {
+		st.Copies = append(st.Copies, AuditCopyState{
+			Video: c.video, Target: c.target,
+			Rate: c.rate, Sent: c.sent, Size: c.size,
+			WakeKey: c.wakeKey,
+		})
+	}
+	return st
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
+	"semicont/internal/rng"
 	"semicont/internal/simtime"
 )
 
@@ -24,6 +26,32 @@ var benchSpares = []struct {
 	prefix string
 	frac   float64
 }{{"", 0.1}, {"spare=100%/", 1}}
+
+// benchOrders are the slot orders the spare-feeding benches run in,
+// each with its sub-benchmark name prefix. benchEngine's order keeps
+// the historical names: its slots' remaining volumes fall with the slot
+// index in runs of 117, so a scan meets the EFTF feed order back to
+// front, the bounded prefix feed's worst case. "shuffled/" re-attaches
+// the same requests in a seeded random order (shuffleSlots).
+// BENCH_alloc.json's slot_order section compares the share of slots
+// each order inserts into the prefix with production rounds' share.
+var benchOrders = []struct {
+	prefix   string
+	shuffled bool
+}{{"", false}, {"shuffled/", true}}
+
+// shuffleSlots re-attaches s's requests in a random slot order drawn
+// from seed.
+func shuffleSlots(s *server, seed uint64) {
+	reqs := slices.Clone(s.active)
+	for _, r := range reqs {
+		s.detach(r)
+	}
+	rng.New(seed).Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
+	for _, r := range reqs {
+		s.attach(r)
+	}
+}
 
 // benchEngine builds a bare engine and one server carrying k active
 // requests with mixed progress. spareFrac of the minimum-flow demand is
@@ -64,19 +92,24 @@ func BenchmarkEventQueue(b *testing.B) {
 
 // BenchmarkAllocate measures one full allocation pass of the min-flow +
 // EFTF policy, including the next-wake computation that every
-// reschedule performs.
+// reschedule performs, in each of benchOrders' slot orders.
 func BenchmarkAllocate(b *testing.B) {
-	for _, sp := range benchSpares {
-		for _, k := range benchKs {
-			b.Run(fmt.Sprintf("%sk=%d", sp.prefix, k), func(b *testing.B) {
-				e, s := benchEngine(k, sp.frac, false)
-				benchAllocateWake(e, s) // grow the feed scratch
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					benchAllocateWake(e, s)
-				}
-			})
+	for _, o := range benchOrders {
+		for _, sp := range benchSpares {
+			for _, k := range benchKs {
+				b.Run(fmt.Sprintf("%s%sk=%d", o.prefix, sp.prefix, k), func(b *testing.B) {
+					e, s := benchEngine(k, sp.frac, false)
+					if o.shuffled {
+						shuffleSlots(s, uint64(k))
+					}
+					benchAllocateWake(e, s) // grow the feed scratch
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						benchAllocateWake(e, s)
+					}
+				})
+			}
 		}
 	}
 }
@@ -128,28 +161,34 @@ func BenchmarkAllocateSaturated(b *testing.B) {
 
 // BenchmarkSpreadSpare isolates the workahead spreader: rates are reset
 // to the minimum flow each iteration, then the spare is spread in EFTF
-// order (plus the fused next-wake pass after the refactor).
+// order (plus the fused next-wake pass after the refactor), in each of
+// benchOrders' slot orders.
 func BenchmarkSpreadSpare(b *testing.B) {
-	for _, sp := range benchSpares {
-		for _, k := range benchKs {
-			b.Run(fmt.Sprintf("%sk=%d", sp.prefix, k), func(b *testing.B) {
-				e, s := benchEngine(k, sp.frac, false)
-				spare := s.bandwidth - 3*float64(k)
-				// One untimed pass from the loop's start state grows the
-				// feed scratch.
-				for j := range s.ln.rate {
-					s.ln.rate[j] = 3
-				}
-				benchSpreadSpare(e, s, spare)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
+	for _, o := range benchOrders {
+		for _, sp := range benchSpares {
+			for _, k := range benchKs {
+				b.Run(fmt.Sprintf("%s%sk=%d", o.prefix, sp.prefix, k), func(b *testing.B) {
+					e, s := benchEngine(k, sp.frac, false)
+					if o.shuffled {
+						shuffleSlots(s, uint64(k))
+					}
+					spare := s.bandwidth - 3*float64(k)
+					// One untimed pass from the loop's start state grows the
+					// feed scratch.
 					for j := range s.ln.rate {
 						s.ln.rate[j] = 3
 					}
 					benchSpreadSpare(e, s, spare)
-				}
-			})
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						for j := range s.ln.rate {
+							s.ln.rate[j] = 3
+						}
+						benchSpreadSpare(e, s, spare)
+					}
+				})
+			}
 		}
 	}
 }

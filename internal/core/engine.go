@@ -98,15 +98,17 @@ type Engine struct {
 	parked      map[int64]*request
 
 	// Audit instrumentation (nil when no auditor is attached): the tap,
-	// the first violation raised, the event sequence counter, and the
-	// reusable snapshot/grant buffers. spareFed marks, by slot, the
+	// the first violation raised, the event sequence counter, the
+	// snapshot stream with its one reused server row (allocated at the
+	// first snapshot, so an unaudited engine carries only the pointer),
+	// and the reusable grant buffers. spareFed marks, by slot, the
 	// candidates an audited spare feed fed; it is all false between
 	// feeds.
 	audit            AuditTap
 	auditErr         error
 	auditSeq         uint64
 	auditEvery       uint64
-	auditServers     []AuditServerState
+	auditSnap        *auditStream
 	spareGrantBuf    []SpareGrant
 	spareFed         []bool
 	intermitGrantBuf []IntermittentGrant
@@ -472,9 +474,9 @@ func (e *Engine) Step() bool {
 	}
 	e.dispatch(ev)
 	if e.audit != nil {
-		// The full post-event snapshot is the expensive audit step;
-		// with sampling enabled only every auditEvery-th event builds
-		// one. The decision is keyed to the deterministic event
+		// The post-event snapshot is the expensive audit step; with
+		// sampling enabled only every auditEvery-th event streams one
+		// to the tap. The decision is keyed to the deterministic event
 		// sequence number — never wall time — so sampled audits
 		// reproduce bit-identically at any GOMAXPROCS or worker count.
 		if e.auditErr == nil && (e.auditEvery <= 1 || e.auditSeq%e.auditEvery == 0) {

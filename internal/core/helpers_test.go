@@ -72,20 +72,35 @@ var NewTestAuditor func(t testing.TB) AuditTap
 // violation fails t whether the test drives the engine with Run or
 // Step. Reset detaches it.
 func audited(t testing.TB, e *Engine) *Engine {
-	e.SetAuditTap(laneCheckTap{NewTestAuditor(t), t, e})
+	e.SetAuditTap(&laneCheckTap{AuditTap: NewTestAuditor(t), t: t, e: e})
 	return e
 }
 
-// laneCheckTap is an audit tap that runs checkLanes after every event.
+// laneCheckTap is an audit tap that runs checkLanes after every event
+// and stops a run that stalls: stallEvents events in a row at one
+// simulated instant. A round that leaves a wake key at the current
+// instant requeues that wake for ever, and at a switch deadline the
+// auditor's min-flow rule cannot see it (see auditStream.Server).
 type laneCheckTap struct {
 	AuditTap
-	t testing.TB
-	e *Engine
+	t     testing.TB
+	e     *Engine
+	at    float64 // time of the latest events
+	since uint64  // sequence number of the first event at that time
 }
 
-func (c laneCheckTap) Event(rec AuditEventRecord) error {
+const stallEvents = 10_000
+
+func (c *laneCheckTap) Event(rec AuditEventRecord) error {
 	if err := checkLanes(c.e); err != nil {
 		c.t.Errorf("event %d (%s) at t=%g: %v", rec.Seq, rec.Kind, rec.Time, err)
+		return err
+	}
+	if rec.Time != c.at {
+		c.at, c.since = rec.Time, rec.Seq
+	} else if n := rec.Seq - c.since; n >= stallEvents {
+		err := fmt.Errorf("the run stalls: %d events at t=%g", n, rec.Time)
+		c.t.Errorf("event %d (%s): %v", rec.Seq, rec.Kind, err)
 		return err
 	}
 	return c.AuditTap.Event(rec)
@@ -148,7 +163,9 @@ type inFlight struct {
 // reading it never moves the simulation.
 func requestsInFlight(e *Engine) []inFlight {
 	var out []inFlight
-	for _, s := range e.auditRecord(0, -1, 0).Servers {
+	snap := e.auditRecord(0, -1, 0).Servers
+	for i := 0; i < snap.ServerCount(); i++ {
+		s := snap.Server(i)
 		for _, r := range s.Requests {
 			out = append(out, inFlight{r, s.ID})
 		}
