@@ -219,13 +219,18 @@ func goldenMatrix() []struct {
 // TestGoldenEquivalence runs the scenario matrix and demands that every
 // Result field matches the checked-in fixture bit-for-bit. JSON float
 // encoding uses the shortest round-trippable representation, so decoded
-// fixtures compare exactly with ==.
+// fixtures compare exactly with ==. Each cell runs within runBudget, so
+// an engine that never drains fails by the cell's name.
 func TestGoldenEquivalence(t *testing.T) {
 	matrix := goldenMatrix()
 
 	got := make(map[string]Result, len(matrix)+3)
 	for _, cell := range matrix {
-		res, err := Run(cell.Sc)
+		res, finished, err := runWithin(cell.Sc, runBudget)
+		if !finished {
+			// The abandoned run still holds a CPU: stop here.
+			t.Fatalf("%s: no result within %v: the run does not drain", cell.Name, runBudget)
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", cell.Name, err)
 		}

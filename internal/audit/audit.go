@@ -46,6 +46,15 @@
 //     min-tracking (a missed dirty mark, an unfolded copy key) cannot
 //     hide behind floating-point slack.
 //
+// The per-event snapshot copies no stream: the record streams the
+// cluster one server at a time, and each server's state is a read-only
+// view of its lane columns (core.AuditServerState), which only the
+// engine writes. checkServer runs every per-stream rule, the bandwidth
+// sum and the wake-exact min in one pass over those columns. The
+// replica model is server-major, one row of per-video flags per server,
+// so a snapshot loads each server's row once and a cold recovery's wipe
+// clears one row.
+//
 // The auditor fails fast: the first violation aborts the run and
 // surfaces as a structured *Violation error naming the event, server,
 // and request involved. Enable it with Scenario.Audit (or the vodsim
@@ -103,7 +112,8 @@ type Auditor struct {
 	begun  bool
 	events uint64
 
-	holders     [][]bool       // video → per-server replica flags
+	held        [][]bool       // server → per-video replica flags
+	numVideos   int            // catalog size: the length of each held row
 	storageUsed []float64      // static + dynamic storage per server, Mb
 	rescued     map[int64]bool // requests moved by failure rescue (hop budget waived)
 
@@ -190,11 +200,23 @@ func (a *Auditor) fail(rule string, server int, request int64, format string, ar
 	return &a.violations[len(a.violations)-1]
 }
 
-// holds reports whether the replica model has video v on server s. A
-// server outside the cluster holds nothing.
+// knownVideo reports whether v indexes the catalog.
+func (a *Auditor) knownVideo(v int) bool { return v >= 0 && v < a.numVideos }
+
+// heldBy returns server s's replica row, per video; a server outside
+// the cluster holds nothing (nil).
+func (a *Auditor) heldBy(s int32) []bool {
+	if s < 0 || int(s) >= len(a.held) {
+		return nil
+	}
+	return a.held[s]
+}
+
+// holds reports whether the replica model has the known video v on
+// server s.
 func (a *Auditor) holds(v int, s int32) bool {
-	row := a.holders[v]
-	return s >= 0 && int(s) < len(row) && row[s]
+	row := a.heldBy(s)
+	return row != nil && row[v]
 }
 
 // Begin implements core.AuditTap.
@@ -202,16 +224,17 @@ func (a *Auditor) Begin(b core.AuditBegin) error {
 	a.cfg = b.Config
 	a.begun = true
 	a.curKind = "begin"
-	servers := len(b.StaticStorage)
-	flags := make([]bool, b.NumVideos*servers)
-	a.holders = make([][]bool, b.NumVideos)
-	for v := range a.holders {
-		a.holders[v] = flags[v*servers : (v+1)*servers : (v+1)*servers]
+	servers, nv := len(b.StaticStorage), b.NumVideos
+	flags := make([]bool, servers*nv)
+	a.held = make([][]bool, servers)
+	for s := range a.held {
+		a.held[s] = flags[s*nv : (s+1)*nv : (s+1)*nv]
 	}
+	a.numVideos = nv
 	for v, hs := range b.Holders {
 		for _, h := range hs {
 			if h >= 0 && int(h) < servers {
-				a.holders[v][h] = true
+				a.held[h][v] = true
 			}
 		}
 	}
@@ -263,7 +286,7 @@ func (a *Auditor) Event(rec core.AuditEventRecord) error {
 	var err error
 	for i := 0; i < n; i++ {
 		s := rec.Servers.Server(i)
-		a.lastActive[i] = len(s.Requests)
+		a.lastActive[i] = s.Streams()
 		if err == nil {
 			err = a.checkServer(s)
 		}
@@ -272,13 +295,19 @@ func (a *Auditor) Event(rec core.AuditEventRecord) error {
 	return err
 }
 
-// checkServer audits one server's post-event state.
+// checkServer audits one server's post-event state. The per-stream
+// rules, the bandwidth sum and the wake-exact min share one pass over
+// the server's stream columns, which it only reads. Within a server the
+// rules run stream by stream in the order listed below, then over the
+// copy jobs, so the first violation reported is the first in that
+// order.
 func (a *Auditor) checkServer(s *core.AuditServerState) error {
 	sid := int(s.ID)
+	n := s.Streams()
 	if s.Failed {
-		if len(s.Requests) != 0 {
-			return a.fail("failed-active", sid, s.Requests[0].ID,
-				"failed server still carries %d streams", len(s.Requests))
+		if n != 0 {
+			return a.fail("failed-active", sid, s.Meta[0].ID,
+				"failed server still carries %d streams", n)
 		}
 		if len(s.Copies) != 0 {
 			return a.fail("failed-active", sid, 0,
@@ -286,9 +315,9 @@ func (a *Auditor) checkServer(s *core.AuditServerState) error {
 		}
 		return nil
 	}
-	if !a.cfg.Intermittent && len(s.Requests) > s.Slots {
+	if !a.cfg.Intermittent && n > s.Slots {
 		return a.fail("slots", sid, 0,
-			"%d streams on a server with %d minimum-flow slots", len(s.Requests), s.Slots)
+			"%d streams on a server with %d minimum-flow slots", n, s.Slots)
 	}
 	// Effective capacity: the snapshot's bandwidth and slot count
 	// must equal the configured capacity scaled by the audited
@@ -307,17 +336,64 @@ func (a *Auditor) checkServer(s *core.AuditServerState) error {
 		}
 	}
 	bview := a.cfg.ViewRate
+	minFlow := !a.cfg.Intermittent // also gates buffer-underrun
+	workahead := a.cfg.Workahead
+	bounded, maxHops := a.migrationBounded, a.effMaxHops
+	held := a.heldBy(s.ID)
 	total := 0.0
-	for ri := range s.Requests {
-		r := &s.Requests[ri]
-		total += r.Rate
-		if err := a.checkRequest(sid, r, bview); err != nil {
-			return err
+	// Wake-exact: the engine's incremental wake index must answer
+	// exactly the from-scratch minimum over the stored keys. The
+	// comparison is deliberately == (no epsilon): both sides read the
+	// same stored float64 keys, so any difference is a maintenance
+	// bug, not rounding.
+	scan := math.Inf(1)
+	rate := s.Rate
+	sent, size, wake, meta := s.Sent[:n], s.Size[:n], s.Wake[:n], s.Meta[:n]
+	for j, r := range rate {
+		m := &meta[j]
+		total += r
+		if k := wake[j]; k < scan {
+			scan = k
+		}
+		if sent[j] > size[j]+dataEps {
+			return a.fail("overrun", sid, m.ID, "sent %g of %g Mb", sent[j], size[j])
+		}
+		if minFlow && r < bview-dataEps && !s.Suspended(j) && !s.Finished(j) && !s.PausedView(j) {
+			return a.fail("min-flow", sid, m.ID,
+				"rate %g Mb/s below the b_view=%g minimum-flow guarantee", r, bview)
+		}
+		if workahead && m.RecvCap > 0 && r > m.RecvCap+dataEps {
+			return a.fail("receive-cap", sid, m.ID,
+				"rate %g Mb/s exceeds client receive cap %g", r, m.RecvCap)
+		}
+		if !workahead && r > bview+dataEps && !s.Suspended(j) {
+			return a.fail("workahead-off", sid, m.ID,
+				"rate %g Mb/s above b_view=%g with workahead disabled", r, bview)
+		}
+		buf := s.Buffer(j, bview)
+		if minFlow && buf < -dataEps {
+			return a.fail("buffer-underrun", sid, m.ID,
+				"buffer %g Mb at t=%g (playback outran delivery under minimum-flow)", buf, s.Last[j])
+		}
+		if buf > m.BufCap+bview*timeEps+dataEps {
+			return a.fail("buffer-overflow", sid, m.ID,
+				"buffer %g Mb exceeds capacity %g Mb", buf, m.BufCap)
+		}
+		if v := int(m.Video); a.knownVideo(v) && (held == nil || !held[v]) {
+			return a.fail("replica", sid, m.ID,
+				"served by a server that holds no replica of video %d", v)
+		}
+		if bounded && int(m.Hops) > maxHops && !a.rescued[m.ID] {
+			return a.fail("hops", sid, m.ID,
+				"%d lifetime migrations exceed MaxHops=%d", m.Hops, maxHops)
 		}
 	}
 	for ci := range s.Copies {
 		c := &s.Copies[ci]
 		total += c.Rate
+		if k := c.WakeKey; k < scan {
+			scan = k
+		}
 		if c.Sent > c.Size+dataEps {
 			return a.fail("overrun", sid, 0,
 				"copy of video %d sent %g of %g Mb", c.Video, c.Sent, c.Size)
@@ -331,68 +407,16 @@ func (a *Auditor) checkServer(s *core.AuditServerState) error {
 		return a.fail("bandwidth", sid, 0,
 			"allocated %g of %g Mb/s", total, s.Bandwidth)
 	}
-	// Wake-exact: the engine's incremental wake index must answer
-	// exactly the from-scratch minimum over the stored keys. The
-	// comparison is deliberately == (no epsilon): both sides read the
-	// same stored float64 keys, so any difference is a maintenance
-	// bug, not rounding.
-	scan := math.Inf(1)
-	for ri := range s.Requests {
-		if k := s.Requests[ri].WakeKey; k < scan {
-			scan = k
-		}
-	}
-	for ci := range s.Copies {
-		if k := s.Copies[ci].WakeKey; k < scan {
-			scan = k
-		}
-	}
 	if s.NextWake != scan {
 		return a.fail("wake-exact", sid, 0,
 			"incremental next-wake %g != %g from-scratch min over %d stored keys",
-			s.NextWake, scan, len(s.Requests)+len(s.Copies))
+			s.NextWake, scan, n+len(s.Copies))
 	}
 	if a.storageCapEnabled {
 		if cap := a.cfg.ServerStorage[sid]; cap > 0 && a.storageUsed[sid] > cap+dataEps {
 			return a.fail("storage", sid, 0,
 				"storage %g Mb exceeds capacity %g Mb", a.storageUsed[sid], cap)
 		}
-	}
-	return nil
-}
-
-// checkRequest audits one in-flight request's fluid state.
-func (a *Auditor) checkRequest(sid int, r *core.AuditRequestState, bview float64) error {
-	if r.Sent > r.Size+dataEps {
-		return a.fail("overrun", sid, r.ID, "sent %g of %g Mb", r.Sent, r.Size)
-	}
-	if !a.cfg.Intermittent && !r.Suspended && !r.Finished() && !r.PausedView && r.Rate < bview-dataEps {
-		return a.fail("min-flow", sid, r.ID,
-			"rate %g Mb/s below the b_view=%g minimum-flow guarantee", r.Rate, bview)
-	}
-	if a.cfg.Workahead && r.RecvCap > 0 && r.Rate > r.RecvCap+dataEps {
-		return a.fail("receive-cap", sid, r.ID,
-			"rate %g Mb/s exceeds client receive cap %g", r.Rate, r.RecvCap)
-	}
-	if !a.cfg.Workahead && !r.Suspended && r.Rate > bview+dataEps {
-		return a.fail("workahead-off", sid, r.ID,
-			"rate %g Mb/s above b_view=%g with workahead disabled", r.Rate, bview)
-	}
-	if r.Buffer < -dataEps && !a.cfg.Intermittent {
-		return a.fail("buffer-underrun", sid, r.ID,
-			"buffer %g Mb at t=%g (playback outran delivery under minimum-flow)", r.Buffer, r.SyncedAt)
-	}
-	if r.Buffer > r.BufCap+bview*timeEps+dataEps {
-		return a.fail("buffer-overflow", sid, r.ID,
-			"buffer %g Mb exceeds capacity %g Mb", r.Buffer, r.BufCap)
-	}
-	if v := int(r.Video); v >= 0 && v < len(a.holders) && !a.holds(v, int32(sid)) {
-		return a.fail("replica", sid, r.ID,
-			"served by a server that holds no replica of video %d", v)
-	}
-	if a.migrationBounded && !a.rescued[r.ID] && int(r.Hops) > a.effMaxHops {
-		return a.fail("hops", sid, r.ID,
-			"%d lifetime migrations exceed MaxHops=%d", r.Hops, a.effMaxHops)
 	}
 	return nil
 }
@@ -506,7 +530,7 @@ func (a *Auditor) Admission(t float64, video int32, server int32, viaDRM, feasib
 		return a.fail("admission-feasible", int(server), 0,
 			"selector chose a server that cannot accept video %d (viaDRM=%t)", video, viaDRM)
 	}
-	if v := int(video); v >= 0 && v < len(a.holders) && !a.holds(v, server) {
+	if v := int(video); a.knownVideo(v) && !a.holds(v, server) {
 		return a.fail("admission-feasible", int(server), 0,
 			"selector chose a server holding no replica of video %d", v)
 	}
@@ -518,7 +542,7 @@ func (a *Auditor) Migration(t float64, req int64, video int32, from, to int32, h
 	if from == to {
 		return a.fail("migration-target", int(to), req, "migrated onto its own server")
 	}
-	if v := int(video); v >= 0 && v < len(a.holders) && !a.holds(v, to) {
+	if v := int(video); a.knownVideo(v) && !a.holds(v, to) {
 		return a.fail("migration-target", int(to), req,
 			"migrated to a server holding no replica of video %d", v)
 	}
@@ -583,9 +607,7 @@ func (a *Auditor) Recovery(t float64, server int32, cold bool) error {
 	}
 	a.down[sid] = false
 	if cold {
-		for _, row := range a.holders {
-			row[sid] = false
-		}
+		clear(a.held[sid])
 		if sid < len(a.storageUsed) {
 			a.storageUsed[sid] = 0
 		}
@@ -714,7 +736,7 @@ func (a *Auditor) Chain(t float64, length int) error {
 // Replication implements core.AuditTap: replica and storage accounting.
 func (a *Auditor) Replication(t float64, video, from, to int32, size float64) error {
 	v := int(video)
-	if v < 0 || v >= len(a.holders) {
+	if !a.knownVideo(v) {
 		return a.fail("replica", int(to), 0, "replicated unknown video %d", v)
 	}
 	if !a.holds(v, from) {
@@ -725,11 +747,11 @@ func (a *Auditor) Replication(t float64, video, from, to int32, size float64) er
 		return a.fail("replica-dup", int(to), 0,
 			"replica of video %d installed on a server that already holds it", v)
 	}
-	if to < 0 || int(to) >= len(a.holders[v]) {
+	if a.heldBy(to) == nil {
 		return a.fail("replica", int(to), 0,
 			"replica of video %d installed on unknown server %d", v, to)
 	}
-	a.holders[v][to] = true
+	a.held[to][v] = true
 	a.storageUsed[to] += size
 	if a.storageCapEnabled {
 		if cap := a.cfg.ServerStorage[to]; cap > 0 && a.storageUsed[to] > cap+dataEps {

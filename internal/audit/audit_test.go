@@ -2,6 +2,7 @@ package audit
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -40,18 +41,37 @@ func testAuditor(t *testing.T) *Auditor {
 	return a
 }
 
-// okRequest returns a request state that passes every check on its
-// holder's server.
-func okRequest(id int64, video int32) core.AuditRequestState {
-	return core.AuditRequestState{
+// stream is one hand-built stream: what the per-stream rules read of
+// it. server lays a list of them out as the lane columns an engine's
+// snapshot views.
+type stream struct {
+	ID              int64
+	Video           int32
+	Rate            float64 // Mb/s
+	Sent, Size      float64 // Mb
+	Buffer          float64 // sent − viewed at the stream's sync time, Mb
+	BufCap, RecvCap float64
+	Hops            int32
+	Suspended       bool // mid-switch: its deadline is after the sync time
+	PausedView      bool
+}
+
+// syncedAt is every hand-built stream's last sync instant, the event's
+// time.
+const syncedAt = 10
+
+// okRequest returns a stream that passes every check on its holder's
+// server.
+func okRequest(id int64, video int32) stream {
+	return stream{
 		ID: id, Video: video, Rate: 3, Sent: 10, Size: 100,
-		Buffer: 5, BufCap: 100, RecvCap: 30, SyncedAt: 10,
+		Buffer: 5, BufCap: 100, RecvCap: 30,
 	}
 }
 
-// record wraps per-server request/copy lists into a full event record.
+// record wraps per-server states into a full event record.
 func record(servers ...core.AuditServerState) core.AuditEventRecord {
-	return core.AuditEventRecord{Seq: 1, Time: 10, Kind: core.AuditWake, Server: 0, Servers: serverList(servers)}
+	return core.AuditEventRecord{Seq: 1, Time: syncedAt, Kind: core.AuditWake, Server: 0, Servers: serverList(servers)}
 }
 
 // serverList streams a hand-built snapshot: the auditor reads it
@@ -61,8 +81,40 @@ type serverList []core.AuditServerState
 func (l serverList) ServerCount() int                    { return len(l) }
 func (l serverList) Server(i int) *core.AuditServerState { return &l[i] }
 
-func server(id int32, reqs []core.AuditRequestState, copies []core.AuditCopyState) core.AuditServerState {
-	return core.AuditServerState{ID: id, Bandwidth: 30, Slots: 10, Requests: reqs, Copies: copies}
+// server builds a server's state from streams, one column entry per
+// stream, as the engine's lane holds them: every stream synced at
+// syncedAt with its viewer position there, so its buffer is sent minus
+// that position. Stored wake keys and NextWake are all 0.
+func server(id int32, streams []stream, copies []core.AuditCopyState) core.AuditServerState {
+	st := core.AuditServerState{ID: id, Bandwidth: 30, Slots: 10, Copies: copies}
+	for j, r := range streams {
+		viewed := r.Sent - r.Buffer
+		if viewed < 0 || viewed > r.Size {
+			panic(fmt.Sprintf("stream %d: buffer %g is not sent %g minus a position in [0, %g]", r.ID, r.Buffer, r.Sent, r.Size))
+		}
+		susp, flags := 0.0, uint8(0)
+		if r.Suspended {
+			susp = syncedAt + 5
+		}
+		if r.PausedView {
+			flags |= core.SlotPaused
+		}
+		st.Rate = append(st.Rate, r.Rate)
+		st.Sent = append(st.Sent, r.Sent)
+		st.Size = append(st.Size, r.Size)
+		st.Last = append(st.Last, syncedAt)
+		st.Susp = append(st.Susp, susp)
+		st.Wake = append(st.Wake, 0)
+		st.Flags = append(st.Flags, flags)
+		st.Meta = append(st.Meta, core.SlotMeta{
+			ID: r.ID, BufCap: r.BufCap, RecvCap: r.RecvCap,
+			ViewOff: viewed, ViewT: syncedAt, Video: r.Video, Hops: r.Hops,
+		})
+		if got := st.Buffer(j, 3); got != r.Buffer || st.Suspended(j) != r.Suspended {
+			panic(fmt.Sprintf("stream %d: the columns read buffer %g, suspended %t", r.ID, got, st.Suspended(j)))
+		}
+	}
+	return st
 }
 
 // wantRule asserts err is a *Violation with the given rule.
@@ -84,8 +136,8 @@ func wantRule(t *testing.T, err error, rule string) *Violation {
 func TestEventCleanStatePasses(t *testing.T) {
 	a := testAuditor(t)
 	rec := record(
-		server(0, []core.AuditRequestState{okRequest(1, 0), okRequest(2, 1)}, nil),
-		server(1, []core.AuditRequestState{okRequest(3, 1)}, nil),
+		server(0, []stream{okRequest(1, 0), okRequest(2, 1)}, nil),
+		server(1, []stream{okRequest(3, 1)}, nil),
 	)
 	if err := a.Event(rec); err != nil {
 		t.Fatalf("clean state flagged: %v", err)
@@ -106,8 +158,8 @@ func TestEventCountsEveryServerPastAViolation(t *testing.T) {
 	bad := okRequest(1, 0)
 	bad.Rate = 2 // < b_view = 3
 	rec := record(
-		server(0, []core.AuditRequestState{bad}, nil),
-		server(1, []core.AuditRequestState{okRequest(2, 1), okRequest(3, 1)}, nil),
+		server(0, []stream{bad}, nil),
+		server(1, []stream{okRequest(2, 1), okRequest(3, 1)}, nil),
 	)
 	for _, c := range []struct {
 		name     string
@@ -143,53 +195,53 @@ func TestEventViolations(t *testing.T) {
 			r1, r2 := okRequest(1, 0), okRequest(2, 0)
 			r1.Rate, r1.RecvCap = 16, 0
 			r2.Rate, r2.RecvCap = 15, 0
-			return record(server(0, []core.AuditRequestState{r1, r2}, nil))
+			return record(server(0, []stream{r1, r2}, nil))
 		}},
 		{"below minimum flow", "min-flow", func() core.AuditEventRecord {
 			r := okRequest(1, 0)
 			r.Rate = 2 // < b_view = 3
-			return record(server(0, []core.AuditRequestState{r}, nil))
+			return record(server(0, []stream{r}, nil))
 		}},
 		{"receive cap exceeded", "receive-cap", func() core.AuditEventRecord {
 			r := okRequest(1, 0)
 			r.Rate = 31 // > RecvCap = 30
-			return record(server(0, []core.AuditRequestState{r}, nil))
+			return record(server(0, []stream{r}, nil))
 		}},
 		{"buffer underrun", "buffer-underrun", func() core.AuditEventRecord {
 			r := okRequest(1, 0)
 			r.Buffer = -1
-			return record(server(0, []core.AuditRequestState{r}, nil))
+			return record(server(0, []stream{r}, nil))
 		}},
 		{"buffer overflow", "buffer-overflow", func() core.AuditEventRecord {
 			r := okRequest(1, 0)
-			r.Buffer = 200 // > BufCap = 100
-			return record(server(0, []core.AuditRequestState{r}, nil))
+			r.BufCap = 4 // < Buffer = 5
+			return record(server(0, []stream{r}, nil))
 		}},
 		{"transmission overrun", "overrun", func() core.AuditEventRecord {
 			r := okRequest(1, 0)
 			r.Sent = 101 // > Size = 100
-			return record(server(0, []core.AuditRequestState{r}, nil))
+			return record(server(0, []stream{r}, nil))
 		}},
 		{"slots oversubscribed", "slots", func() core.AuditEventRecord {
-			reqs := make([]core.AuditRequestState, 11) // > 10 slots
+			reqs := make([]stream, 11) // > 10 slots
 			for i := range reqs {
 				reqs[i] = okRequest(int64(i+1), 0)
 			}
 			return record(server(0, reqs, nil))
 		}},
 		{"failed server still active", "failed-active", func() core.AuditEventRecord {
-			s := server(0, []core.AuditRequestState{okRequest(1, 0)}, nil)
+			s := server(0, []stream{okRequest(1, 0)}, nil)
 			s.Failed = true
 			return record(s)
 		}},
 		{"served by non-holder", "replica", func() core.AuditEventRecord {
 			// Video 0 lives on server 0 only.
-			return record(server(1, []core.AuditRequestState{okRequest(1, 0)}, nil))
+			return record(server(1, []stream{okRequest(1, 0)}, nil))
 		}},
 		{"hop budget exceeded", "hops", func() core.AuditEventRecord {
 			r := okRequest(1, 0)
 			r.Hops = 2 // MaxHops = 1
-			return record(server(0, []core.AuditRequestState{r}, nil))
+			return record(server(0, []stream{r}, nil))
 		}},
 		{"copy rate exceeded", "copy-rate", func() core.AuditEventRecord {
 			// Default cap = 2 × b_view = 6 Mb/s.
@@ -207,12 +259,31 @@ func TestEventViolations(t *testing.T) {
 			wantRule(t, a.Event(tc.rec()), tc.rule)
 		})
 	}
+	// The effective-capacity check: 30 Mb/s configured and no brownout
+	// audited, so the snapshot must read 30 Mb/s and 10 slots.
+	t.Run("effective bandwidth off the audited fraction", func(t *testing.T) {
+		a := testAuditor(t)
+		s := server(0, []stream{okRequest(1, 0)}, nil)
+		s.Bandwidth = 15
+		wantRule(t, a.Event(record(s)), "fault-state")
+	})
+	t.Run("slot count off the effective bandwidth", func(t *testing.T) {
+		a := testAuditor(t)
+		s := server(0, []stream{okRequest(1, 0)}, nil)
+		s.Slots = 9
+		wantRule(t, a.Event(record(s)), "fault-state")
+	})
+	t.Run("storage over capacity", func(t *testing.T) {
+		a := testAuditor(t)
+		a.storageUsed[0] = 1001 // of 1000 Mb; read by the per-event checks
+		wantRule(t, a.Event(record(server(0, []stream{okRequest(1, 0)}, nil))), "storage")
+	})
 	t.Run("run-ahead with workahead disabled", func(t *testing.T) {
 		a := testAuditor(t)
 		a.cfg.Workahead = false // read by the per-event checks, not Begin
 		r := okRequest(1, 0)
 		r.Rate = 4 // > b_view = 3
-		wantRule(t, a.Event(record(server(0, []core.AuditRequestState{r}, nil))), "workahead-off")
+		wantRule(t, a.Event(record(server(0, []stream{r}, nil))), "workahead-off")
 	})
 }
 
@@ -224,7 +295,7 @@ func TestEventAllowsExemptStates(t *testing.T) {
 	paused.PausedView, paused.Rate = true, 0 // viewer paused: exempt from min-flow
 	suspended := okRequest(3, 1)
 	suspended.Suspended, suspended.Rate = true, 0 // mid-switch blackout
-	rec := record(server(0, []core.AuditRequestState{finished, paused, suspended}, nil))
+	rec := record(server(0, []stream{finished, paused, suspended}, nil))
 	if err := a.Event(rec); err != nil {
 		t.Fatalf("exempt states flagged: %v", err)
 	}
@@ -409,7 +480,7 @@ func TestMigrationViolations(t *testing.T) {
 		// The rescued request may then appear with excess hops.
 		r := okRequest(1, 1)
 		r.Hops = 5
-		if err := a.Event(record(server(0, []core.AuditRequestState{r}, nil))); err != nil {
+		if err := a.Event(record(server(0, []stream{r}, nil))); err != nil {
 			t.Fatalf("rescued request flagged: %v", err)
 		}
 	})
@@ -472,7 +543,7 @@ func TestReplicationViolations(t *testing.T) {
 			t.Fatalf("legal replication flagged: %v", err)
 		}
 		// Server 1 may now serve video 0 …
-		if err := a.Event(record(server(1, []core.AuditRequestState{okRequest(1, 0)}, nil))); err != nil {
+		if err := a.Event(record(server(1, []stream{okRequest(1, 0)}, nil))); err != nil {
 			t.Fatalf("post-replication serving flagged: %v", err)
 		}
 		// … and may migrate video-0 streams in.
@@ -522,7 +593,7 @@ func TestReplicaModel(t *testing.T) {
 			wantRule(t, a.Replication(10, 1, sid, 0, 100), "replica")
 			wantRule(t, a.Replication(10, 0, 0, sid, 100), "replica")
 		}
-		wantRule(t, a.Event(record(server(2, []core.AuditRequestState{okRequest(1, 1)}, nil))), "replica")
+		wantRule(t, a.Event(record(server(2, []stream{okRequest(1, 1)}, nil))), "replica")
 	})
 }
 
@@ -558,7 +629,7 @@ func TestEndAccounting(t *testing.T) {
 
 func TestViolationError(t *testing.T) {
 	a := testAuditor(t)
-	err := a.Event(record(server(1, []core.AuditRequestState{okRequest(7, 0)}, nil)))
+	err := a.Event(record(server(1, []stream{okRequest(7, 0)}, nil)))
 	v := wantRule(t, err, "replica")
 	if v.Server != 1 || v.Request != 7 || v.Seq != 1 || v.Event != "wake" {
 		t.Errorf("violation context = %+v", v)

@@ -107,7 +107,7 @@ type skewedWake struct{ core.AuditServerStream }
 
 func (s skewedWake) Server(i int) *core.AuditServerState {
 	st := s.AuditServerStream.Server(i)
-	if len(st.Requests) > 0 {
+	if st.Streams() > 0 {
 		st.NextWake--
 	}
 	return st

@@ -51,14 +51,14 @@ func (e *Engine) allocateIntermittent(s *server, t float64) float64 {
 		// the glitch on first sight (the raw buffer stays negative until
 		// the stream receives more than b_view again, so the first
 		// allocation after the underflow always observes it).
-		if ln.flags[i]&slotGlitched == 0 && ln.sent[i]-ln.viewedAt(i, t, bview) < -dataEps {
-			ln.flags[i] |= slotGlitched
+		if ln.flags[i]&SlotGlitched == 0 && ln.sent[i]-ln.viewedAt(i, t, bview) < -dataEps {
+			ln.flags[i] |= SlotGlitched
 			e.metrics.GlitchedStreams++
 			// The catch-up deficit at detection: how far playback ran
 			// ahead of delivery, in seconds of viewing.
 			e.observe(ObsGlitch, (ln.viewedAt(i, t, bview)-ln.sent[i])/bview)
 		}
-		e.cand.Add(s.bufferOf(i, t, bview), ln.meta[i].id, int32(i))
+		e.cand.Add(s.bufferOf(i, t, bview), ln.meta[i].ID, int32(i))
 	}
 	// Ascending-buffer feed via heap selection. Once the bandwidth no
 	// longer covers a full b_view slot, nothing downstream can consume
@@ -104,8 +104,8 @@ func (e *Engine) pauseIntermittent(s *server, i int32, buf, t float64) {
 	ln := &s.ln
 	ln.rate[i] = 0
 	ln.setWake(i, e.wakeKeyPaused(buf, t))
-	if ln.flags[i]&slotGlitched == 0 && buf <= dataEps && !s.finishedAt(int(i)) {
-		ln.flags[i] |= slotGlitched
+	if ln.flags[i]&SlotGlitched == 0 && buf <= dataEps && !s.finishedAt(int(i)) {
+		ln.flags[i] |= SlotGlitched
 		e.metrics.GlitchedStreams++
 		// The pause itself is the detection point: the buffer just hit
 		// empty, so the deficit observed here is zero.
@@ -162,7 +162,7 @@ func (e *Engine) urgentCount(s *server, t float64) int {
 	guard := e.resumeGuard() * e.cfg.ViewRate
 	n := 0
 	for i, f := range s.ln.flags {
-		if s.suspendedAt(i, t) || s.finishedAt(i) || f&slotPaused != 0 {
+		if s.suspendedAt(i, t) || s.finishedAt(i) || f&SlotPaused != 0 {
 			// Paused viewers consume nothing until they resume.
 			continue
 		}

@@ -33,12 +33,12 @@ func (e *Engine) minFlowRates(s *server, t float64) float64 {
 	flagsA := ln.flags[:len(rateA)]
 	for i := range rateA {
 		var k float64
-		paused := flagsA[i]&slotPaused != 0
+		paused := flagsA[i]&SlotPaused != 0
 		if suspA[i] > t+timeEps {
 			// Mid-switch streams receive nothing until the blackout ends.
 			rateA[i] = 0
 			k = suspA[i]
-		} else if paused && s.bufferOf(i, t, bview) >= ln.meta[i].bufCap-dataEps {
+		} else if paused && s.bufferOf(i, t, bview) >= ln.meta[i].BufCap-dataEps {
 			// A paused viewer with a full buffer has nowhere to put
 			// data, so the minimum-flow guarantee is moot until it
 			// resumes (an evResume event triggers reallocation).
@@ -68,12 +68,12 @@ func (e *Engine) minFlowRates(s *server, t float64) float64 {
 			}
 			// Only a paused viewer's buffer fills at b_view, so only
 			// its record is read.
-			if fill := bview - drain; fill > dataEps && ln.meta[i].bufCap >= 0 {
+			if fill := bview - drain; fill > dataEps && ln.meta[i].BufCap >= 0 {
 				buf := sent - ln.viewedAt(i, t, bview)
 				if buf < 0 {
 					buf = 0
 				}
-				room := ln.meta[i].bufCap - buf
+				room := ln.meta[i].BufCap - buf
 				if room < 0 {
 					room = 0
 				}

@@ -1,6 +1,13 @@
 package core
 
-import "testing"
+import (
+	"bytes"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+	"unsafe"
+)
 
 // TestAuditSnapshotAtSwitchDeadline syncs every live server after every
 // 7th event of an audited run. Seed 30's cluster (DRM, patching, a 16 s
@@ -63,11 +70,11 @@ func TestAuditSnapshotPastSwitchDeadline(t *testing.T) {
 	e.allocate(s, 0)
 	suspended := func(at float64) bool {
 		s.syncAll(at)
-		row := e.auditRecord(AuditArrival, -1, 0).Servers.Server(0).Requests[0]
-		if row.Rate != 0 {
-			t.Fatalf("t=%g: slot at %g Mb/s, want the rate 0 of its blackout", at, row.Rate)
+		st := e.auditRecord(AuditArrival, -1, 0).Servers.Server(0)
+		if st.Rate[0] != 0 {
+			t.Fatalf("t=%g: slot at %g Mb/s, want the rate 0 of its blackout", at, st.Rate[0])
 		}
-		return row.Suspended
+		return st.Suspended(0)
 	}
 	for _, c := range []struct {
 		at   float64
@@ -79,41 +86,106 @@ func TestAuditSnapshotPastSwitchDeadline(t *testing.T) {
 	}
 }
 
-// TestAuditSnapshotKeepsOneServerRows pins the snapshot's memory: the
-// engine streams it one server at a time into one reused row set, so
-// after an audited run that row set is sized to the largest server
-// load, well below the cluster's stream count, and Reset keeps it.
-func TestAuditSnapshotKeepsOneServerRows(t *testing.T) {
+// laneColumns returns the lane's columns, found by reflection so a
+// column added later cannot escape the snapshot tests: each column's
+// name and its entries' bytes, aliasing the lane.
+func laneColumns(ln *lane) map[string][]byte {
+	v := reflect.ValueOf(ln).Elem()
+	cols := make(map[string][]byte)
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.Kind() != reflect.Slice {
+			continue
+		}
+		n := f.Len() * int(f.Type().Elem().Size())
+		cols[v.Type().Field(i).Name] = unsafe.Slice((*byte)(f.UnsafePointer()), n)
+	}
+	return cols
+}
+
+// TestAuditSnapshotViewsTheLane pins that the snapshot copies no
+// stream: every stream column of Server(i)'s state is server i's own
+// lane column, in place and at its length, and the stream keeps no
+// per-stream storage of its own, only the copy-job rows. Seeds 2, 3
+// and 6 of planEquivParts spread several servers' streams through
+// DRM, faults and replication.
+func TestAuditSnapshotViewsTheLane(t *testing.T) {
 	for _, seed := range []uint64{2, 3, 6} {
 		_, mkEngine := planEquivParts(t, seed)
 		e := mkEngine()
-		serverPeak, clusterPeak := 0, 0
-		for e.Step() {
-			total := 0
+		checked, peakCopies := 0, 0
+		for n := 0; e.Step(); n++ {
 			for _, s := range e.servers {
-				total += s.load()
-				serverPeak = max(serverPeak, s.load())
+				peakCopies = max(peakCopies, len(s.copies))
 			}
-			clusterPeak = max(clusterPeak, total)
+			if n%13 != 0 {
+				continue
+			}
+			snap := e.auditRecord(AuditWake, -1, 0).Servers
+			for i, s := range e.servers {
+				st := reflect.ValueOf(snap.Server(i)).Elem()
+				for name, col := range laneColumns(&s.ln) {
+					f := st.FieldByName(strings.ToUpper(name[:1]) + name[1:])
+					if !f.IsValid() {
+						t.Fatalf("seed %d: the lane column %s has no view in AuditServerState", seed, name)
+					}
+					view := unsafe.Slice((*byte)(f.UnsafePointer()), f.Len()*int(f.Type().Elem().Size()))
+					if len(view) != len(col) || len(col) > 0 && &view[0] != &col[0] {
+						t.Fatalf("seed %d, event %d, server %d: the %s view is not the lane column in place", seed, n, i, name)
+					}
+					checked += len(col)
+				}
+			}
 		}
 		if e.auditErr != nil {
 			t.Fatalf("seed %d: audit: %v", seed, e.auditErr)
 		}
-		if clusterPeak < 3*serverPeak {
-			t.Fatalf("seed %d: cluster peak %d streams is under three servers' peak (%d): the check cannot tell one server's rows from the cluster's",
-				seed, clusterPeak, serverPeak)
+		if checked == 0 {
+			t.Fatalf("seed %d: no snapshot viewed a stream", seed)
 		}
-		rows := cap(e.auditSnap.row.Requests)
-		if rows < serverPeak || rows >= clusterPeak {
-			t.Errorf("seed %d: the snapshot keeps %d rows; want one server's, at least its peak load %d and below the cluster's peak of %d streams",
-				seed, rows, serverPeak, clusterPeak)
+		if c := cap(e.auditSnap.row.Copies); c > peakCopies {
+			t.Errorf("seed %d: the snapshot keeps %d copy rows; no server sourced more than %d copy jobs", seed, c, peakCopies)
 		}
-		if err := e.Reset(e.cfg, e.cat, e.layout, &scriptSource{}); err != nil {
+	}
+}
+
+// TestAuditEventLeavesLanesBitIdentical pins that the views are
+// read-only: an audited Event, the snapshot and every check the real
+// auditor runs on it, leaves every lane column of every server
+// bit-identical, at every 11th event of an audited multi-server run.
+func TestAuditEventLeavesLanesBitIdentical(t *testing.T) {
+	_, mkEngine := planEquivParts(t, 6)
+	e := mkEngine()
+	tap := e.audit.(*laneCheckTap).AuditTap
+	audits := 0
+	for n := 0; e.Step(); n++ {
+		if n%11 != 0 {
+			continue
+		}
+		before := make([]map[string][]byte, len(e.servers))
+		for i, s := range e.servers {
+			before[i] = make(map[string][]byte)
+			for name, col := range laneColumns(&s.ln) {
+				before[i][name] = slices.Clone(col)
+			}
+		}
+		if err := tap.Event(e.auditRecord(AuditWake, -1, 0)); err != nil {
 			t.Fatal(err)
 		}
-		if got := cap(e.auditSnap.row.Requests); got != rows {
-			t.Errorf("seed %d: Reset left %d snapshot rows of %d", seed, got, rows)
+		audits++
+		for i, s := range e.servers {
+			for name, col := range laneColumns(&s.ln) {
+				if !bytes.Equal(col, before[i][name]) {
+					t.Fatalf("event %d: the audit changed server %d's %s column", n, i, name)
+				}
+			}
 		}
+	}
+	if e.auditErr != nil {
+		t.Fatalf("audit: %v", e.auditErr)
+	}
+	if audits == 0 {
+		t.Fatal("no event was audited")
 	}
 }
 

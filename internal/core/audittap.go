@@ -1,7 +1,5 @@
 package core
 
-import "slices"
-
 // Audit taps: fine-grained engine instrumentation consumed by the
 // internal/audit invariant auditor. The engine stays oblivious to what
 // is checked — it only reports what it did, at the moments transient
@@ -10,8 +8,9 @@ import "slices"
 // imported from here (it imports core), so the contract lives on this
 // side of the boundary.
 //
-// All slices handed to tap methods are reused scratch buffers: a tap
-// must copy anything it wants to retain past the call.
+// All slices handed to tap methods are reused scratch buffers or, in
+// the snapshot, the engine's own lane columns: a tap must not write
+// them, and must copy anything it wants to retain past the call.
 
 // AuditEventKind identifies the engine event being audited.
 type AuditEventKind uint8
@@ -58,32 +57,6 @@ func (k AuditEventKind) String() string {
 	}
 }
 
-// AuditRequestState is one in-flight request as seen by the auditor.
-// Fluid quantities are valid as of SyncedAt (each request's own last
-// sync instant, exactly what the engine's decisions were based on).
-type AuditRequestState struct {
-	ID       int64
-	Video    int32
-	Rate     float64 // current allocation, Mb/s
-	Sent     float64 // Mb transmitted as of SyncedAt
-	Size     float64 // Mb
-	Buffer   float64 // raw sent − viewed (may be negative under intermittent)
-	BufCap   float64 // client staging buffer, Mb (0 = none)
-	RecvCap  float64 // client receive cap, Mb/s (0 = unlimited)
-	Hops     int32   // lifetime migrations
-	Taps     int32   // dependent patch streams
-	SyncedAt float64
-	WakeKey  float64 // stored wake key from the last allocation round
-
-	Suspended  bool // mid-switch blackout
-	PausedView bool // viewer has paused playback
-	IsPatch    bool // unicast prefix patch stream
-	Glitched   bool // buffer ran dry under the intermittent scheduler
-}
-
-// Finished reports whether transmission is complete.
-func (r *AuditRequestState) Finished() bool { return r.Size-r.Sent <= dataEps }
-
 // AuditCopyState is one in-flight replica transfer on its source server.
 type AuditCopyState struct {
 	Video   int32
@@ -94,7 +67,13 @@ type AuditCopyState struct {
 	WakeKey float64 // stored wake key from the last allocation round
 }
 
-// AuditServerState is one server's full transmission state.
+// AuditServerState is one server's post-event state. Its stream columns
+// are a read-only view of the server's lane (lane.go): they alias the
+// engine's own columns, one entry per stream in slot order, so only
+// the engine writes them, and they are valid only during the Event call
+// that received them. Fluid quantities are as of each stream's own
+// last sync, Last[j], exactly what the engine's decisions were based
+// on.
 type AuditServerState struct {
 	ID        int32
 	Bandwidth float64
@@ -103,10 +82,48 @@ type AuditServerState struct {
 	// NextWake is the incremental wake index's current answer: the min
 	// the engine would schedule the server's next wake from. The
 	// wake-exact audit rule checks it equals the from-scratch min over
-	// the stored WakeKeys below, bit for bit.
+	// the stored keys in Wake and Copies, bit for bit.
 	NextWake float64
-	Requests []AuditRequestState
-	Copies   []AuditCopyState
+
+	Rate  []float64  // current allocation, Mb/s
+	Sent  []float64  // Mb transmitted as of Last
+	Size  []float64  // object size, Mb
+	Last  []float64  // the stream's last sync instant
+	Susp  []float64  // suspension deadline (mid-switch blackout; 0 = none)
+	Wake  []float64  // stored wake key from the last allocation round
+	Flags []uint8    // SlotPaused | SlotPatch | SlotTapped | SlotGlitched
+	Meta  []SlotMeta // id, video, client caps, hops, viewer position
+
+	Copies []AuditCopyState
+}
+
+// Streams returns the number of streams the server carries.
+func (s *AuditServerState) Streams() int { return len(s.Rate) }
+
+// Finished reports whether stream j's transmission is complete.
+func (s *AuditServerState) Finished(j int) bool { return s.Size[j]-s.Sent[j] <= dataEps }
+
+// PausedView reports whether stream j's viewer has paused playback.
+func (s *AuditServerState) PausedView(j int) bool { return s.Flags[j]&SlotPaused != 0 }
+
+// Buffer returns stream j's client buffer as of Last[j]: sent − viewed,
+// unclamped (it may be negative under the intermittent scheduler).
+func (s *AuditServerState) Buffer(j int, bview float64) float64 {
+	m := &s.Meta[j]
+	return s.Sent[j] - viewedFrom(m.ViewOff, m.ViewT, s.Size[j], s.Last[j], bview, s.Flags[j]&SlotPaused != 0)
+}
+
+// Suspended reports whether stream j is mid-switch as of Last[j],
+// through the switch deadline itself: a slot synced exactly at its
+// deadline, with no round since, still waits for the wake queued for
+// that instant to end the blackout. The lane cannot tell that slot from
+// one a round at the deadline left at rate 0, which the engine no
+// longer counts as suspended there (minFlowRates: susp > t+timeEps), so
+// min-flow does not cover the deadline instant. Past the deadline the
+// slot is not suspended.
+func (s *AuditServerState) Suspended(j int) bool {
+	susp := s.Susp[j]
+	return susp > 0 && s.Last[j] <= susp
 }
 
 // AuditServerStream hands an auditor the post-event cluster state one
@@ -122,9 +139,8 @@ type AuditServerStream interface {
 
 // AuditEventRecord is the cluster state after one processed engine
 // event, delivered to AuditTap.Event. Servers streams it one server at
-// a time: the engine builds a server's rows from its lane only when
-// asked, into one reused AuditServerState, so a snapshot holds rows
-// for the largest server load, not for every stream of the cluster.
+// a time: each server's state views its lane in place, so a snapshot
+// copies no stream.
 type AuditEventRecord struct {
 	Seq     uint64  // 1-based event sequence number
 	Time    float64 // simulation time of the event
@@ -177,10 +193,10 @@ type AuditTap interface {
 	// the context (seq, time, kind, target) for the in-event taps below.
 	BeginEvent(seq uint64, t float64, kind AuditEventKind, server int32, req int64) error
 	// Event is called after the event is fully processed, with the
-	// complete cluster state streamed server by server (the engine
-	// builds each server's rows as the tap asks for them, inside this
-	// call). With sampling (SetAuditSampling) only every k-th event
-	// calls it.
+	// complete cluster state streamed server by server (each server's
+	// state is a read-only view of its lane, handed out as the tap asks
+	// for it, inside this call). With sampling (SetAuditSampling) only
+	// every k-th event calls it.
 	Event(rec AuditEventRecord) error
 	// SpareOrder reports every sequential workahead feed pass (EFTF and
 	// LFTF; the even-split water-filling pass has no feed order): the
@@ -253,9 +269,10 @@ func (e *Engine) SetAuditTap(tap AuditTap) { e.audit = tap }
 // cheap stateful taps — BeginEvent, Admission, Migration, Failure,
 // Recovery, Chain, Replication, and the feed-order taps — always fire,
 // keeping the auditor's replica/storage/fault mirrors exact; only the
-// cluster snapshot is sampled: its time is linear in the cluster's
-// stream count, though its memory is only the largest server's rows,
-// as it is streamed one server at a time. Reset clears the rate.
+// cluster snapshot is sampled: its checks take time linear in the
+// cluster's stream count, though the snapshot itself copies no stream,
+// as each server's state views its lane in place. Reset clears the
+// rate.
 func (e *Engine) SetAuditSampling(every int) {
 	if every < 0 {
 		every = 0
@@ -324,11 +341,10 @@ func auditKind(ev event) (kind AuditEventKind, server int32, req int64) {
 	}
 }
 
-// auditStream is the engine's AuditServerStream. Server(i) builds
-// server i's state from its lane into row, the one AuditServerState
-// the engine keeps for snapshots; its slices are kept across events and
-// across Reset, so they regrow only past the largest load a server has
-// carried.
+// auditStream is the engine's AuditServerStream. Server(i) points row,
+// the one AuditServerState the engine keeps for snapshots, at server
+// i's lane columns; only its copy-job rows are its own, kept across
+// events and across Reset.
 type auditStream struct {
 	e   *Engine
 	row AuditServerState
@@ -354,60 +370,30 @@ func (e *Engine) auditRecord(kind AuditEventKind, server int32, req int64) Audit
 // ServerCount implements AuditServerStream.
 func (a *auditStream) ServerCount() int { return len(a.e.servers) }
 
-// Server implements AuditServerStream: it fills the reused row with
-// server i's state. Fluid quantities are reported as of each request's
-// own sync time; building the row never syncs, so it cannot move the
-// run. Every row comes from the lane: a *request is loaded only for
-// the tap count of a tapped slot.
+// Server implements AuditServerStream: it points the reused row at
+// server i's lane. Building the view never syncs, so it cannot move the
+// run; only the copy jobs, a few per replicating server, are copied
+// into rows.
 func (a *auditStream) Server(i int) *AuditServerState {
 	s := a.e.servers[i]
-	bview := a.e.cfg.ViewRate
-	st := &a.row
-	st.ID = s.id
-	st.Bandwidth = s.bandwidth
-	st.Slots = s.slots
-	st.Failed = s.failed
-	st.NextWake = s.currentWake()
 	ln := &s.ln
-	n := len(ln.rate)
-	// Rows are written in place: a struct literal per row would be
-	// built and then copied into the slice.
-	st.Requests = slices.Grow(st.Requests[:0], n)[:n]
-	for j := range st.Requests {
-		q := &st.Requests[j]
-		f := ln.flags[j]
-		last := ln.last[j]
-		susp := ln.susp[j]
-		m := &ln.meta[j]
-		q.ID = m.id
-		q.Video = m.video
-		q.Rate = ln.rate[j]
-		q.Sent = ln.sent[j]
-		q.Size = ln.size[j]
-		q.Buffer = ln.sent[j] - ln.viewedAt(j, last, bview)
-		q.BufCap = m.bufCap
-		q.RecvCap = m.recvCap
-		q.Hops = m.hops
-		q.Taps = 0
-		if f&slotTapped != 0 {
-			q.Taps = s.active[j].taps
-		}
-		q.SyncedAt = last
-		q.WakeKey = ln.wake[j]
-		// Suspended through the switch deadline itself: a slot synced
-		// exactly at its deadline, with no round since, still waits
-		// for the wake queued for that instant to end the blackout.
-		// The lane cannot tell that slot from one a round at the
-		// deadline left at rate 0, which the engine no longer counts
-		// as suspended there (minFlowRates: susp > t+timeEps), so
-		// min-flow does not cover the deadline instant. Past the
-		// deadline the slot is not suspended.
-		q.Suspended = susp > 0 && last <= susp
-		q.PausedView = f&slotPaused != 0
-		q.IsPatch = f&slotPatch != 0
-		q.Glitched = f&slotGlitched != 0
+	st := &a.row
+	*st = AuditServerState{
+		ID:        s.id,
+		Bandwidth: s.bandwidth,
+		Slots:     s.slots,
+		Failed:    s.failed,
+		NextWake:  s.currentWake(),
+		Rate:      ln.rate,
+		Sent:      ln.sent,
+		Size:      ln.size,
+		Last:      ln.last,
+		Susp:      ln.susp,
+		Wake:      ln.wake,
+		Flags:     ln.flags,
+		Meta:      ln.meta,
+		Copies:    st.Copies[:0],
 	}
-	st.Copies = st.Copies[:0]
 	for _, c := range s.copies {
 		st.Copies = append(st.Copies, AuditCopyState{
 			Video: c.video, Target: c.target,

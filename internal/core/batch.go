@@ -112,7 +112,7 @@ func (e *Engine) cheapestPrimary(v int, t, startOff, maxSent float64, slot bool)
 		ln := &s.ln
 		synced := false
 		for i := range ln.meta {
-			if int(ln.meta[i].video) != v || ln.flags[i]&slotPatch != 0 || s.suspendedAt(i, t) {
+			if int(ln.meta[i].Video) != v || ln.flags[i]&SlotPatch != 0 || s.suspendedAt(i, t) {
 				continue
 			}
 			r := s.active[i]

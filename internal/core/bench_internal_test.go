@@ -35,10 +35,26 @@ var benchSpares = []struct {
 // the same requests in a seeded random order (shuffleSlots).
 // BENCH_alloc.json's slot_order section compares the share of slots
 // each order inserts into the prefix with production rounds' share.
-var benchOrders = []struct {
+// "fullbuf/" is the shuffled order with the client buffer full on a
+// seeded 70% of the slots (fillBuffers), the production shape:
+// production rounds reject 45–93% of their slots at the buffer test.
+var benchOrders = []benchOrder{{"", false, 0}, {"shuffled/", true, 0}, {"fullbuf/", true, 0.7}}
+
+type benchOrder struct {
 	prefix   string
 	shuffled bool
-}{{"", false}, {"shuffled/", true}}
+	full     float64 // share of slots whose client buffer is full
+}
+
+// arrange puts s's slots in the order o names, drawn from seed.
+func (o benchOrder) arrange(s *server, seed uint64) {
+	if o.shuffled {
+		shuffleSlots(s, seed)
+	}
+	if o.full > 0 {
+		fillBuffers(s, o.full, seed)
+	}
+}
 
 // shuffleSlots re-attaches s's requests in a random slot order drawn
 // from seed.
@@ -50,6 +66,17 @@ func shuffleSlots(s *server, seed uint64) {
 	rng.New(seed).Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
 	for _, r := range reqs {
 		s.attach(r)
+	}
+}
+
+// fillBuffers fills the client buffer of a share of s's slots, chosen
+// from seed: each such client's buffer capacity becomes its buffer at
+// t = 0, so the spare gather's buffer test rejects the slot.
+func fillBuffers(s *server, share float64, seed uint64) {
+	bview := 3.0
+	for _, i := range rng.New(rng.DeriveSeed(seed, 1)).Perm(len(s.active))[:int(share*float64(len(s.active)))] {
+		c := s.bufferOf(i, 0, bview)
+		s.ln.meta[i].BufCap, s.active[i].bufCap = c, c
 	}
 }
 
@@ -99,9 +126,7 @@ func BenchmarkAllocate(b *testing.B) {
 			for _, k := range benchKs {
 				b.Run(fmt.Sprintf("%s%sk=%d", o.prefix, sp.prefix, k), func(b *testing.B) {
 					e, s := benchEngine(k, sp.frac, false)
-					if o.shuffled {
-						shuffleSlots(s, uint64(k))
-					}
+					o.arrange(s, uint64(k))
 					benchAllocateWake(e, s) // grow the feed scratch
 					b.ReportAllocs()
 					b.ResetTimer()
@@ -169,9 +194,7 @@ func BenchmarkSpreadSpare(b *testing.B) {
 			for _, k := range benchKs {
 				b.Run(fmt.Sprintf("%s%sk=%d", o.prefix, sp.prefix, k), func(b *testing.B) {
 					e, s := benchEngine(k, sp.frac, false)
-					if o.shuffled {
-						shuffleSlots(s, uint64(k))
-					}
+					o.arrange(s, uint64(k))
 					spare := s.bandwidth - 3*float64(k)
 					// One untimed pass from the loop's start state grows the
 					// feed scratch.

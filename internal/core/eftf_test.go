@@ -247,7 +247,7 @@ func TestSpareDisciplineEvenSplitWaterFilling(t *testing.T) {
 	e := &Engine{cfg: cfg}
 	s := mkServer(30, 3)
 	capped := addReq(e, s, 1, 3600, 0, 0, 0)
-	capped.recvCap, s.ln.meta[capped.slot].recvCap = 6, 6
+	capped.recvCap, s.ln.meta[capped.slot].RecvCap = 6, 6
 	open := addReq(e, s, 2, 3600, 0, 0, 0)
 	e.allocate(s, 0)
 	// Spare = 24. capped absorbs 3 (to its 6 Mb/s cap); open takes the

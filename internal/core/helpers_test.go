@@ -80,7 +80,7 @@ func audited(t testing.TB, e *Engine) *Engine {
 // and stops a run that stalls: stallEvents events in a row at one
 // simulated instant. A round that leaves a wake key at the current
 // instant requeues that wake for ever, and at a switch deadline the
-// auditor's min-flow rule cannot see it (see auditStream.Server).
+// auditor's min-flow rule cannot see it (see AuditServerState.Suspended).
 type laneCheckTap struct {
 	AuditTap
 	t     testing.TB
@@ -132,19 +132,19 @@ func checkLanes(e *Engine) error {
 			switch {
 			case ln.size[i] != r.size:
 				return fmt.Errorf("server %d: request %d lane size %g != %g", s.id, r.id, ln.size[i], r.size)
-			case m.id != r.id:
-				return fmt.Errorf("server %d slot %d: lane id %d != request %d", s.id, i, m.id, r.id)
-			case m.video != r.video:
-				return fmt.Errorf("server %d: request %d lane video %d != %d", s.id, r.id, m.video, r.video)
-			case m.bufCap != r.bufCap || m.recvCap != r.recvCap:
+			case m.ID != r.id:
+				return fmt.Errorf("server %d slot %d: lane id %d != request %d", s.id, i, m.ID, r.id)
+			case m.Video != r.video:
+				return fmt.Errorf("server %d: request %d lane video %d != %d", s.id, r.id, m.Video, r.video)
+			case m.BufCap != r.bufCap || m.RecvCap != r.recvCap:
 				return fmt.Errorf("server %d: request %d lane caps %g/%g != %g/%g",
-					s.id, r.id, m.bufCap, m.recvCap, r.bufCap, r.recvCap)
-			case m.hops != r.hops:
-				return fmt.Errorf("server %d: request %d lane hops %d != %d", s.id, r.id, m.hops, r.hops)
-			case f&slotPatch != 0 != r.isPatch:
-				return fmt.Errorf("server %d: request %d lane patch flag %v != %v", s.id, r.id, f&slotPatch != 0, r.isPatch)
-			case f&slotTapped != 0 != (r.taps > 0):
-				return fmt.Errorf("server %d: request %d lane tapped flag %v with %d taps", s.id, r.id, f&slotTapped != 0, r.taps)
+					s.id, r.id, m.BufCap, m.RecvCap, r.bufCap, r.recvCap)
+			case m.Hops != r.hops:
+				return fmt.Errorf("server %d: request %d lane hops %d != %d", s.id, r.id, m.Hops, r.hops)
+			case f&SlotPatch != 0 != r.isPatch:
+				return fmt.Errorf("server %d: request %d lane patch flag %v != %v", s.id, r.id, f&SlotPatch != 0, r.isPatch)
+			case f&SlotTapped != 0 != (r.taps > 0):
+				return fmt.Errorf("server %d: request %d lane tapped flag %v with %d taps", s.id, r.id, f&SlotTapped != 0, r.taps)
 			}
 		}
 	}
@@ -154,8 +154,11 @@ func checkLanes(e *Engine) error {
 // inFlight is one in-flight request as the audit snapshot reports it,
 // with the id of the server carrying it.
 type inFlight struct {
-	AuditRequestState
+	ID     int64
 	Server int32
+	Rate   float64 // Mb/s
+	Buffer float64 // sent − viewed, Mb
+	Hops   int32
 }
 
 // requestsInFlight lists every in-flight request from the audit
@@ -166,8 +169,11 @@ func requestsInFlight(e *Engine) []inFlight {
 	snap := e.auditRecord(0, -1, 0).Servers
 	for i := 0; i < snap.ServerCount(); i++ {
 		s := snap.Server(i)
-		for _, r := range s.Requests {
-			out = append(out, inFlight{r, s.ID})
+		for j := range s.Streams() {
+			out = append(out, inFlight{
+				ID: s.Meta[j].ID, Server: s.ID, Rate: s.Rate[j],
+				Buffer: s.Buffer(j, e.cfg.ViewRate), Hops: s.Meta[j].Hops,
+			})
 		}
 	}
 	return out

@@ -15,7 +15,7 @@ import "math"
 // What every allocation round reads of every slot has a column of its
 // own: the fluid state and the flag bits. The rest, which only the
 // rarer scans read (the spare gather past its prefix shortcut, the DRM
-// planner, the audit snapshot), is one slotMeta record per slot, so
+// planner, the audit snapshot), is one SlotMeta record per slot, so
 // attach and detach move it as one value. The columns and records, and
 // who writes them:
 //
@@ -23,16 +23,16 @@ import "math"
 //	                         rounds, setSuspend
 //	size                     mirrored: never changes while attached
 //	wake                     the allocation rounds (see below)
-//	flags                    slotPaused (pauseView, resumeView),
-//	                         slotGlitched (the intermittent feed),
-//	                         slotPatch (mirrored), slotTapped
+//	flags                    SlotPaused (pauseView, resumeView),
+//	                         SlotGlitched (the intermittent feed),
+//	                         SlotPatch (mirrored), SlotTapped
 //	                         (server.tap, beside request.taps++)
-//	meta.id, video           mirrored: never change while attached
-//	meta.bufCap, recvCap     mirrored: client caps, fixed at admission
-//	meta.hops                mirrored: a migration counts the hop
+//	meta.ID, Video           mirrored: never change while attached
+//	meta.BufCap, RecvCap     mirrored: client caps, fixed at admission
+//	meta.Hops                mirrored: a migration counts the hop
 //	                         between detach and attach, so attach
 //	                         loads the new count
-//	meta.viewOff, viewT      viewer position: server.pauseView and
+//	meta.ViewOff, ViewT      viewer position: server.pauseView and
 //	                         resumeView
 //
 // Ownership contract: mirrored fields are copies of request fields that
@@ -43,7 +43,8 @@ import "math"
 // while detached (parked streams, the freelist). attach loads request →
 // lane; detach stores the lane-owned fields back and swap-removes the
 // slot. Columns grow by append, so a server reserves only what it has
-// held.
+// held. The audit snapshot reads the columns in place
+// (AuditServerState); only the engine writes them.
 //
 // Wake-index contract (see wake.go for the scheduling semantics): each
 // slot stores the request's wake key — the earliest of its finish,
@@ -63,38 +64,41 @@ type lane struct {
 	susp  []float64  // suspension deadline (mid-switch blackout)
 	size  []float64  // object size, Mb
 	wake  []float64  // stored wake key (+Inf = no wake needed)
-	flags []uint8    // slotPaused | slotPatch | slotTapped | slotGlitched
-	meta  []slotMeta // the rest of the stream state
+	flags []uint8    // SlotPaused | SlotPatch | SlotTapped | SlotGlitched
+	meta  []SlotMeta // the rest of the stream state
 
 	wakeMin   float64 // min over wake ∪ copy keys, valid unless dirty
 	wakeArg   int32   // slot of the min; wakeArgCopy for a copy job
 	wakeDirty bool    // a key was removed or raised since the last fold
 }
 
-// slotMeta is a slot's stream state beyond the fluid columns and flags:
+// SlotMeta is a slot's stream state beyond the fluid columns and flags:
 // the fields the spare gather, the DRM planner and the audit snapshot
 // read. Its fields are ordered widest first, so it packs in 48 bytes.
-type slotMeta struct {
-	id      int64   // request id
-	bufCap  float64 // client staging buffer, Mb (0 = no staging)
-	recvCap float64 // client receive cap, Mb/s (0 = unlimited)
-	viewOff float64 // data consumed by playback as of viewT, Mb
-	viewT   float64 // time the viewer position was last synced
-	video   int32   // video index
-	hops    int32   // lifetime migrations
+// It is exported for the audit snapshot's read-only view of the lane
+// (AuditServerState.Meta).
+type SlotMeta struct {
+	ID      int64   // request id
+	BufCap  float64 // client staging buffer, Mb (0 = no staging)
+	RecvCap float64 // client receive cap, Mb/s (0 = unlimited)
+	ViewOff float64 // data consumed by playback as of ViewT, Mb
+	ViewT   float64 // time the viewer position was last synced
+	Video   int32   // video index
+	Hops    int32   // lifetime migrations
 }
 
-// Slot flag bits.
+// Slot flag bits, exported for the audit snapshot's view of the flags
+// column (AuditServerState.Flags).
 const (
-	slotPaused   uint8 = 1 << iota // the viewer has paused playback
-	slotPatch                      // a unicast patch stream
-	slotTapped                     // feeds multicast taps (request.taps > 0)
-	slotGlitched                   // the buffer ran dry under the intermittent scheduler
+	SlotPaused   uint8 = 1 << iota // the viewer has paused playback
+	SlotPatch                      // a unicast patch stream
+	SlotTapped                     // feeds multicast taps (request.taps > 0)
+	SlotGlitched                   // the buffer ran dry under the intermittent scheduler
 
 	// slotPinned marks a stream that must stay on its server at b_view:
 	// the multicast tree of a patch or a tapped primary cannot move,
 	// and cannot run ahead of its receivers' buffers.
-	slotPinned = slotPatch | slotTapped
+	slotPinned = SlotPatch | SlotTapped
 )
 
 // wakeArg sentinel values. Slots are ≥ 0.
@@ -116,22 +120,22 @@ func (ln *lane) attach(r *request) {
 	ln.wake = append(ln.wake, math.Inf(1))
 	var f uint8
 	if r.pausedView {
-		f |= slotPaused
+		f |= SlotPaused
 	}
 	if r.isPatch {
-		f |= slotPatch
+		f |= SlotPatch
 	}
 	if r.taps > 0 {
-		f |= slotTapped
+		f |= SlotTapped
 	}
 	if r.glitched {
-		f |= slotGlitched
+		f |= SlotGlitched
 	}
 	ln.flags = append(ln.flags, f)
-	ln.meta = append(ln.meta, slotMeta{
-		id: r.id, bufCap: r.bufCap, recvCap: r.recvCap,
-		viewOff: r.viewOffset, viewT: r.viewSyncT,
-		video: r.video, hops: r.hops,
+	ln.meta = append(ln.meta, SlotMeta{
+		ID: r.id, BufCap: r.bufCap, RecvCap: r.recvCap,
+		ViewOff: r.viewOffset, ViewT: r.viewSyncT,
+		Video: r.video, Hops: r.hops,
 	})
 }
 
@@ -142,9 +146,9 @@ func (ln *lane) attach(r *request) {
 func (ln *lane) detach(r *request, i, last int) {
 	r.carryRate, r.carrySent, r.carryLast, r.carrySusp =
 		ln.rate[i], ln.sent[i], ln.last[i], ln.susp[i]
-	r.viewOffset, r.viewSyncT = ln.meta[i].viewOff, ln.meta[i].viewT
-	r.pausedView = ln.flags[i]&slotPaused != 0
-	r.glitched = ln.flags[i]&slotGlitched != 0
+	r.viewOffset, r.viewSyncT = ln.meta[i].ViewOff, ln.meta[i].ViewT
+	r.pausedView = ln.flags[i]&SlotPaused != 0
+	r.glitched = ln.flags[i]&SlotGlitched != 0
 	ln.rate = swapRemove(ln.rate, i, last)
 	ln.sent = swapRemove(ln.sent, i, last)
 	ln.last = swapRemove(ln.last, i, last)
@@ -166,7 +170,7 @@ func swapRemove[T any](a []T, i, last int) []T {
 // request.viewedAt on the lane's viewer state.
 func (ln *lane) viewedAt(i int, t, bview float64) float64 {
 	m := &ln.meta[i]
-	return viewedFrom(m.viewOff, m.viewT, ln.size[i], t, bview, ln.flags[i]&slotPaused != 0)
+	return viewedFrom(m.ViewOff, m.ViewT, ln.size[i], t, bview, ln.flags[i]&SlotPaused != 0)
 }
 
 // beginRound opens an allocation round: every slot's key is about to be

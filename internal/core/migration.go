@@ -36,7 +36,7 @@ func (e *Engine) migratable(s *server, i int, now float64, rescue bool) bool {
 	}
 	if !rescue {
 		mh := e.cfg.Migration.MaxHops
-		if mh != UnlimitedHops && int(ln.meta[i].hops) >= mh {
+		if mh != UnlimitedHops && int(ln.meta[i].Hops) >= mh {
 			return false
 		}
 	}
@@ -112,7 +112,7 @@ func (e *Engine) planDirect(s *server, now float64) (move, bool) {
 	best, bestLoad := -1, -1
 	for i := range ln.meta {
 		m := &ln.meta[i]
-		tg := &e.drmTgt[m.video]
+		tg := &e.drmTgt[m.Video]
 		if tg.gen == e.drmGen && tg.to == nil {
 			continue
 		}
@@ -120,14 +120,14 @@ func (e *Engine) planDirect(s *server, now float64) (move, bool) {
 			continue
 		}
 		if tg.gen != e.drmGen {
-			*tg = drmTarget{gen: e.drmGen, to: e.directTarget(s, m.video, now)}
+			*tg = drmTarget{gen: e.drmGen, to: e.directTarget(s, m.Video, now)}
 			if tg.to == nil {
 				continue
 			}
 		}
 		t := tg.to
-		if bestLoad == -1 || t.load() < bestLoad || (t.load() == bestLoad && m.id < bestID) {
-			best, bestID, bestTo, bestLoad = i, m.id, t, t.load()
+		if bestLoad == -1 || t.load() < bestLoad || (t.load() == bestLoad && m.ID < bestID) {
+			best, bestID, bestTo, bestLoad = i, m.ID, t, t.load()
 		}
 	}
 	if best < 0 {
@@ -190,7 +190,7 @@ func (e *Engine) planChain(s *server, now float64, depthLeft int, visited []bool
 		if !e.migratable(s, i, now, false) {
 			continue
 		}
-		for _, h := range e.holders(int(ln.meta[i].video)) {
+		for _, h := range e.holders(int(ln.meta[i].Video)) {
 			t := e.servers[h]
 			if visited[t.id] || t.failed {
 				continue

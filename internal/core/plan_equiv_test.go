@@ -26,8 +26,8 @@ func (e *Engine) planDirectPairs(s *server, now float64) (move, bool) {
 		if !e.migratable(s, i, now, false) {
 			continue
 		}
-		id := ln.meta[i].id
-		for _, h := range e.holders(int(ln.meta[i].video)) {
+		id := ln.meta[i].ID
+		for _, h := range e.holders(int(ln.meta[i].Video)) {
 			t := e.servers[h]
 			if t == s || !e.canAccept(t, now) {
 				continue
@@ -208,7 +208,7 @@ func TestPlanDirectMatchesPairScan(t *testing.T) {
 					if f&slotPinned != 0 {
 						seen.pinned++
 					}
-					if mh := cfg.Migration.MaxHops; mh != UnlimitedHops && int(sr.ln.meta[j].hops) >= mh {
+					if mh := cfg.Migration.MaxHops; mh != UnlimitedHops && int(sr.ln.meta[j].Hops) >= mh {
 						seen.spent++
 					}
 				}

@@ -140,20 +140,20 @@ func (s *server) setSuspend(r *request, until float64) { s.ln.susp[r.slot] = unt
 // on the lane's viewer state.
 func (s *server) pauseView(i int, t, bview float64) {
 	ln := &s.ln
-	ln.meta[i].viewOff = ln.viewedAt(i, t, bview)
-	ln.meta[i].viewT = t
-	ln.flags[i] |= slotPaused
+	ln.meta[i].ViewOff = ln.viewedAt(i, t, bview)
+	ln.meta[i].ViewT = t
+	ln.flags[i] |= SlotPaused
 }
 
 // resumeView restarts slot i's playback at time t.
 func (s *server) resumeView(i int, t float64) {
-	s.ln.meta[i].viewT = t
-	s.ln.flags[i] &^= slotPaused
+	s.ln.meta[i].ViewT = t
+	s.ln.flags[i] &^= SlotPaused
 }
 
 // tap records one more multicast receiver fed from the attached
 // request r's transmission, which pins its slot.
 func (s *server) tap(r *request) {
 	r.taps++
-	s.ln.flags[r.slot] |= slotTapped
+	s.ln.flags[r.slot] |= SlotTapped
 }

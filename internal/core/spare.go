@@ -92,21 +92,21 @@ func (e *Engine) gatherSpareCandidates(s *server, t float64, prefix *alloc.Prefi
 			continue
 		}
 		m := &ln.meta[i]
-		if m.bufCap <= 0 {
+		if m.BufCap <= 0 {
 			continue
 		}
 		buf := sent - ln.viewedAt(i, t, bview)
 		if buf < 0 {
 			buf = 0
 		}
-		if buf >= m.bufCap-dataEps {
+		if buf >= m.BufCap-dataEps {
 			continue
 		}
 		if prefix != nil {
-			prefix.Add(rem, m.id, int32(i), receiveHeadroom(rateA[i], m.recvCap))
+			prefix.Add(rem, m.ID, int32(i), receiveHeadroom(rateA[i], m.RecvCap))
 		}
 		if all != nil {
-			all.Add(rem, m.id, int32(i))
+			all.Add(rem, m.ID, int32(i))
 		}
 	}
 }
@@ -191,7 +191,7 @@ func (e *Engine) feedSpareOrdered(s *server, t float64, avail float64, descendin
 		i := ent.Pos
 		// Kept candidates have headroom and avail > 0, so the grant is
 		// positive.
-		recvCap := ln.meta[i].recvCap
+		recvCap := ln.meta[i].RecvCap
 		extra := spareGrantTo(ln.rate[i], recvCap, avail)
 		if audited {
 			grants = append(grants, SpareGrant{
@@ -231,7 +231,7 @@ func (e *Engine) reportSpareOrder(s *server, t float64, fed []alloc.Weighted, gr
 		}
 		grants = append(grants, SpareGrant{
 			Request: ent.ID, Remaining: ent.Key,
-			RateBefore: s.ln.rate[i], RecvCap: s.ln.meta[i].recvCap, Skipped: true,
+			RateBefore: s.ln.rate[i], RecvCap: s.ln.meta[i].RecvCap, Skipped: true,
 		})
 	}
 	e.spareGrantBuf = grants
@@ -262,7 +262,7 @@ func (e *Engine) feedSpareEven(s *server, t float64, avail float64) {
 		for _, ent := range remaining {
 			i := ent.Pos
 			headroom := math.Inf(1)
-			if recvCap := ln.meta[i].recvCap; recvCap > 0 {
+			if recvCap := ln.meta[i].RecvCap; recvCap > 0 {
 				headroom = recvCap - ln.rate[i]
 			}
 			extra := share
@@ -324,5 +324,5 @@ func (e *Engine) allocateCopies(s *server, t float64, avail float64) float64 {
 // buffer room left: transmission must stop or the client buffer would
 // overflow (with no staging buffer at all, any pause stops the flow).
 func (e *Engine) pausedFullAt(s *server, i int, t float64) bool {
-	return s.ln.flags[i]&slotPaused != 0 && s.bufferOf(i, t, e.cfg.ViewRate) >= s.ln.meta[i].bufCap-dataEps
+	return s.ln.flags[i]&SlotPaused != 0 && s.bufferOf(i, t, e.cfg.ViewRate) >= s.ln.meta[i].BufCap-dataEps
 }

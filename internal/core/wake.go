@@ -63,10 +63,10 @@ func (e *Engine) wakeKeyServing(s *server, i int, t float64) float64 {
 	}
 	key := t + rem/rate
 	drain := bview
-	if ln.flags[i]&slotPaused != 0 {
+	if ln.flags[i]&SlotPaused != 0 {
 		drain = 0
 	}
-	bufCap := ln.meta[i].bufCap
+	bufCap := ln.meta[i].BufCap
 	if fill := rate - drain; fill > dataEps && bufCap >= 0 {
 		buf := sent - ln.viewedAt(i, t, bview)
 		if buf < 0 {

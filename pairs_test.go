@@ -65,33 +65,37 @@ var pairFeatures = []struct {
 	{"partial-placement", func(s *Scenario) { s.Policy.Placement = PartialPredictivePlacement }},
 }
 
-// pairBudget bounds the wall time of each audited pair in
-// TestFeaturePairs, where a pair takes tens of milliseconds, so an
-// engine that never drains fails the test by the pair's name instead
-// of running into the test binary's timeout.
-const pairBudget = 30 * time.Second
+// runBudget bounds the wall time of each run in TestFeaturePairs and
+// TestGoldenEquivalence, where a run takes tens of milliseconds, so an
+// engine that never drains fails the test by the run's name instead of
+// running into the test binary's timeout.
+const runBudget = 30 * time.Second
 
-// runWithin runs sc and returns its error, with finished false when
-// budget passes first. The abandoned run's goroutine is left to the
-// test binary's exit.
-func runWithin(sc Scenario, budget time.Duration) (finished bool, err error) {
-	done := make(chan error, 1)
+// runWithin runs sc and returns its result and error, with finished
+// false when budget passes first. The abandoned run's goroutine is left
+// to the test binary's exit.
+func runWithin(sc Scenario, budget time.Duration) (res *Result, finished bool, err error) {
+	type outcome struct {
+		res *Result
+		err error
+	}
+	done := make(chan outcome, 1)
 	go func() {
-		_, err := Run(sc)
-		done <- err
+		res, err := Run(sc)
+		done <- outcome{res, err}
 	}()
 	timer := time.NewTimer(budget)
 	defer timer.Stop()
 	select {
-	case err := <-done:
-		return true, err
+	case o := <-done:
+		return o.res, true, o.err
 	case <-timer.C:
-		return false, nil
+		return nil, false, nil
 	}
 }
 
 // TestFeaturePairs checks the composition space pairwise: every pair of
-// pairFeatures that validates must run audit-clean within pairBudget,
+// pairFeatures that validates must run audit-clean within runBudget,
 // and the pairs that Validate rejects are exactly the pinned ones.
 func TestFeaturePairs(t *testing.T) {
 	wantRejected := []string{
@@ -128,10 +132,10 @@ func TestFeaturePairs(t *testing.T) {
 				rejected = append(rejected, name)
 				continue
 			}
-			finished, err := runWithin(sc, pairBudget)
+			_, finished, err := runWithin(sc, runBudget)
 			if !finished {
 				// The abandoned run still holds a CPU: stop here.
-				t.Fatalf("%s: no result within %v: the run does not drain", name, pairBudget)
+				t.Fatalf("%s: no result within %v: the run does not drain", name, runBudget)
 			}
 			if err != nil {
 				t.Errorf("%s: validated but Run failed: %v", name, err)
