@@ -323,7 +323,8 @@ func (a *Auditor) checkServer(s *core.AuditServerState) error {
 	// must equal the configured capacity scaled by the audited
 	// brownout fraction — computed with the engine's own float
 	// expressions, so == is exact, not rounded.
-	if sid < len(a.frac) && sid < len(a.cfg.ServerBandwidth) {
+	inCluster := 0 <= sid && sid < len(a.frac) && sid < len(a.cfg.ServerBandwidth)
+	if inCluster {
 		wantBW := a.cfg.ServerBandwidth[sid] * a.frac[sid]
 		if s.Bandwidth != wantBW {
 			return a.fail("fault-state", sid, 0,
@@ -411,6 +412,13 @@ func (a *Auditor) checkServer(s *core.AuditServerState) error {
 		return a.fail("wake-exact", sid, 0,
 			"incremental next-wake %g != %g from-scratch min over %d stored keys",
 			s.NextWake, scan, n+len(s.Copies))
+	}
+	// The engine reports only the servers it has, so a state for any
+	// other id is a fault of its own; it is named after the stream
+	// rules, so a stream such a server carries fails by replica first.
+	if !inCluster {
+		return a.fail("fault-state", sid, 0,
+			"state for server %d outside the cluster of %d servers", sid, len(a.cfg.ServerBandwidth))
 	}
 	if a.storageCapEnabled {
 		if cap := a.cfg.ServerStorage[sid]; cap > 0 && a.storageUsed[sid] > cap+dataEps {

@@ -3,6 +3,7 @@ package audit
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -594,6 +595,21 @@ func TestReplicaModel(t *testing.T) {
 			wantRule(t, a.Replication(10, 0, 0, sid, 100), "replica")
 		}
 		wantRule(t, a.Event(record(server(2, []stream{okRequest(1, 1)}, nil))), "replica")
+	})
+	t.Run("empty server outside the cluster under storage caps", func(t *testing.T) {
+		// testAuditor caps storage, so an empty state passes every
+		// stream rule and reaches the storage rule, which has no
+		// capacity to index for a server outside the cluster: the
+		// state fails by fault-state instead of panicking.
+		a := testAuditor(t)
+		for _, sid := range []int32{-1, 2, 7} {
+			st := server(sid, nil, nil)
+			st.NextWake = math.Inf(1) // the min over no stored keys
+			v := wantRule(t, a.Event(record(st)), "fault-state")
+			if v.Server != int(sid) {
+				t.Fatalf("violation names server %d, want %d", v.Server, sid)
+			}
+		}
 	})
 }
 

@@ -13,8 +13,9 @@
 //     the entries whose predecessors' headroom does not yet cover the
 //     budget, in a max-heap bounded by that prefix. Feeding m of k
 //     candidates costs O(k + I log m), with I ≤ k the number of
-//     insertions (a candidate behind a covered prefix is rejected by one
-//     comparison, before the caller loads anything else about it).
+//     insertions (a candidate behind a covered prefix is rejected by a
+//     range test against Reach, before the caller loads anything else
+//     about it).
 //   - Index holds every candidate: Init heapifies them in O(k), Pop
 //     yields them lazily in feed order, Rest returns the un-popped rest
 //     unordered and Popped the popped ones in reverse pop order (the

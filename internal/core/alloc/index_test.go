@@ -141,11 +141,17 @@ func feedWalk(order []Weighted, budget float64, grants []float64) float64 {
 	return avail
 }
 
+// beyond reports whether key is outside px's Reach.
+func beyond(px *Prefix, key float64) bool {
+	lo, hi := px.Reach()
+	return key < lo || key > hi
+}
+
 // TestPrefixMatchesSortedFeed is Prefix's contract: feeding its drained
 // entries grants bit for bit what feeding the full sorted order does —
 // over duplicate keys, +Inf and zero weights, budgets within a few ulps
 // of a sum of weights, both directions and every insertion order — and
-// Beyond never rejects a key the sorted feed grants to.
+// Reach never excludes a key the sorted feed grants to.
 func TestPrefixMatchesSortedFeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var px Prefix
@@ -229,9 +235,9 @@ func TestPrefixMatchesSortedFeed(t *testing.T) {
 			}
 			px.Reset(desc, budget)
 			for _, c := range ins {
-				if px.Beyond(c.Key) {
+				if beyond(&px, c.Key) {
 					if want[c.Pos] > 0 {
-						t.Fatalf("trial %d desc=%v %s: Beyond rejected key %v (id %d), which the sorted feed grants %v",
+						t.Fatalf("trial %d desc=%v %s: Reach excluded key %v (id %d), which the sorted feed grants %v",
 							trial, desc, order, c.Key, c.ID, want[c.Pos])
 					}
 					continue
@@ -239,8 +245,8 @@ func TestPrefixMatchesSortedFeed(t *testing.T) {
 				px.Add(c.Key, c.ID, c.Pos, c.Weight)
 			}
 			for _, c := range cands {
-				if want[c.Pos] > 0 && px.Beyond(c.Key) {
-					t.Fatalf("trial %d desc=%v %s: after the adds Beyond rejects key %v, which the sorted feed grants",
+				if want[c.Pos] > 0 && beyond(&px, c.Key) {
+					t.Fatalf("trial %d desc=%v %s: after the adds Reach excludes key %v, which the sorted feed grants",
 						trial, desc, order, c.Key)
 				}
 			}
@@ -270,13 +276,13 @@ func TestPrefixMatchesSortedFeed(t *testing.T) {
 
 // TestPrefixBoundsKept pins the point of Prefix: with unit weights and
 // a budget of 3 it keeps just the three head entries, whatever the
-// insertion order, and Beyond rejects every key behind them; an
+// insertion order, and Reach excludes every key behind them; an
 // unbounded weight ends the prefix.
 func TestPrefixBoundsKept(t *testing.T) {
 	var px Prefix
 	px.Reset(false, 3)
 	for _, k := range []int{9, 4, 7, 1, 8, 2, 6, 0, 5, 3} {
-		if px.Beyond(float64(k)) {
+		if beyond(&px, float64(k)) {
 			continue
 		}
 		px.Add(float64(k), int64(k), int32(k), 1)
@@ -284,8 +290,8 @@ func TestPrefixBoundsKept(t *testing.T) {
 			t.Fatalf("kept %d entries after adding %d, want ≤ 3", px.Len(), k)
 		}
 	}
-	if !px.Beyond(2.5) || px.Beyond(2) || px.Beyond(1.5) {
-		t.Fatalf("Beyond: 2.5=%v 2=%v 1.5=%v, want true false false", px.Beyond(2.5), px.Beyond(2), px.Beyond(1.5))
+	if !beyond(&px, 2.5) || beyond(&px, 2) || beyond(&px, 1.5) {
+		t.Fatalf("beyond Reach: 2.5=%v 2=%v 1.5=%v, want true false false", beyond(&px, 2.5), beyond(&px, 2), beyond(&px, 1.5))
 	}
 	got := px.Drain()
 	want := []Weighted{{Entry{0, 0, 0}, 1}, {Entry{1, 1, 1}, 1}, {Entry{2, 2, 2}, 1}}

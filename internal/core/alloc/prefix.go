@@ -19,8 +19,8 @@ type Weighted struct {
 // more than the fed candidates plus the one added since the last drop.
 //
 // The zero value is ready to use. Cycle: Reset, then for each
-// candidate Beyond (to skip one Add would reject without computing its
-// weight) and Add, then Drain.
+// candidate a Reach test (to skip one Add would reject without
+// computing its weight) and Add, then Drain.
 type Prefix struct {
 	heap   []Weighted // max-heap by feed order: heap[0] is kept last
 	budget float64
@@ -49,18 +49,22 @@ func (x *Prefix) covered() bool {
 	return len(x.heap) > 0 && (x.inf > 0 || x.sum >= x.budget)
 }
 
-// Beyond reports whether Add would reject a candidate with this key
-// whatever its id and weight: the kept weights cover the budget and key
-// is strictly behind the root's. A key equal to the root's reports
-// false, leaving the id comparison to Add.
-func (x *Prefix) Beyond(key float64) bool {
+// Reach returns the range of keys Add can still keep: a candidate
+// whose key is outside [lo, hi] is rejected whatever its id and weight,
+// because the kept weights cover the budget and its key is strictly
+// behind the root's. The range is unbounded until they cover it, and a
+// key equal to the root's is inside, leaving the id comparison to Add.
+// Only Add changes it, so a caller can hold the bounds in locals
+// between Adds.
+func (x *Prefix) Reach() (lo, hi float64) {
+	lo, hi = math.Inf(-1), math.Inf(1)
 	if !x.covered() {
-		return false
+		return lo, hi
 	}
 	if x.desc {
-		return key < x.heap[0].Key
+		return x.heap[0].Key, hi
 	}
-	return key > x.heap[0].Key
+	return lo, x.heap[0].Key
 }
 
 // Add offers a candidate. One with no weight (≤ 0) can take no grant

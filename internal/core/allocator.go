@@ -10,19 +10,28 @@ const AllocMinFlowEFTF = "minflow-eftf"
 // allocate recomputes the bandwidth allocation of server s at time t:
 // the intermittent heuristic or the minimum-flow guarantee, then copy
 // jobs, then — with workahead — the spare feed of the configured
-// discipline. Every request in s.active and every copy job must already
-// be synced to t. It returns the earliest future instant at which the
-// allocation must be recomputed absent external events (+Inf when the
-// server is idle).
+// discipline. The feed takes the candidates the minimum-flow sweep
+// gathered when its spare is within the sweep's budget, and otherwise
+// gathers them in a second sweep (spreadSpare), as it always does
+// after the intermittent heuristic. Every request in s.active and every
+// copy job must already be synced to t. It returns the earliest future
+// instant at which the allocation must be recomputed absent external
+// events (+Inf when the server is idle).
 func (e *Engine) allocate(s *server, t float64) float64 {
 	var avail float64
+	gathered := false
 	if e.cfg.Intermittent {
 		avail = e.allocateIntermittent(s, t)
 	} else {
-		avail = e.allocateCopies(s, t, e.minFlowRates(s, t))
+		avail, gathered = e.minFlowRates(s, t)
+		avail = e.allocateCopies(s, t, avail)
 	}
 	if e.cfg.Workahead && avail > dataEps {
-		e.spreadSpare(s, t, avail)
+		if gathered {
+			e.feedSpare(s, t, avail)
+		} else {
+			e.spreadSpare(s, t, avail)
+		}
 	}
 	return s.wakeAt(t)
 }

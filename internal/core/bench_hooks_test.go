@@ -12,7 +12,8 @@ func benchAllocateWake(e *Engine, s *server) {
 	e.allocate(s, 0)
 }
 
-// benchSpreadSpare spreads the given spare over s's staging candidates.
+// benchSpreadSpare spreads the given spare over s's staging candidates,
+// gathering them in the standalone (second) sweep.
 func benchSpreadSpare(e *Engine, s *server, avail float64) {
 	e.spreadSpare(s, 0, avail)
 }

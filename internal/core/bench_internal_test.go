@@ -184,10 +184,14 @@ func BenchmarkAllocateSaturated(b *testing.B) {
 	}
 }
 
-// BenchmarkSpreadSpare isolates the workahead spreader: rates are reset
-// to the minimum flow each iteration, then the spare is spread in EFTF
-// order (plus the fused next-wake pass after the refactor), in each of
-// benchOrders' slot orders.
+// BenchmarkSpreadSpare isolates the workahead spreader on its
+// second-sweep path: rates are reset to the minimum flow each
+// iteration, then spreadSpare gathers the candidates in the standalone
+// sweep with the exact spare and feeds them in EFTF order, rewriting
+// the fed slots' wake keys, in each of benchOrders' slot orders. That is
+// the path of intermittent rounds and of minimum-flow rounds that idle
+// a slot; a minimum-flow round without held slots gathers in the sweep
+// that assigns b_view instead, which BenchmarkAllocate measures.
 func BenchmarkSpreadSpare(b *testing.B) {
 	for _, o := range benchOrders {
 		for _, sp := range benchSpares {
