@@ -149,6 +149,20 @@ func goldenMatrix() []struct {
 	brown.Audit = true
 	add("brownout-churn", brown)
 
+	// Failure churn with viewer pauses and a switch delay: parked
+	// streams pause and resume while they play from their buffers, and
+	// reconnect through the switch-delay buffer test, audited.
+	parkPause := base(drm(Policy{
+		Name: "degraded-interactive", StagingFrac: 0.2,
+		RetryQueue: true, RetryPatienceSec: 120, RetryBackoffSec: 15,
+		DegradedPlayback: true, DegradedRetrySec: 5,
+		PauseProb: 0.5, MinPauseSec: 30, MaxPauseSec: 300,
+		SwitchDelay: 2,
+	}, UnlimitedHops, 1))
+	parkPause.Faults = faults.Config{MTBFHours: 1, MTTRHours: 0.2}
+	parkPause.Audit = true
+	add("degraded-interactive", parkPause)
+
 	// Class-based load shedding through a flash crowd: two tiers, the
 	// shed watermark, and the thinned arrival stream, audited so the
 	// overload-shedding rule and per-class accounting ride the fixture.

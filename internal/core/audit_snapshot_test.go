@@ -64,8 +64,8 @@ func TestAuditSnapshotPastSwitchDeadline(t *testing.T) {
 	s := e.servers[0]
 	// 60 Mb staged ahead of the viewer: playback runs on through the
 	// blackout.
-	r := &request{id: 1, size: cat.Video(0).Size, carrySent: 60, bufCap: 100}
-	s.attach(r)
+	r := &request{id: 1, size: cat.Video(0).Size}
+	attachSlot(s, r, slotState{sent: 60, bufCap: 100})
 	s.setSuspend(r, 10) // mid-switch until t = 10
 	e.allocate(s, 0)
 	suspended := func(at float64) bool {

@@ -62,7 +62,7 @@ func benchAdmissionEngine(b *testing.B, selector string, k, load int) *Engine {
 			n = s.slots
 		}
 		for j := 0; j < n; j++ {
-			s.attach(&request{id: id, size: 3600, bufCap: 0, recvCap: 0})
+			s.attach(&request{id: id, size: 3600}, 0, 0, 0)
 			id++
 		}
 	}
@@ -172,7 +172,7 @@ func benchDRMEngine(b *testing.B, spare bool) *Engine {
 		}
 		for j := 0; j < n; j++ {
 			v := held[s.id][j%len(held[s.id])]
-			s.attach(&request{id: id, video: v, size: cat.Video(int(v)).Size})
+			s.attach(&request{id: id, video: v, size: cat.Video(int(v)).Size}, 0, 0, 0)
 			id++
 		}
 	}

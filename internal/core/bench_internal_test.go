@@ -56,16 +56,17 @@ func (o benchOrder) arrange(s *server, seed uint64) {
 	}
 }
 
-// shuffleSlots re-attaches s's requests in a random slot order drawn
-// from seed.
+// shuffleSlots puts s's slots in a random order drawn from seed: it
+// moves every slot to a scratch lane, then back in that order.
 func shuffleSlots(s *server, seed uint64) {
 	reqs := slices.Clone(s.active)
-	for _, r := range reqs {
-		s.detach(r)
-	}
 	rng.New(seed).Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
+	tmp := new(server)
+	for len(s.active) > 0 {
+		s.move(s.active[0], tmp)
+	}
 	for _, r := range reqs {
-		s.attach(r)
+		tmp.move(r, s)
 	}
 }
 
@@ -76,7 +77,7 @@ func fillBuffers(s *server, share float64, seed uint64) {
 	bview := 3.0
 	for _, i := range rng.New(rng.DeriveSeed(seed, 1)).Perm(len(s.active))[:int(share*float64(len(s.active)))] {
 		c := s.bufferOf(i, 0, bview)
-		s.ln.meta[i].BufCap, s.active[i].bufCap = c, c
+		s.ln.meta[i].BufCap = c
 	}
 }
 
@@ -96,11 +97,9 @@ func benchEngine(k int, spareFrac float64, intermittent bool) (*Engine, *server)
 	e := &Engine{cfg: cfg}
 	s := mkServer(bw, bview)
 	for i := 0; i < k; i++ {
-		r := &request{
-			id: int64(i + 1), size: 16200, carrySent: float64(i*137%16000) + 1,
-			bufCap: cfg.BufferCapacity, recvCap: cfg.ReceiveCap,
-		}
-		s.attach(r)
+		attachSlot(s, &request{id: int64(i + 1), size: 16200}, slotState{
+			sent: float64(i*137%16000) + 1, bufCap: cfg.BufferCapacity, recvCap: cfg.ReceiveCap,
+		})
 	}
 	return e, s
 }

@@ -49,8 +49,8 @@ func (e *Engine) evictDownTo(s *server, t float64, keep int) (rescued, dropped, 
 // (hops budget waived — a stream facing death is moved if at all
 // possible), else park it into degraded-mode playback when configured
 // and buffered data allows, else drop it. The server must be synced to
-// t; detach swaps the last stream into slot 0, so callers loop on the
-// active count.
+// t; removing the slot swaps the last stream into slot 0, so callers
+// loop on the active count.
 func (e *Engine) evictSlot0(s *server, t float64) evictOutcome {
 	r := s.active[0]
 	var target *server
@@ -73,26 +73,13 @@ func (e *Engine) evictSlot0(s *server, t float64) evictOutcome {
 			return evictParked
 		}
 		// No home for this stream: it is dropped mid-play.
-		s.detach(r)
 		e.metrics.DroppedStreams++
-		e.retire(r)
+		e.retire(r, s)
 		return evictDropped
 	}
 	target.syncAll(t)
-	s.detach(r)
-	r.hops++ // detached: attach mirrors the new count into the lane
-	target.attach(r)
-	if d := e.cfg.Migration.SwitchDelay; d > 0 {
-		target.setSuspend(r, t+d)
-	}
-	e.metrics.Migrations++
 	e.metrics.RescuedStreams++
-	if e.obs != nil {
-		e.obs.OnMigrate(t, r.id, int(r.video), int(s.id), int(target.id), true)
-	}
-	if e.audit != nil {
-		e.auditFail(e.audit.Migration(t, r.id, r.video, s.id, target.id, r.hops, true))
-	}
+	e.migrate(r, s, target, t, true)
 	e.reschedule(target, t)
 	return evictRescued
 }

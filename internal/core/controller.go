@@ -132,9 +132,8 @@ func (e *Engine) admit(v int, t, bufCap, recvCap float64, class int32, prefix fl
 		r.size -= prefix
 		r.startOff = prefix
 	}
-	r.bufCap, r.recvCap = bufCap, recvCap
 	r.class = class
-	best.attach(r)
+	best.attach(r, t, bufCap, recvCap)
 	e.metrics.Accepted++
 	e.metrics.AcceptedBytes += r.size
 	if class >= 0 {

@@ -7,13 +7,12 @@ import (
 
 // mkServer builds a bare server with the given bandwidth.
 func mkServer(bandwidth float64, bview float64) *server {
-	s := &server{id: 0, bandwidth: bandwidth, slots: int(bandwidth / bview)}
-	s.ln.beginRound() // start the wake index empty (+Inf), as Reset does
+	s := new(server)
+	s.reset(0, bandwidth, int(bandwidth/bview)) // as Reset does
 	return s
 }
 
-// rateOf reads an attached request's current allocation from its
-// server's lane (the authoritative store while attached).
+// rateOf reads a request's current allocation from its server's lane.
 func rateOf(s *server, r *request) float64 { return s.ln.rate[r.slot] }
 
 // addReq attaches a synthetic request with the given remaining volume,
@@ -21,11 +20,8 @@ func rateOf(s *server, r *request) float64 { return s.ln.rate[r.slot] }
 // Client capabilities are copied from the engine config, as admission
 // would do.
 func addReq(e *Engine, s *server, id int64, size, sent, start, now float64) *request {
-	r := &request{
-		id: id, size: size, carrySent: sent, start: start, carryLast: now,
-		bufCap: e.cfg.BufferCapacity, recvCap: e.cfg.ReceiveCap,
-	}
-	s.attach(r)
+	r := &request{id: id, size: size, start: start}
+	attachSlot(s, r, slotState{sent: sent, last: now, bufCap: e.cfg.BufferCapacity, recvCap: e.cfg.ReceiveCap})
 	return r
 }
 
@@ -247,7 +243,7 @@ func TestSpareDisciplineEvenSplitWaterFilling(t *testing.T) {
 	e := &Engine{cfg: cfg}
 	s := mkServer(30, 3)
 	capped := addReq(e, s, 1, 3600, 0, 0, 0)
-	capped.recvCap, s.ln.meta[capped.slot].RecvCap = 6, 6
+	s.ln.meta[capped.slot].RecvCap = 6
 	open := addReq(e, s, 2, 3600, 0, 0, 0)
 	e.allocate(s, 0)
 	// Spare = 24. capped absorbs 3 (to its 6 Mb/s cap); open takes the

@@ -46,8 +46,8 @@ type event struct {
 	frac    float64 // brownout only: effective-bandwidth fraction
 }
 
-// Engine runs one cluster simulation: it owns the servers, the future
-// event list, and all per-request fluid state.
+// Engine runs one cluster simulation: it owns the servers, the park
+// lane, the future event list, and all per-request fluid state.
 type Engine struct {
 	cfg     Config
 	cat     *catalog.Catalog
@@ -90,11 +90,13 @@ type Engine struct {
 
 	// Fault-tolerance state (see faulttol.go): per-server scheduled
 	// fail/recover bookkeeping, cold-wiped static storage, the admission
-	// retry queue, and streams parked in degraded-mode playback.
+	// retry queue, and streams parked in degraded-mode playback: their
+	// slots in the park lane, indexed by request id for park ticks.
 	faultSched  []faultSched
 	staticWiped []bool
 	retryQ      map[int64]*retryEntry
 	nextRetryID int64
+	parkLane    server
 	parked      map[int64]*request
 
 	// Audit instrumentation (nil when no auditor is attached): the tap,
@@ -186,18 +188,12 @@ func (e *Engine) Reset(cfg Config, cat *catalog.Catalog, lay *placement.Layout, 
 		e.servers = e.servers[:n]
 	}
 	for i, b := range cfg.ServerBandwidth {
-		if s := e.servers[i]; s != nil {
-			clear(s.active)
-			s.active = s.active[:0]
-			clear(s.copies)
-			ln := s.ln
-			ln.reset()
-			*s = server{id: int32(i), bandwidth: b, slots: cfg.Slots(i), active: s.active, copies: s.copies[:0], ln: ln}
-		} else {
-			e.servers[i] = &server{id: int32(i), bandwidth: b, slots: cfg.Slots(i)}
-			e.servers[i].ln.beginRound() // an idle server's wake min is +Inf
+		if e.servers[i] == nil {
+			e.servers[i] = new(server)
 		}
+		e.servers[i].reset(int32(i), b, cfg.Slots(i))
 	}
+	e.parkLane.reset(-1, 0, 0) // an id no server has: e.servers[-1] fails loudly
 	e.visited = resize(e.visited, n)
 	e.drmTgt, e.drmGen = resize(e.drmTgt, cat.Len()), 0
 	e.extraUsed = resize(e.extraUsed, n)
@@ -620,19 +616,10 @@ func (e *Engine) handleInteraction(id int64, t float64, pause bool) {
 	if !ok {
 		return // transmission already complete; playback state moot
 	}
-	if r.parked {
-		// No server to reschedule; recompute the buffer-dry horizon.
-		r.syncTo(t)
-		if pause {
-			r.pauseViewing(t, e.cfg.ViewRate)
-			e.metrics.ViewerPauses++
-		} else {
-			r.resumeViewing(t)
-		}
-		e.nextParkTick(r, t)
-		return
+	s := &e.parkLane
+	if !r.parked {
+		s = e.servers[r.server]
 	}
-	s := e.servers[r.server]
 	s.syncAll(t)
 	if pause {
 		s.pauseView(int(r.slot), t, e.cfg.ViewRate)
@@ -640,7 +627,11 @@ func (e *Engine) handleInteraction(id int64, t float64, pause bool) {
 	} else {
 		s.resumeView(int(r.slot), t)
 	}
-	e.reschedule(s, t)
+	if r.parked {
+		e.nextParkTick(r, t) // the buffer-dry horizon moved
+	} else {
+		e.reschedule(s, t)
+	}
 }
 
 func (e *Engine) handleWake(s *server, version uint64, t float64) {
@@ -658,7 +649,7 @@ func (e *Engine) releaseFinished(s *server, t float64) {
 	for i := 0; i < len(s.active); {
 		if s.finishedAt(i) {
 			e.finish(s.active[i], s, t)
-			continue // detach swapped another request into slot i
+			continue // retire swapped another request into slot i
 		}
 		i++
 	}
@@ -672,24 +663,26 @@ func (e *Engine) releaseFinished(s *server, t float64) {
 }
 
 func (e *Engine) finish(r *request, s *server, t float64) {
-	s.detach(r)
 	e.metrics.Completions++
 	if e.obs != nil {
 		e.obs.OnFinish(t, r.id, int(r.video), int(s.id))
 	}
-	e.retire(r)
+	e.retire(r, s)
 }
 
-// retire accounts for a detached stream leaving the cluster for good —
-// finished, dropped by an eviction, or dry in degraded playback: the
-// bytes it was delivered, mirrored into the cluster egress on edge
-// runs, and its lifetime migrations. It then recycles the request.
-func (e *Engine) retire(r *request) {
-	e.metrics.DeliveredBytes += r.carrySent // detach stored the lane state
+// retire accounts for a stream leaving the cluster for good — finished,
+// dropped by an eviction, or dry in degraded playback — from its slot
+// in s's lane: the bytes it was delivered, mirrored into the cluster
+// egress on edge runs, and its lifetime migrations. It then removes the
+// slot and recycles the request.
+func (e *Engine) retire(r *request, s *server) {
+	sent := s.ln.sent[r.slot]
+	e.metrics.DeliveredBytes += sent
 	if e.cfg.Edge.Nodes > 0 {
-		e.metrics.ClusterEgressMb += r.carrySent
+		e.metrics.ClusterEgressMb += sent
 	}
-	e.observe(ObsMigrations, float64(r.hops))
+	e.observe(ObsMigrations, float64(s.ln.meta[r.slot].Hops))
+	s.detach(r)
 	e.recycle(r)
 }
 
@@ -727,8 +720,6 @@ func (e *Engine) newRequest(video int, t float64) *request {
 	r.video = int32(video)
 	r.size = e.cat.Video(video).Size
 	r.start = t
-	r.carryLast = t
-	r.viewSyncT = t
 	return r
 }
 

@@ -17,10 +17,11 @@ package core
 //
 // Degraded-mode playback models the client staging buffer surviving its
 // server: when a stream on a failing server cannot be rescued via
-// migration, it keeps playing from buffered data at the view rate and
-// periodically tries to reconnect to a live replica holder. Only when
-// the buffer runs dry with nowhere to reconnect does the viewer see a
-// glitch and the stream count as dropped.
+// migration, its slot moves to the engine's park lane, where it keeps
+// playing from buffered data at the view rate and periodically tries
+// to reconnect to a live replica holder. Only when the buffer runs dry
+// with nowhere to reconnect does the viewer see a glitch and the
+// stream count as dropped.
 
 // retryEntry is one rejected arrival waiting in the admission retry
 // queue. The client capabilities drawn at arrival are preserved so a
@@ -190,13 +191,12 @@ func (e *Engine) handleRetry(id int64, t float64) {
 }
 
 // park moves a stream that survived its server's failure into
-// degraded-mode playback: detached from the cluster, rate zero, playing
-// from its client buffer (detach stored the lane state into the carry
-// fields, which hold the fluid state while parked). The caller has
-// verified eligibility.
+// degraded-mode playback: its slot moves to the park lane at rate 0,
+// where the client plays from its buffer. The caller has verified
+// eligibility.
 func (e *Engine) park(r *request, s *server, t float64) {
-	s.detach(r)
-	r.carryRate = 0
+	s.move(r, &e.parkLane)
+	e.parkLane.ln.rate[r.slot] = 0
 	r.parked = true
 	r.parkStart = t
 	if e.parked == nil {
@@ -214,8 +214,9 @@ func (e *Engine) park(r *request, s *server, t float64) {
 func (e *Engine) nextParkTick(r *request, t float64) {
 	r.parkVer++
 	next := t + e.degradedInterval()
-	if !r.pausedView {
-		if dry := t + r.bufferAt(t, e.cfg.ViewRate)/e.cfg.ViewRate; dry < next {
+	p, i := &e.parkLane, int(r.slot)
+	if p.ln.flags[i]&SlotPaused == 0 {
+		if dry := t + p.bufferOf(i, t, e.cfg.ViewRate)/e.cfg.ViewRate; dry < next {
 			next = dry
 		}
 	}
@@ -232,7 +233,8 @@ func (e *Engine) handleParkTick(id int64, ver uint64, t float64) {
 	if !ok || ver != r.parkVer {
 		return // stale tick superseded by a later park event
 	}
-	r.syncTo(t)
+	p := &e.parkLane
+	p.syncAll(t) // rate 0: the slot's sync time moves to t
 	bview := e.cfg.ViewRate
 	// Reconnection goes through the request's class selector, which
 	// re-checks feasibility against each candidate's *effective*
@@ -241,12 +243,12 @@ func (e *Engine) handleParkTick(id int64, ver uint64, t float64) {
 	best := e.classSelector(r.class).Select(e, int(r.video), t)
 	if best != nil {
 		d := e.cfg.Migration.SwitchDelay
-		if d <= 0 || r.bufferAt(t, bview) >= d*bview-dataEps {
+		if d <= 0 || p.bufferOf(int(r.slot), t, bview) >= d*bview-dataEps {
 			best.syncAll(t)
 			delete(e.parked, id)
 			r.parked = false
 			r.parkVer++
-			best.attach(r)
+			p.move(r, best)
 			if d > 0 {
 				best.setSuspend(r, t+d)
 			}
@@ -256,17 +258,16 @@ func (e *Engine) handleParkTick(id int64, ver uint64, t float64) {
 			return
 		}
 	}
-	if r.bufferAt(t, bview) <= dataEps && !r.pausedView {
+	if i := int(r.slot); p.bufferOf(i, t, bview) <= dataEps && p.ln.flags[i]&SlotPaused == 0 {
 		// Buffer dry with nowhere to reconnect: the viewer sees the
 		// interruption and the stream is lost.
 		delete(e.parked, id)
 		r.parked = false
-		r.glitched = true
 		e.metrics.DegradedGlitches++
 		e.metrics.DroppedStreams++
 		e.observe(ObsPark, t-r.parkStart)
-		e.observe(ObsGlitch, (r.size-r.viewedAt(t, bview))/bview)
-		e.retire(r)
+		e.observe(ObsGlitch, (r.size-p.ln.viewedAt(i, t, bview))/bview)
+		e.retire(r, p)
 		return
 	}
 	e.nextParkTick(r, t)

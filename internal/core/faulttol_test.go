@@ -156,8 +156,9 @@ func TestRetryQueueBoundOverflowRejects(t *testing.T) {
 
 // parkScenario: stream A (video 0, server 0 only) builds workahead
 // until server 0 fails at t=50 with no rescue target; degraded-mode
-// playback parks it with 150 Mb (50 s) of buffered data.
-func parkScenario(t *testing.T) (*Engine, *finishObserver) {
+// playback parks it with 150 Mb (50 s) of buffered data. opts adjust
+// the configuration before the engine is built.
+func parkScenario(t *testing.T, opts ...func(*Config)) (*Engine, *finishObserver) {
 	t.Helper()
 	cat := fixedCatalog(t, 2, 1200)
 	cfg := Config{
@@ -166,6 +167,9 @@ func parkScenario(t *testing.T) (*Engine, *finishObserver) {
 		BufferCapacity:  300,
 		Workahead:       true,
 		Degraded:        DegradedConfig{Enabled: true, RetryInterval: 5},
+	}
+	for _, o := range opts {
+		o(&cfg)
 	}
 	obs := newFinishObserver()
 	e := newTestEngine(t, cfg, cat, [][]int{{0}, {1}}, []workload.Request{
@@ -271,6 +275,68 @@ func TestDegradedParkBrownoutInteraction(t *testing.T) {
 			if m.DroppedStreams != tc.dropped || m.Completions != tc.completed {
 				t.Fatalf("dropped=%d completions=%d, want %d/%d",
 					m.DroppedStreams, m.Completions, tc.dropped, tc.completed)
+			}
+		})
+	}
+}
+
+// obsLog is an accumulator that keeps every observation.
+type obsLog []float64
+
+func (l *obsLog) Observe(x float64) { *l = append(*l, x) }
+
+// TestDegradedParkedViewerPauses pins a parked viewer's pause and
+// resume. A parks at t=50 with 150 Mb buffered and would run dry at
+// t=100; its viewer pauses at t=60 with 120 Mb left and resumes at
+// t=160, so the buffer holds until t=200, past server 0's warm
+// recovery at t=180, and A reconnects. Without the pause the same run
+// drops A at t=100; with the pause and no recovery, A runs dry at
+// t=200.
+func TestDegradedParkedViewerPauses(t *testing.T) {
+	cases := []struct {
+		name      string
+		pauses    int64   // 1: the viewer pauses at t=60 and resumes at t=160
+		recoverAt float64 // 0 = never recovered
+		resumed   int64
+		glitches  int64
+		delivered float64
+		parkSec   float64 // how long A stays parked
+	}{
+		{"paused viewer outlasts the outage", 1, 180, 1, 0, 3 * 3600, 130},
+		{"playing viewer runs dry first", 0, 180, 0, 1, 2*3600 + 300, 50},
+		{"paused viewer runs dry later", 1, 0, 0, 1, 2*3600 + 300, 150},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// A pause probability this small draws no pause of its own,
+			// but it turns interactivity on, so pause events find A.
+			e, _ := parkScenario(t, func(c *Config) {
+				c.Interactivity = InteractivityConfig{PauseProb: 1e-12, MinPause: 1, MaxPause: 1}
+			})
+			if tc.pauses > 0 {
+				e.events.Push(60, event{kind: evPause, req: 1})
+				e.events.Push(160, event{kind: evResume, req: 1})
+			}
+			if tc.recoverAt > 0 {
+				if err := e.ScheduleRecovery(tc.recoverAt, 0, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var park obsLog
+			e.SetAccumulator(ObsPark, &park)
+			m := run(t, e, 2000)
+			if m.DegradedParked != 1 || m.DegradedResumed != tc.resumed || m.DegradedGlitches != tc.glitches {
+				t.Fatalf("parked=%d resumed=%d glitches=%d, want 1/%d/%d",
+					m.DegradedParked, m.DegradedResumed, m.DegradedGlitches, tc.resumed, tc.glitches)
+			}
+			if m.ViewerPauses != tc.pauses {
+				t.Errorf("ViewerPauses = %d, want %d", m.ViewerPauses, tc.pauses)
+			}
+			if !approx(m.DeliveredBytes, tc.delivered, 1e-6) {
+				t.Errorf("DeliveredBytes = %v, want %v", m.DeliveredBytes, tc.delivered)
+			}
+			if len(park) != 1 || !approx(park[0], tc.parkSec, 1e-9) {
+				t.Errorf("park episodes %v, want one of %g s", park, tc.parkSec)
 			}
 		})
 	}

@@ -106,49 +106,72 @@ func (c *laneCheckTap) Event(rec AuditEventRecord) error {
 	return c.AuditTap.Event(rec)
 }
 
-// checkLanes checks the lane structure no audit snapshot can see:
-// every lane column is as long as the active list, each request holds
-// its own slot index, and the mirrored columns — size, id, video,
-// client caps, hops, and the patch and tapped flags — match the
-// request. (The lane-owned columns, viewer state and the paused and
-// glitched flags, are authoritative while attached: the request's
-// copies are stale by design.)
+// checkLanes checks the lane structure no audit snapshot can see, on
+// every server and on the park lane (server -1): every lane column is
+// as long as the active list, each request holds its own server and
+// slot index and is parked exactly when its slot is in the park lane,
+// where it transmits nothing, and the columns a request mirrors — size,
+// id, video, and the patch and tapped flags — match it.
 func checkLanes(e *Engine) error {
 	for _, s := range e.servers {
-		n, ln := len(s.active), &s.ln
-		for _, l := range []int{
-			len(ln.rate), len(ln.sent), len(ln.last), len(ln.susp), len(ln.size), len(ln.wake),
-			len(ln.flags), len(ln.meta),
-		} {
-			if l != n {
-				return fmt.Errorf("server %d: a lane column has %d entries for %d active streams", s.id, l, n)
-			}
+		if err := checkLane(s, false); err != nil {
+			return err
 		}
-		for i, r := range s.active {
-			if int(r.slot) != i {
-				return fmt.Errorf("server %d: request %d in slot %d holds slot index %d", s.id, r.id, i, r.slot)
-			}
-			f, m := ln.flags[i], &ln.meta[i]
-			switch {
-			case ln.size[i] != r.size:
-				return fmt.Errorf("server %d: request %d lane size %g != %g", s.id, r.id, ln.size[i], r.size)
-			case m.ID != r.id:
-				return fmt.Errorf("server %d slot %d: lane id %d != request %d", s.id, i, m.ID, r.id)
-			case m.Video != r.video:
-				return fmt.Errorf("server %d: request %d lane video %d != %d", s.id, r.id, m.Video, r.video)
-			case m.BufCap != r.bufCap || m.RecvCap != r.recvCap:
-				return fmt.Errorf("server %d: request %d lane caps %g/%g != %g/%g",
-					s.id, r.id, m.BufCap, m.RecvCap, r.bufCap, r.recvCap)
-			case m.Hops != r.hops:
-				return fmt.Errorf("server %d: request %d lane hops %d != %d", s.id, r.id, m.Hops, r.hops)
-			case f&SlotPatch != 0 != r.isPatch:
-				return fmt.Errorf("server %d: request %d lane patch flag %v != %v", s.id, r.id, f&SlotPatch != 0, r.isPatch)
-			case f&SlotTapped != 0 != (r.taps > 0):
-				return fmt.Errorf("server %d: request %d lane tapped flag %v with %d taps", s.id, r.id, f&SlotTapped != 0, r.taps)
-			}
+	}
+	return checkLane(&e.parkLane, true)
+}
+
+// checkLane is checkLanes on one lane, parked telling the park lane.
+func checkLane(s *server, parked bool) error {
+	n, ln := len(s.active), &s.ln
+	for _, l := range []int{
+		len(ln.rate), len(ln.sent), len(ln.last), len(ln.susp), len(ln.size), len(ln.wake),
+		len(ln.flags), len(ln.meta),
+	} {
+		if l != n {
+			return fmt.Errorf("server %d: a lane column has %d entries for %d active streams", s.id, l, n)
+		}
+	}
+	for i, r := range s.active {
+		if int(r.slot) != i || r.server != s.id {
+			return fmt.Errorf("server %d: request %d in slot %d holds server %d slot %d", s.id, r.id, i, r.server, r.slot)
+		}
+		f, m := ln.flags[i], &ln.meta[i]
+		switch {
+		case r.parked != parked:
+			return fmt.Errorf("server %d: request %d has parked %v", s.id, r.id, r.parked)
+		case parked && ln.rate[i] != 0:
+			return fmt.Errorf("park lane: request %d at rate %g", r.id, ln.rate[i])
+		case ln.size[i] != r.size:
+			return fmt.Errorf("server %d: request %d lane size %g != %g", s.id, r.id, ln.size[i], r.size)
+		case m.ID != r.id:
+			return fmt.Errorf("server %d slot %d: lane id %d != request %d", s.id, i, m.ID, r.id)
+		case m.Video != r.video:
+			return fmt.Errorf("server %d: request %d lane video %d != %d", s.id, r.id, m.Video, r.video)
+		case f&SlotPatch != 0 != r.isPatch:
+			return fmt.Errorf("server %d: request %d lane patch flag %v != %v", s.id, r.id, f&SlotPatch != 0, r.isPatch)
+		case f&SlotTapped != 0 != (r.taps > 0):
+			return fmt.Errorf("server %d: request %d lane tapped flag %v with %d taps", s.id, r.id, f&SlotTapped != 0, r.taps)
 		}
 	}
 	return nil
+}
+
+// slotState is the lane state a test stream starts with where it
+// differs from what attach writes (everything zero, the viewer at 0 as
+// of last).
+type slotState struct {
+	rate, sent, last, susp float64
+	bufCap, recvCap        float64
+	viewT                  float64 // the viewer is at 0 as of viewT
+}
+
+// attachSlot attaches r to s and writes st into its new slot.
+func attachSlot(s *server, r *request, st slotState) {
+	s.attach(r, st.last, st.bufCap, st.recvCap)
+	ln, i := &s.ln, r.slot
+	ln.rate[i], ln.sent[i], ln.susp[i] = st.rate, st.sent, st.susp
+	ln.meta[i].ViewT = st.viewT
 }
 
 // inFlight is one in-flight request as the audit snapshot reports it,

@@ -188,38 +188,65 @@ func TestPausedViewerNotUrgent(t *testing.T) {
 	}
 }
 
-// TestViewedAtWhilePaused plays one pause/resume script on a detached
-// request's carried viewer state and on an attached slot's lane
-// columns: both must follow the playback formula and agree bit for
-// bit, and detach must hand the lane's state back to the request.
+// TestViewedAtWhilePaused plays one pause/resume script on a slot's
+// viewer state, which must follow the playback formula, and then moves
+// the paused slot: a moved slot keeps every column and every SlotMeta
+// field bit for bit, except that its wake key starts at +Inf and a
+// migration adds one hop.
 func TestViewedAtWhilePaused(t *testing.T) {
 	const bview = 3.0
-	r := &request{size: 3600, start: 0, viewSyncT: 0}
 	s := mkServer(30, bview)
-	s.attach(&request{id: 1, size: 3600})
-	ln := &s.ln
+	r := &request{id: 1, size: 3600}
+	attachSlot(s, r, slotState{rate: 6, bufCap: 900, recvCap: 30})
+	other := &request{id: 2, size: 1800}
+	s.attach(other, 0, 0, 0)
 	check := func(at, want float64, what string) {
 		t.Helper()
-		got := r.viewedAt(at, bview)
-		if !approx(got, want, 1e-9) {
+		if got := s.ln.viewedAt(int(r.slot), at, bview); !approx(got, want, 1e-9) {
 			t.Errorf("%s: viewedAt(%v) = %v, want %v", what, at, got, want)
-		}
-		if lg := ln.viewedAt(0, at, bview); math.Float64bits(lg) != math.Float64bits(got) {
-			t.Errorf("%s: lane viewedAt(%v) = %v, carried %v", what, at, lg, got)
 		}
 	}
 	check(100, 300, "playing")
-	r.pauseViewing(100, bview)
 	s.pauseView(0, 100, bview)
 	check(500, 300, "paused")
-	r.resumeViewing(500)
 	s.resumeView(0, 500)
 	check(600, 600, "resumed")
+	s.syncAll(700)
 	s.pauseView(0, 700, bview)
-	back := s.active[0]
-	s.detach(back)
-	if !back.pausedView || back.viewSyncT != 700 || !approx(back.viewOffset, 900, 1e-9) {
-		t.Errorf("detach stored paused=%v viewSyncT=%v viewOffset=%v, want true 700 900",
-			back.pausedView, back.viewSyncT, back.viewOffset)
+	s.setSuspend(r, 710)
+	s.ln.flags[0] |= SlotGlitched
+	s.ln.meta[0].Hops = 2
+	s.ln.setWake(0, 750)
+
+	want := slotOf(s, r)
+	want.wake = math.Inf(1)
+	to := mkServer(30, bview)
+	to.id = 1
+	s.move(r, to)
+	if r.server != 1 || r.slot != 0 || other.slot != 0 || s.ln.meta[0].ID != other.id {
+		t.Fatalf("after the move: request at server %d slot %d, the other stream in slot %d holding id %d",
+			r.server, r.slot, other.slot, s.ln.meta[0].ID)
 	}
+	if got := slotOf(to, r); got != want {
+		t.Errorf("moved slot\n got %+v\nwant %+v", got, want)
+	}
+	e := &Engine{}
+	e.migrate(r, to, s, 700, false)
+	want.meta.Hops++
+	if got := slotOf(s, r); got != want || r.server != 0 {
+		t.Errorf("migrated slot on server %d\n got %+v\nwant %+v", r.server, got, want)
+	}
+}
+
+// laneSlot is one slot's columns and SlotMeta, for comparing slots.
+type laneSlot struct {
+	rate, sent, last, susp, size, wake float64
+	flags                              uint8
+	meta                               SlotMeta
+}
+
+// slotOf reads r's slot from s's lane.
+func slotOf(s *server, r *request) laneSlot {
+	ln, i := &s.ln, r.slot
+	return laneSlot{ln.rate[i], ln.sent[i], ln.last[i], ln.susp[i], ln.size[i], ln.wake[i], ln.flags[i], ln.meta[i]}
 }

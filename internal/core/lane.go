@@ -2,49 +2,47 @@ package core
 
 import "math"
 
-// lane is a server's structure-of-arrays data plane: every per-stream
-// field a per-slot scan reads, and the stored wake keys, held in
-// parallel slices indexed by request slot. The pointer slice
-// server.active carries the rest: what the scans never read (admission
-// time, class, park state) and what they read only for a slot that
-// passed the lane's tests (a join's edge start offset, a tapped slot's
-// tap count). The per-event passes — syncAll, the allocation feeds,
-// the wake query, the DRM planner, the audit snapshot — stream
-// contiguous arrays and load a *request only for the slot they act on.
+// lane is a structure-of-arrays data plane: every per-stream field a
+// per-slot scan reads, and the stored wake keys, held in parallel
+// slices indexed by request slot. The pointer slice server.active
+// carries the rest: what the scans never read (admission time, class,
+// park state) and what they read only for a slot that passed the
+// lane's tests (a join's edge start offset, a tapped slot's tap
+// count). The per-event passes — syncAll, the allocation feeds, the
+// wake query, the DRM planner, the audit snapshot — stream contiguous
+// arrays and load a *request only for the slot they act on.
+//
+// A stream's slot is the only home of its state from admission to
+// retirement. server.attach writes a new stream's slot; server.move
+// carries a slot, every column as it stands, from one lane to another
+// (a DRM move, a rescue, a park, a reconnect); retirement reads the
+// slot and server.detach removes it. Every server has a lane, and the
+// engine owns one more, the park lane, which holds the slots of
+// streams in degraded-mode playback at rate 0: no selector, allocation
+// round or audit snapshot sees it.
 //
 // What every allocation round reads of every slot has a column of its
 // own: the fluid state and the flag bits. The rest, which only the
 // rarer scans read (the spare gather past its prefix shortcut, the DRM
-// planner, the audit snapshot), is one SlotMeta record per slot, so
-// attach and detach move it as one value. The columns and records, and
-// who writes them:
+// planner, the audit snapshot), is one SlotMeta record per slot. The
+// columns and records, and who writes them:
 //
 //	rate, sent, last, susp   fluid state: syncStreams, the allocation
-//	                         rounds, setSuspend
-//	size                     mirrored: never changes while attached
+//	                         rounds, setSuspend, park
+//	size                     the object (suffix) size, fixed
 //	wake                     the allocation rounds (see below)
 //	flags                    SlotPaused (pauseView, resumeView),
 //	                         SlotGlitched (the intermittent feed),
-//	                         SlotPatch (mirrored), SlotTapped
-//	                         (server.tap, beside request.taps++)
-//	meta.ID, Video           mirrored: never change while attached
-//	meta.BufCap, RecvCap     mirrored: client caps, fixed at admission
-//	meta.Hops                mirrored: a migration counts the hop
-//	                         between detach and attach, so attach
-//	                         loads the new count
-//	meta.ViewOff, ViewT      viewer position: server.pauseView and
-//	                         resumeView
+//	                         SlotPatch (fixed), SlotTapped (server.tap,
+//	                         beside request.taps++)
+//	meta.ID, Video           fixed
+//	meta.BufCap, RecvCap     client caps, fixed at admission
+//	meta.Hops                migrate counts each DRM move and rescue
+//	meta.ViewOff, ViewT      viewer position: pauseView and resumeView
 //
-// Ownership contract: mirrored fields are copies of request fields that
-// cannot change while the request is attached, so they cannot go stale.
-// Every other field is the only authoritative copy while the request is
-// attached; the request's carry* fields, its viewer state (viewOffset,
-// viewSyncT, pausedView) and glitched are a marshaling area valid only
-// while detached (parked streams, the freelist). attach loads request →
-// lane; detach stores the lane-owned fields back and swap-removes the
-// slot. Columns grow by append, so a server reserves only what it has
-// held. The audit snapshot reads the columns in place
-// (AuditServerState); only the engine writes them.
+// Columns grow by append, so a lane reserves only what it has held.
+// The audit snapshot reads the columns in place (AuditServerState);
+// only the engine writes them.
 //
 // Wake-index contract (see wake.go for the scheduling semantics): each
 // slot stores the request's wake key — the earliest of its finish,
@@ -74,7 +72,8 @@ type lane struct {
 
 // SlotMeta is a slot's stream state beyond the fluid columns and flags:
 // the fields the spare gather, the DRM planner and the audit snapshot
-// read. Its fields are ordered widest first, so it packs in 48 bytes.
+// read. Its fields are ordered widest first, so it packs in 48 bytes,
+// and a move copies it as one value.
 // It is exported for the audit snapshot's read-only view of the lane
 // (AuditServerState.Meta).
 type SlotMeta struct {
@@ -107,48 +106,24 @@ const (
 	wakeArgCopy = int32(-2) // the min is a copy job's key
 )
 
-// attach appends r's carried state as a new lane slot. The wake key
-// starts at +Inf; the reschedule that follows every attach writes the
-// real key (+Inf cannot lower the maintained min, so no invalidation is
-// needed).
-func (ln *lane) attach(r *request) {
-	ln.rate = append(ln.rate, r.carryRate)
-	ln.sent = append(ln.sent, r.carrySent)
-	ln.last = append(ln.last, r.carryLast)
-	ln.susp = append(ln.susp, r.carrySusp)
-	ln.size = append(ln.size, r.size)
+// push appends a slot. Its wake key starts at +Inf; the reschedule
+// that follows every attach and move writes the real key (+Inf cannot
+// lower the maintained min, so no invalidation is needed).
+func (ln *lane) push(rate, sent, last, susp, size float64, flags uint8, m SlotMeta) {
+	ln.rate = append(ln.rate, rate)
+	ln.sent = append(ln.sent, sent)
+	ln.last = append(ln.last, last)
+	ln.susp = append(ln.susp, susp)
+	ln.size = append(ln.size, size)
 	ln.wake = append(ln.wake, math.Inf(1))
-	var f uint8
-	if r.pausedView {
-		f |= SlotPaused
-	}
-	if r.isPatch {
-		f |= SlotPatch
-	}
-	if r.taps > 0 {
-		f |= SlotTapped
-	}
-	if r.glitched {
-		f |= SlotGlitched
-	}
-	ln.flags = append(ln.flags, f)
-	ln.meta = append(ln.meta, SlotMeta{
-		ID: r.id, BufCap: r.bufCap, RecvCap: r.recvCap,
-		ViewOff: r.viewOffset, ViewT: r.viewSyncT,
-		Video: r.video, Hops: r.hops,
-	})
+	ln.flags = append(ln.flags, flags)
+	ln.meta = append(ln.meta, m)
 }
 
-// detach stores slot i's lane-owned state back into r and swap-removes
-// the slot, mirroring server.detach's swap of the active slice.
-// Removing a key can orphan the maintained min, so the index goes
-// dirty.
-func (ln *lane) detach(r *request, i, last int) {
-	r.carryRate, r.carrySent, r.carryLast, r.carrySusp =
-		ln.rate[i], ln.sent[i], ln.last[i], ln.susp[i]
-	r.viewOffset, r.viewSyncT = ln.meta[i].ViewOff, ln.meta[i].ViewT
-	r.pausedView = ln.flags[i]&SlotPaused != 0
-	r.glitched = ln.flags[i]&SlotGlitched != 0
+// remove swap-removes slot i, mirroring server.detach's swap of the
+// active slice. Removing a key can orphan the maintained min, so the
+// index goes dirty.
+func (ln *lane) remove(i, last int) {
 	ln.rate = swapRemove(ln.rate, i, last)
 	ln.sent = swapRemove(ln.sent, i, last)
 	ln.last = swapRemove(ln.last, i, last)
@@ -166,8 +141,7 @@ func swapRemove[T any](a []T, i, last int) []T {
 	return a[:last]
 }
 
-// viewedAt returns the data slot i's viewer has consumed by time t:
-// request.viewedAt on the lane's viewer state.
+// viewedAt returns the data slot i's viewer has consumed by time t.
 func (ln *lane) viewedAt(i int, t, bview float64) float64 {
 	m := &ln.meta[i]
 	return viewedFrom(m.ViewOff, m.ViewT, ln.size[i], t, bview, ln.flags[i]&SlotPaused != 0)

@@ -70,25 +70,33 @@ func (e *Engine) executeMoves(plan []move, now float64, rescue bool) {
 		s.syncAll(now)
 	}
 	for _, m := range plan {
-		from := e.servers[m.r.server]
-		from.detach(m.r)
-		m.r.hops++ // detached: attach mirrors the new count into the lane
-		m.to.attach(m.r)
-		if d := e.cfg.Migration.SwitchDelay; d > 0 {
-			m.to.setSuspend(m.r, now+d)
-		}
-		e.metrics.Migrations++
-		if e.obs != nil {
-			e.obs.OnMigrate(now, m.r.id, int(m.r.video), int(from.id), int(m.to.id), rescue)
-		}
-		if e.audit != nil {
-			e.auditFail(e.audit.Migration(now, m.r.id, m.r.video, from.id, m.to.id, m.r.hops, rescue))
-		}
+		e.migrate(m.r, e.servers[m.r.server], m.to, now, rescue)
 	}
 	for _, s := range touched {
 		e.reschedule(s, now)
 	}
 	e.touchedBuf = touched
+}
+
+// migrate moves r's slot from one server to another mid-transmission —
+// a DRM move, or a rescue off a failing or browned-out server — and
+// charges the move: one more hop on the slot, the switch-delay
+// blackout, the migration counter, and the observer and audit taps.
+// Both servers must be synced to now; the caller reschedules them.
+func (e *Engine) migrate(r *request, from, to *server, now float64, rescue bool) {
+	from.move(r, to)
+	m := &to.ln.meta[r.slot]
+	m.Hops++
+	if d := e.cfg.Migration.SwitchDelay; d > 0 {
+		to.setSuspend(r, now+d)
+	}
+	e.metrics.Migrations++
+	if e.obs != nil {
+		e.obs.OnMigrate(now, r.id, int(r.video), int(from.id), int(to.id), rescue)
+	}
+	if e.audit != nil {
+		e.auditFail(e.audit.Migration(now, r.id, r.video, from.id, to.id, m.Hops, rescue))
+	}
 }
 
 // planDirect finds the best single migration that frees a slot on s:

@@ -64,8 +64,7 @@ func (e *Engine) tryPatchJoin(v int, t float64, bufCap, recvCap float64) bool {
 	joiner := e.newRequest(v, t)
 	joiner.size = prefix
 	joiner.isPatch = true
-	joiner.bufCap, joiner.recvCap = bufCap, recvCap
-	s.attach(joiner)
+	s.attach(joiner, t, bufCap, recvCap)
 	s.tap(primary)
 
 	full := e.cat.Video(v).Size

@@ -70,8 +70,8 @@ func TestResetEquivalence(t *testing.T) {
 // is the point of engine reuse, and a column no run ever fills is
 // dead), the wake-index scalars must be back at their empty-server
 // values, and any field of a kind this test does not recognize fails it
-// outright — adding a column to lane without teaching lane.attach,
-// lane.detach, lane.reset (and this test) about it is a bug.
+// outright — adding a column to lane without teaching lane.push,
+// lane.remove, lane.reset (and this test) about it is a bug.
 func TestResetClearsLanes(t *testing.T) {
 	cfg, cat, lay, mkSrc := kitchenSinkParts(t, 7)
 	e, err := NewEngine(cfg, cat, lay, mkSrc())
@@ -85,38 +85,78 @@ func TestResetClearsLanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	kept := map[string]bool{}
-	for si := range e.servers {
-		ln := reflect.ValueOf(&e.servers[si].ln).Elem()
-		tp := ln.Type()
-		for fi := 0; fi < tp.NumField(); fi++ {
-			f := tp.Field(fi)
-			v := ln.Field(fi)
-			switch {
-			case f.Type.Kind() == reflect.Slice:
-				if v.Len() != 0 {
-					t.Errorf("server %d: lane.%s has %d entries after Reset", si, f.Name, v.Len())
-				}
-				kept[f.Name] = kept[f.Name] || v.Cap() > 0
-			case f.Name == "wakeMin":
-				if got := v.Float(); !math.IsInf(got, 1) {
-					t.Errorf("server %d: lane.wakeMin = %v after Reset, want +Inf", si, got)
-				}
-			case f.Name == "wakeArg":
-				if got := v.Int(); got != int64(wakeArgNone) {
-					t.Errorf("server %d: lane.wakeArg = %d after Reset, want %d", si, got, wakeArgNone)
-				}
-			case f.Name == "wakeDirty":
-				if v.Bool() {
-					t.Errorf("server %d: lane.wakeDirty set after Reset", si)
-				}
-			default:
-				t.Errorf("lane.%s: kind %s not covered by this test — extend lane.reset and the cases above", f.Name, f.Type.Kind())
-			}
-		}
+	for _, s := range e.servers {
+		checkLaneReset(t, s, kept)
 	}
 	for name, ok := range kept {
 		if !ok {
 			t.Errorf("lane.%s kept no capacity on any server: the run never filled it", name)
+		}
+	}
+}
+
+// TestResetEmptiesParkLane stops parkScenario while A is parked and
+// Resets the engine: the park lane must come back empty, keeping the
+// capacity A's slot grew, and no stream may stay parked.
+func TestResetEmptiesParkLane(t *testing.T) {
+	e, _ := parkScenario(t)
+	if err := e.Start(2000); err != nil {
+		t.Fatal(err)
+	}
+	for e.metrics.DegradedParked == 0 && e.Step() {
+	}
+	if len(e.parkLane.active) != 1 || len(e.parked) != 1 {
+		t.Fatalf("%d slots in the park lane, %d parked streams, want 1/1", len(e.parkLane.active), len(e.parked))
+	}
+	if err := e.Reset(e.cfg, e.cat, e.layout, &scriptSource{}); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.parked) != 0 {
+		t.Errorf("%d parked streams after Reset", len(e.parked))
+	}
+	kept := map[string]bool{}
+	checkLaneReset(t, &e.parkLane, kept)
+	for name, ok := range kept {
+		if !ok {
+			t.Errorf("park lane: lane.%s kept no capacity", name)
+		}
+	}
+}
+
+// checkLaneReset checks that Reset emptied s: no active streams, every
+// lane column empty, and the wake-index scalars at their empty-server
+// values. It records in kept, by column, whether the column kept any
+// capacity.
+func checkLaneReset(t *testing.T, s *server, kept map[string]bool) {
+	t.Helper()
+	if n := len(s.active); n != 0 {
+		t.Errorf("server %d: %d active streams after Reset", s.id, n)
+	}
+	ln := reflect.ValueOf(&s.ln).Elem()
+	tp := ln.Type()
+	for fi := 0; fi < tp.NumField(); fi++ {
+		f := tp.Field(fi)
+		v := ln.Field(fi)
+		switch {
+		case f.Type.Kind() == reflect.Slice:
+			if v.Len() != 0 {
+				t.Errorf("server %d: lane.%s has %d entries after Reset", s.id, f.Name, v.Len())
+			}
+			kept[f.Name] = kept[f.Name] || v.Cap() > 0
+		case f.Name == "wakeMin":
+			if got := v.Float(); !math.IsInf(got, 1) {
+				t.Errorf("server %d: lane.wakeMin = %v after Reset, want +Inf", s.id, got)
+			}
+		case f.Name == "wakeArg":
+			if got := v.Int(); got != int64(wakeArgNone) {
+				t.Errorf("server %d: lane.wakeArg = %d after Reset, want %d", s.id, got, wakeArgNone)
+			}
+		case f.Name == "wakeDirty":
+			if v.Bool() {
+				t.Errorf("server %d: lane.wakeDirty set after Reset", s.id)
+			}
+		default:
+			t.Errorf("lane.%s: kind %s not covered by this test — extend lane.reset and the cases above", f.Name, f.Type.Kind())
 		}
 	}
 }

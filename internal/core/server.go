@@ -2,7 +2,9 @@ package core
 
 // server is one data source in the cluster. Storage is decided by the
 // static placement (a server only ever transmits videos it holds); the
-// engine tracks only the transmission side.
+// engine tracks only the transmission side. The engine's park lane is
+// a server value too, outside Engine.servers, so parked slots use the
+// same per-slot methods; only its active list and lane are used.
 type server struct {
 	id        int32
 	bandwidth float64 // Mb/s
@@ -13,8 +15,7 @@ type server struct {
 
 	// ln is the server's structure-of-arrays data plane: the active
 	// requests' per-slot stream state and the stored wake keys,
-	// parallel to the active slice (see lane.go for the ownership
-	// contract).
+	// parallel to the active slice (see lane.go).
 	ln lane
 
 	// version lazily invalidates scheduled wake events: an event whose
@@ -44,22 +45,51 @@ func (s *server) hasSlot() bool {
 // smallest load (Section 3.2's request assignment rule).
 func (s *server) load() int { return len(s.active) }
 
-// attach adds r to the active set, loading its carried state into the
-// lane.
-func (s *server) attach(r *request) {
+// reset empties s for a run as server id, keeping the capacity of its
+// slices.
+func (s *server) reset(id int32, bandwidth float64, slots int) {
+	clear(s.active)
+	clear(s.copies)
+	ln := s.ln
+	ln.reset()
+	*s = server{id: id, bandwidth: bandwidth, slots: slots, active: s.active[:0], copies: s.copies[:0], ln: ln}
+}
+
+// attach adds the new stream r to the active set and writes its first
+// slot as of time t: nothing sent, rate 0, the viewer at 0, and the
+// client's caps.
+func (s *server) attach(r *request, t, bufCap, recvCap float64) {
+	var f uint8
+	if r.isPatch {
+		f = SlotPatch
+	}
+	s.ln.push(0, 0, t, 0, r.size, f, SlotMeta{ID: r.id, BufCap: bufCap, RecvCap: recvCap, ViewT: t, Video: r.video})
+	s.link(r)
+}
+
+// move carries r's slot, every column as it stands, to the lane of to
+// and removes it from s: the one transfer DRM moves, rescues, parks
+// and reconnects share.
+func (s *server) move(r *request, to *server) {
+	i, ln := r.slot, &s.ln
+	to.ln.push(ln.rate[i], ln.sent[i], ln.last[i], ln.susp[i], ln.size[i], ln.flags[i], ln.meta[i])
+	s.detach(r)
+	to.link(r)
+}
+
+// link appends r to the active set, beside the slot just pushed.
+func (s *server) link(r *request) {
 	r.server = s.id
 	r.slot = int32(len(s.active))
 	s.active = append(s.active, r)
-	s.ln.attach(r)
 }
 
-// detach removes r from the active set in O(1) by swapping the last
-// element into its slot, storing the lane slot's mutable state back
-// into r.
+// detach removes r and its slot in O(1) by swapping the last stream
+// into its place.
 func (s *server) detach(r *request) {
 	i := int(r.slot)
 	last := len(s.active) - 1
-	s.ln.detach(r, i, last)
+	s.ln.remove(i, last)
 	s.active[i] = s.active[last]
 	s.active[i].slot = int32(i)
 	s.active[last] = nil
@@ -77,8 +107,9 @@ func (s *server) syncAll(t float64) {
 }
 
 // syncStreams advances the active requests' fluid state to time t: one
-// pass over the lane's contiguous arrays, the same arithmetic (and the
-// same size clamp) request.syncTo applies to the carried state.
+// pass over the lane's contiguous arrays. A slot at rate 0 only moves
+// its sync time; sent is clamped at size against float accumulation
+// error.
 func (s *server) syncStreams(t float64) {
 	lastA := s.ln.last
 	// Reslicing to lastA's length lets the compiler drop the per-element
@@ -101,8 +132,7 @@ func (s *server) syncStreams(t float64) {
 	}
 }
 
-// Per-slot fluid reads, the lane counterparts of the carry-state
-// methods on request.
+// Per-slot fluid reads.
 
 // remainingOf returns slot i's untransmitted volume.
 func (s *server) remainingOf(i int) float64 {
@@ -129,15 +159,13 @@ func (s *server) bufferOf(i int, t, bview float64) float64 {
 	return b
 }
 
-// Per-slot writes of the lane-owned stream state.
+// Per-slot writes of the stream state.
 
-// setSuspend sets the attached request r's suspension deadline (a
-// mid-switch blackout, written after attach by migration and park
-// reconnection).
+// setSuspend sets r's suspension deadline (a mid-switch blackout,
+// written after the move by migration and park reconnection).
 func (s *server) setSuspend(r *request, until float64) { s.ln.susp[r.slot] = until }
 
-// pauseView freezes slot i's playback at time t: request.pauseViewing
-// on the lane's viewer state.
+// pauseView freezes slot i's playback at time t.
 func (s *server) pauseView(i int, t, bview float64) {
 	ln := &s.ln
 	ln.meta[i].ViewOff = ln.viewedAt(i, t, bview)
@@ -151,8 +179,8 @@ func (s *server) resumeView(i int, t float64) {
 	s.ln.flags[i] &^= SlotPaused
 }
 
-// tap records one more multicast receiver fed from the attached
-// request r's transmission, which pins its slot.
+// tap records one more multicast receiver fed from r's transmission,
+// which pins its slot.
 func (s *server) tap(r *request) {
 	r.taps++
 	s.ln.flags[r.slot] |= SlotTapped

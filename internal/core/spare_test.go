@@ -46,14 +46,14 @@ func sortedSpareFeed(e *Engine, s *server, t, avail float64, descending bool) []
 	var grants []SpareGrant
 	for _, ent := range e.cand.Sort() {
 		i := ent.Pos
-		r := s.active[i]
+		recvCap := ln.meta[i].RecvCap
 		var extra float64
 		if avail > dataEps {
-			extra = spareGrantTo(ln.rate[i], r.recvCap, avail)
+			extra = spareGrantTo(ln.rate[i], recvCap, avail)
 		}
 		grants = append(grants, SpareGrant{
 			Request: ent.ID, Remaining: ent.Key,
-			RateBefore: ln.rate[i], Extra: extra, RecvCap: r.recvCap,
+			RateBefore: ln.rate[i], Extra: extra, RecvCap: recvCap,
 		})
 		if extra > 0 {
 			ln.rate[i] += extra
@@ -116,40 +116,39 @@ func spareFeedServer(seed int64, k int, frac float64, held bool, cfg Config) (*E
 		size := 16200.0
 		start := t - 4000*rng.Float64()
 		viewed := (t - start) * bview
-		r := &request{
-			id: int64(1 + ids[i]), size: size, start: start, viewSyncT: start,
-			carryLast: t, bufCap: cfg.BufferCapacity,
+		r := &request{id: int64(1 + ids[i]), size: size, start: start}
+		st := slotState{
+			last: t, viewT: start, bufCap: cfg.BufferCapacity,
 			recvCap: []float64{0, 30, bview}[rng.Intn(3)],
 		}
 		// Buffered volume: empty, full, or anywhere in between; the
 		// remaining volume is what EFTF orders by, so duplicates matter.
 		switch rng.Intn(6) {
 		case 0:
-			r.carrySent = viewed
+			st.sent = viewed
 		case 1:
-			r.carrySent = viewed + r.bufCap
+			st.sent = viewed + st.bufCap
 		default:
-			r.carrySent = viewed + r.bufCap*rng.Float64()
+			st.sent = viewed + st.bufCap*rng.Float64()
 		}
 		if rng.Intn(3) == 0 {
-			r.carrySent = math.Round(r.carrySent/600) * 600 // tied keys
+			st.sent = math.Round(st.sent/600) * 600 // tied keys
 		}
-		r.carrySent = math.Min(r.carrySent, size)
-		switch rng.Intn(12) {
-		case 0:
+		st.sent = math.Min(st.sent, size)
+		draw := rng.Intn(12)
+		if draw == 0 {
 			r.isPatch = true
-		case 1:
-			r.taps = 1
-		case 2:
-			if held {
-				r.pauseViewing(t, bview)
-			}
-		case 3:
-			if held {
-				r.carrySusp = t + 30
-			}
 		}
-		s.attach(r)
+		if draw == 3 && held {
+			st.susp = t + 30
+		}
+		attachSlot(s, r, st)
+		switch {
+		case draw == 1:
+			s.tap(r)
+		case draw == 2 && held:
+			s.pauseView(int(r.slot), t, bview)
+		}
 	}
 	if seed%2 == 0 {
 		s.copies = append(s.copies, &copyJob{size: 3600, sent: 1200 * rng.Float64(), last: t})
